@@ -3,7 +3,8 @@
 Graph files use the PACE-style header "p td <n> <m>" with 1-indexed edge
 lines; 'c' lines are comments.  A --format flag admits DIMACS "p edge"
 files with "e u v" edge lines.  Exit codes: 0 success, 1 the decision was
-answered infeasible, 2 usage error, 3 node budget exhausted.
+answered infeasible, 2 usage error, 3 node budget exhausted, 4 internal
+error, 5 the audit found violations.
 """
 
 from __future__ import annotations
@@ -322,6 +323,11 @@ def run_command(argv: Optional[list[str]] = None, stdout=None) -> int:
     except (ParseError, ValueError, OSError) as exc:
         out.emit("error", f"error: {exc}", error=str(exc))
         return 2
+    except Exception as exc:
+        kind = type(exc).__name__
+        out.emit("error", f"internal error: {kind}: {exc}",
+                 error="internal", exception=kind, message=str(exc))
+        return 4
 
 
 def _cmd_solve(args, out: _Output) -> int:
@@ -376,7 +382,7 @@ def _cmd_audit(args, out: _Output) -> int:
              violations=summary.violations,
              per_rule={k: list(v) for k, v in sorted(summary.per_rule.items())})
     code = _emit_solve(out, result, args.k)
-    return code if summary.clean else 2
+    return code if summary.clean else 5
 
 
 def _cmd_oracle(args, out: _Output) -> int:

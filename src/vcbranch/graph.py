@@ -27,11 +27,12 @@ class Graph:
     Callers that branch hold one copy per subproblem; nothing is shared.
     """
 
-    __slots__ = ("_adj", "_next_id")
+    __slots__ = ("_adj", "_next_id", "_lp")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
         self._adj: dict[int, set[int]] = {}
         self._next_id = 0
+        self._lp = None  # LP engine (vcbranch.lp); built on demand, cleared on mutation
         for v in vertices:
             self.add_vertex(v)
         for u, v in edges:
@@ -46,6 +47,7 @@ class Graph:
         if v < 0:
             raise ValueError(f"vertex ids must be non-negative, got {v}")
         self._adj.setdefault(v, set())
+        self._lp = None
         self._next_id = max(self._next_id, v + 1)
         return v
 

@@ -56,96 +56,169 @@ class SurplusCert:
 # ---------------------------------------------------------------------------
 # LP core: Hopcroft-Karp on the bipartite double cover + Koenig extraction.
 # All routines take an `excluded` mask so callers can work on G - X without
-# materializing subgraphs.
+# materializing subgraphs.  One engine per graph holds a maximum matching of
+# the full double cover; a masked solve drops the matched pairs that touch
+# the mask and re-augments from there.  The Koenig zero-set (left vertices
+# that some maximum matching leaves exposed, minus their right neighbours)
+# and the matching size do not depend on which maximum matching is found,
+# so warm-started and memoized answers equal from-scratch ones.
 # ---------------------------------------------------------------------------
 
-def _lp_core(g: Graph, excluded: frozenset[int]) -> tuple[int, frozenset[int], int]:
-    """Return (weight2, zero_set, n_active) for LPVC(G - excluded)."""
-    adj_map = g._adj
-    verts = sorted(v for v in adj_map if v not in excluded)
-    n = len(verts)
-    if n == 0:
-        return 0, _EMPTY, 0
-    index = {v: i for i, v in enumerate(verts)}
-    adj: list[list[int]] = []
-    for v in verts:
-        adj.append(sorted(index[w] for w in adj_map[v] if w not in excluded))
+class _LPEngine:
+    """Double cover of one graph, its maximum matching and a mask memo.
 
-    match_l = [-1] * n
-    match_r = [-1] * n
-    inf = n + 1
-    dist = [0] * n
+    Read-only after construction except for memo inserts; each solve works
+    on its own copy of the matching.  A masked right vertex is matched to
+    the marker index n; dist[n] == -2 and seen_l[n] keep every search from
+    entering it.
+    """
 
-    # Hopcroft-Karp phases
-    while True:
-        queue = []
-        for u in range(n):
-            if match_l[u] < 0:
+    __slots__ = ("verts", "index", "adj", "match_l", "match_r", "exposed", "memo")
+
+    def __init__(self, adj_map: dict[int, set[int]]):
+        self.verts = verts = sorted(adj_map)
+        self.index = index = {v: i for i, v in enumerate(verts)}
+        self.adj = [sorted(index[w] for w in adj_map[v]) for v in verts]
+        n = len(verts)
+        match_l = [-1] * n
+        match_r = [-1] * n
+        self.exposed = self._augment(match_l, match_r, list(range(n)))
+        self.match_l = match_l
+        self.match_r = match_r
+        self.memo: dict[frozenset[int], tuple[int, frozenset[int], int]] = {}
+
+    def _augment(self, match_l: list[int], match_r: list[int], cand: list[int]) -> list[int]:
+        """Hopcroft-Karp phases until no augmenting path is left.
+
+        match_l[u] is -1 for an exposed left vertex, -2 for a masked one;
+        cand holds every exposed left vertex (and maybe others).  Returns
+        the exposed left vertices of the final maximum matching.
+        """
+        adj = self.adj
+        n = len(adj)
+        inf = n + 1
+        while True:
+            roots = [u for u in cand if match_l[u] == -1]
+            dist = [inf] * n
+            dist.append(-2)
+            for u in roots:
                 dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = inf
-        found = inf
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            du = dist[u]
-            if du >= found:
-                continue
-            for w in adj[u]:
-                nxt = match_r[w]
-                if nxt < 0:
-                    if found == inf:
+            queue = roots[:]
+            found = inf
+            for u in queue:
+                du = dist[u]
+                if du >= found:
+                    break
+                for w in adj[u]:
+                    nxt = match_r[w]
+                    if nxt < 0:
                         found = du + 1
-                elif dist[nxt] == inf:
-                    dist[nxt] = du + 1
-                    queue.append(nxt)
-        if found == inf:
-            break
+                    elif dist[nxt] == inf:
+                        dist[nxt] = du + 1
+                        queue.append(nxt)
+            if found == inf:
+                return roots
+            # Vertex-disjoint shortest augmenting paths by an iterative DFS
+            # along the BFS layers; each vertex's edge iterator is its cursor
+            # for the whole phase.  Only the last layer looks for a free
+            # right vertex; free (-1) and masked (n) right vertices both
+            # read dist[n] == -2, which matches no layer.
+            cursors = list(map(iter, adj))
+            for root in roots:
+                stack = [root]
+                path: list[int] = []  # path[i]: the edge stack[i] leaves by
+                while stack:
+                    u = stack[-1]
+                    step = dist[u] + 1
+                    for w in cursors[u]:
+                        nxt = match_r[w]
+                        if step == found:
+                            if nxt < 0:
+                                path.append(w)
+                                for s, w in zip(stack, path):
+                                    match_r[w] = s
+                                    match_l[s] = w
+                                stack.clear()
+                                break
+                        elif dist[nxt] == step:
+                            path.append(w)
+                            stack.append(nxt)
+                            break
+                    else:
+                        dist[u] = inf
+                        stack.pop()
+                        if path:
+                            path.pop()
 
-        def dfs(u: int) -> bool:
+    def solve(self, excluded: frozenset[int]) -> tuple[int, frozenset[int], int]:
+        """Return (weight2, zero_set, n_active) for LPVC(G - excluded)."""
+        hit = self.memo.get(excluded)
+        if hit is not None:
+            return hit
+        index = self.index
+        n = len(self.verts)
+        match_l = self.match_l[:]
+        match_r = self.match_r[:]
+        cand = self.exposed[:]
+        masked = 0
+        for v in excluded:
+            i = index.get(v)
+            if i is None:
+                continue
+            masked += 1
+            j = match_l[i]
+            if j >= 0:
+                match_r[j] = -1
+            match_l[i] = -2
+            j = match_r[i]
+            if j >= 0:
+                match_l[j] = -1
+                cand.append(j)
+            match_r[i] = n
+        if masked == n:
+            result = (0, _EMPTY, 0)
+        else:
+            exposed = self._augment(match_l, match_r, cand)
+            result = (n - masked - len(exposed), self._zero_set(match_r, exposed), n - masked)
+        self.memo[excluded] = result
+        return result
+
+    def _zero_set(self, match_r: list[int], exposed: list[int]) -> frozenset[int]:
+        """Koenig: alternating reachability from the exposed left vertices.
+
+        cover = (L not reachable) + (R reachable); theta2(v) = Lv + Rv in
+        cover, so v has value 0 iff Lv is reachable and Rv is not.
+        """
+        adj = self.adj
+        n = len(adj)
+        seen_l = bytearray(n + 1)
+        seen_l[n] = 1
+        seen_r = bytearray(n)
+        queue = exposed[:]
+        for u in queue:
+            seen_l[u] = 1
+        for u in queue:
             for w in adj[u]:
-                nxt = match_r[w]
-                if nxt < 0:
-                    if dist[u] + 1 == found:
-                        match_r[w] = u
-                        match_l[u] = w
-                        return True
-                elif dist[nxt] == dist[u] + 1 and dfs(nxt):
-                    match_r[w] = u
-                    match_l[u] = w
-                    return True
-            dist[u] = inf
-            return False
+                if not seen_r[w]:
+                    seen_r[w] = 1
+                    nxt = match_r[w]
+                    if nxt >= 0 and not seen_l[nxt]:
+                        seen_l[nxt] = 1
+                        queue.append(nxt)
+        verts = self.verts
+        return frozenset(verts[u] for u in queue if not seen_r[u])
 
-        for u in range(n):
-            if match_l[u] < 0:
-                dfs(u)
 
-    weight2 = sum(1 for u in range(n) if match_l[u] >= 0)
+def _lp_core(g: Graph, excluded: frozenset[int]) -> tuple[int, frozenset[int], int]:
+    """Return (weight2, zero_set, n_active) for LPVC(G - excluded).
 
-    # Koenig: alternating reachability from unmatched left vertices.
-    seen_l = [False] * n
-    seen_r = [False] * n
-    queue = [u for u in range(n) if match_l[u] < 0]
-    for u in queue:
-        seen_l[u] = True
-    qi = 0
-    while qi < len(queue):
-        u = queue[qi]
-        qi += 1
-        for w in adj[u]:
-            if not seen_r[w]:
-                seen_r[w] = True
-                nxt = match_r[w]
-                if nxt >= 0 and not seen_l[nxt]:
-                    seen_l[nxt] = True
-                    queue.append(nxt)
-
-    # cover = (L not reachable) + (R reachable); theta2(v) = Lv + Rv in cover
-    zero = frozenset(verts[i] for i in range(n) if seen_l[i] and not seen_r[i])
-    return weight2, zero, n
+    Two threads may race to build the engine or to solve one mask; both
+    results are canonical, so whichever is kept is the same answer.
+    """
+    engine = g._lp
+    if engine is None:
+        engine = g._lp = _LPEngine(g._adj)
+    return engine.solve(frozenset(excluded))
 
 
 def _theta2_from_cover(g: Graph, excluded: frozenset[int]) -> HalfIntegralSolution:
@@ -376,9 +449,6 @@ class Instance:
     def lp_infeasible(self) -> bool:
         """mu < 0 certifies that no cover of size <= k exists."""
         return self.mu2 < 0
-
-    def with_graph(self, graph: Graph, k: int) -> "Instance":
-        return Instance(graph, k)
 
     def __repr__(self) -> str:
         return f"Instance(n={self.graph.n}, k={self.k}, lambda={self.lam}, mu={self.mu})"

@@ -15,7 +15,7 @@ from vcbranch.cli import (
 )
 from vcbranch.lp import Instance
 from vcbranch.reduce import lift_cover, simplify
-from vcbranch.verify import brute_force_vc
+from vcbranch.verify import audit_trace, brute_force_vc
 
 from oracle_utils import is_cover, named_corpus
 
@@ -68,6 +68,41 @@ def test_solve_exit_codes(tmp_path):
     assert code == 2  # --k required
     code, out = run(["solve", str(path), "--k", "6", "--budget", "0"])
     assert code == 3
+
+
+def test_internal_error_exit_code(tmp_path, monkeypatch):
+    import vcbranch.cli as cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    path = tmp_path / "pet.gr"
+    path.write_text(render_graph(NAMED_GRAPHS["petersen"]()))
+    monkeypatch.setattr(cli, "solve_decision", broken)
+    code, out = run(["solve", str(path), "--k", "6", "--json"])
+    assert code == 4  # never 1, which would claim "infeasible"
+    err = [json.loads(line) for line in out.splitlines()][-1]
+    assert err == {"record": "error", "error": "internal",
+                   "exception": "RuntimeError", "message": "boom"}
+    code, out = run(["solve", str(path), "--k", "6"])
+    assert code == 4 and "internal error: RuntimeError: boom" in out
+
+
+def test_audit_violation_exit_code(tmp_path, monkeypatch):
+    import dataclasses
+
+    import vcbranch.cli as cli
+
+    def dirty(records):
+        return dataclasses.replace(audit_trace(records), violations=1)
+
+    path = tmp_path / "c912.gr"
+    path.write_text(render_graph(circulant(9, (1, 2))))
+    argv = ["audit", str(path), "--k", "6", "--algorithm", "level4"]
+    assert run(argv)[0] == 0
+    monkeypatch.setattr(cli, "audit_trace", dirty)
+    assert run(argv)[0] == 5  # distinct from usage error 2
+    assert run(["audit", str(path)])[0] == 2  # --k required
 
 
 def test_budget_env(tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -7,11 +8,13 @@ from vcbranch.lp import (
     Instance,
     find_blocker,
     find_min_set,
+    _lp_core,
     lp_basic_solution,
     minsurp,
     shadow,
+    shadow_minus,
 )
-from vcbranch.cli import gnp
+from vcbranch.cli import gnp, random_regular
 
 from oracle_utils import exhaustive_lp_weight2, exhaustive_minsurp, exhaustive_vc
 
@@ -145,3 +148,78 @@ def test_instance_caches_mu():
     assert inst.lam == 2.5 and inst.mu == 0.5
     assert not inst.lp_infeasible()
     assert Instance(cycle(5), 2).lp_infeasible()
+
+
+def _shuffled_cycle(n: int, seed: int) -> Graph:
+    ids = list(range(n))
+    random.Random(seed).shuffle(ids)
+    return Graph(vertices=ids, edges=[(ids[i], ids[(i + 1) % n]) for i in range(n)])
+
+
+def test_lp_long_odd_cycle_does_not_recurse():
+    g = _shuffled_cycle(5001, seed=3)
+    sol = lp_basic_solution(g)
+    assert sol.weight2 == 5001 and sol.zero_set() == frozenset()
+    v = g.vertices()[0]
+    assert shadow_minus(g, g.neighborhood([v], closed=True)) == 0
+
+
+def _masks(g: Graph, rng: random.Random) -> list[frozenset[int]]:
+    verts = g.vertices()
+    masks = [frozenset(), frozenset(verts), frozenset({-1, 10**6}),
+             frozenset(verts) | {10**6}]
+    masks += [g.neighborhood([x], closed=True) for x in verts]
+    for _ in range(25):
+        mask = set(rng.sample(verts, rng.randint(0, len(verts))))
+        if rng.random() < 0.3:
+            mask.add(10**6 + rng.randrange(5))  # ids not in the graph
+        masks.append(frozenset(mask))
+    return masks
+
+
+def test_masked_lp_equals_from_scratch_solve():
+    """Warm-started masked solves equal cold solves of the deleted graph.
+
+    The zero-set and weight are canonical (independent of the maximum
+    matching found), so the comparison is exact.
+    """
+    rng = random.Random(11)
+    graphs = [gnp(n, p, seed) for seed, (n, p) in enumerate(
+        [(8, 0.3), (9, 0.45), (12, 0.2), (20, 0.15), (25, 0.1), (30, 0.2)])]
+    graphs += [random_regular(n, d, seed) for seed, (n, d) in enumerate(
+        [(8, 3), (10, 4), (16, 3), (20, 5), (24, 6)])]
+    for g in graphs:
+        for mask in _masks(g, rng):
+            warm = _lp_core(g, mask)
+            sub = g.delete_vertices(mask & set(g.vertices()))
+            cold = _lp_core(sub, frozenset())
+            assert warm == cold, (g, sorted(mask))
+            assert _lp_core(g, mask) == warm  # memo hit
+            if sub.n <= 8:
+                assert warm[0] == exhaustive_lp_weight2(sub)
+            assert warm[2] == sub.n
+
+
+def test_lp_engine_dropped_on_mutation_and_not_shared():
+    def rebuilt(h: Graph) -> Graph:
+        return Graph(vertices=h.vertices(), edges=h.edges())
+
+    g = gnp(14, 0.25, 4)
+    lp_basic_solution(g)
+    assert g._lp is not None
+    u, v = next((u, v) for u in g.vertices() for v in g.vertices()
+                if u < v and not g.has_edge(u, v))
+    g.add_edge(u, v)
+    assert g._lp is None
+    assert lp_basic_solution(g) == lp_basic_solution(rebuilt(g))
+    assert shadow_minus(g, [u, v]) == shadow_minus(rebuilt(g), [u, v])
+    g.add_vertex()
+    assert g._lp is None
+    assert lp_basic_solution(g) == lp_basic_solution(rebuilt(g))
+
+    children = [g.copy(), g.delete_vertices([0]), g.add_vertex_with_edges([1, 2])[0],
+                g.add_biclique([3], [5, 6])]
+    for child in children:
+        assert child._lp is None
+        assert lp_basic_solution(child) == lp_basic_solution(rebuilt(child))
+        assert child._lp is not g._lp
