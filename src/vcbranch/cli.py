@@ -243,8 +243,9 @@ def _stats_record(stats: SolveStats) -> dict:
         "rule_counts": dict(sorted(stats.rule_counts.items())),
         "audit_records": len(stats.audit_records),
         "audit_violations": stats.audit_violations,
+        "selector_cases": dict(sorted(stats.selector.cases.items())),
+        "selector_fallbacks": stats.selector.fallbacks,
         "wall_ms": round(stats.wall_time * 1000, 3),
-        "nondeterministic": stats.nondeterministic,
     }
 
 
@@ -286,12 +287,10 @@ def _config(args, out: Optional[_Output] = None) -> SolverConfig:
     if out is not None:
         out.emit("config",
                  f"c config command={args.command} algorithm={args.algorithm} "
-                 f"seed={args.seed} budget={budget} threads={args.threads}",
-                 command=args.command, algorithm=args.algorithm, seed=args.seed,
-                 budget=budget, threads=args.threads)
+                 f"budget={budget}",
+                 command=args.command, algorithm=args.algorithm, budget=budget)
     return SolverConfig(level=level, node_budget=budget,
-                        audit=getattr(args, "audit_on", False),
-                        threads=args.threads)
+                        audit=getattr(args, "audit_on", False))
 
 
 def _emit_solve(out: _Output, result, k: int) -> int:
@@ -440,10 +439,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def solver_flags(p):
         p.add_argument("--algorithm", default="level7",
                        choices=("level4", "level5", "level6", "level7"))
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=None,
                        help="branch-node budget (default: $VC_BRANCH_BUDGET)")
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("solve", help="decide a cover of size <= k")
     common(p)

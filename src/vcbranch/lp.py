@@ -210,11 +210,7 @@ class _LPEngine:
 
 
 def _lp_core(g: Graph, excluded: frozenset[int]) -> tuple[int, frozenset[int], int]:
-    """Return (weight2, zero_set, n_active) for LPVC(G - excluded).
-
-    Two threads may race to build the engine or to solve one mask; both
-    results are canonical, so whichever is kept is the same answer.
-    """
+    """Return (weight2, zero_set, n_active) for LPVC(G - excluded)."""
     engine = g._lp
     if engine is None:
         engine = g._lp = _LPEngine(g._adj)

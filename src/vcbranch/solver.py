@@ -10,19 +10,26 @@ next-lower level against the bounded-degree solver.
 Solvers are written as generators yielding once per branch node, so
 dovetailing is deterministic node-quantum alternation and a global node
 budget applies uniformly.
+
+Simplification, component folding and branch selection do not depend on
+k: k only shifts by each step's dk.  The ascending optimum search revisits
+every node of the previous k's tree, so one solve_optimum call keeps a
+_SearchCache of that work, keyed by graph identity, and a node visited
+again for another k replays its preprocessing and its branching decision
+instead of recomputing them.  Every cached child is the very Graph object
+the next visit receives, so identity is the whole key.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Generator, Optional
 
 from .graph import Graph
-from .lp import Instance, SurplusCert
+from .lp import Instance, SurplusCert, lp_weight2
 from .reduce import (
     ReductionStep,
     ReductionTrace,
@@ -51,7 +58,6 @@ class SolverConfig:
     node_budget: Optional[int] = None
     audit: bool = False
     dovetail_quantum: int = 256
-    threads: int = 1
 
 
 @dataclass
@@ -63,17 +69,6 @@ class SolveStats:
     audit_violations: int = 0
     selector: SelectorStats = field(default_factory=SelectorStats)
     wall_time: float = 0.0
-    nondeterministic: bool = False
-
-    def merge(self, other: "SolveStats") -> None:
-        self.nodes += other.nodes
-        self.rule_counts.update(other.rule_counts)
-        self.max_depth = max(self.max_depth, other.max_depth)
-        self.audit_records.extend(other.audit_records)
-        self.audit_violations += other.audit_violations
-        for case, cnt in other.selector.cases.items():
-            self.selector.cases[case] = self.selector.cases.get(case, 0) + cnt
-        self.selector.fallbacks += other.selector.fallbacks
 
 
 @dataclass
@@ -91,10 +86,6 @@ class BudgetExhausted(RuntimeError):
         self.stats = stats
 
 
-class _Cancelled(Exception):
-    pass
-
-
 SolveGen = Generator[None, None, tuple[bool, Optional[frozenset[int]]]]
 
 
@@ -106,23 +97,71 @@ def _account(stats: SolveStats, cfg: SolverConfig, depth: int) -> None:
         raise BudgetExhausted(stats)
 
 
-def _drive(gen: SolveGen, cancel: Optional[threading.Event] = None):
+def _drive(gen: SolveGen):
     while True:
         try:
             next(gen)
         except StopIteration as stop:
             return stop.value
-        if cancel is not None and cancel.is_set():
-            gen.close()
-            raise _Cancelled
+
+
+class _SearchCache:
+    """The k-independent work of one solve call, keyed by graph identity.
+
+    A key is (id(graph), tag); each entry holds its graph, so the id stays
+    unique while the entry lives.  Keys are only graphs that a later visit
+    receives again: the input graph, the graphs _preprocess returns and the
+    child graphs that a kept expansion holds.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self) -> None:
+        self._entries: dict[tuple[int, object], tuple] = {}
+
+    def get(self, g: Graph, tag: object):
+        hit = self._entries.get((id(g), tag))
+        return None if hit is None else hit[1]
+
+    def put(self, g: Graph, tag: object, value) -> None:
+        self._entries[(id(g), tag)] = (g, value)
+
+
+class _NoReuse(_SearchCache):
+    """The cache of a single decision run.  Within one k each graph is
+    preprocessed and expanded at most once per tag, so no lookup can hit and
+    keeping entries would only pin every explored graph."""
+
+    __slots__ = ()
+
+    def get(self, g: Graph, tag: object):
+        return None
+
+    def put(self, g: Graph, tag: object, value) -> None:
+        pass
 
 
 # ---------------------------------------------------------------------------
 # node preprocessing: simplify + fold small side components
 # ---------------------------------------------------------------------------
 
-def _preprocess(inst: Instance, cfg: SolverConfig,
-                presimplified: bool) -> tuple[Instance, ReductionTrace]:
+def _preprocess(inst: Instance, cfg: SolverConfig, presimplified: bool,
+                cache: _SearchCache) -> tuple[Instance, ReductionTrace]:
+    """Simplify and fold inst once per graph; later visits shift k by dk."""
+    tag = ("preprocess", presimplified)
+    hit = cache.get(inst.graph, tag)
+    if hit is None:
+        out, trace = _simplify_and_fold(inst, cfg, presimplified)
+        hit = (out.graph, trace, inst.k - out.k, out.lambda2)
+        cache.put(inst.graph, tag, hit)
+        if out.graph is not inst.graph:
+            inst.graph._lp = None  # spent: later visits replay the result
+    g, trace, dk, lambda2 = hit
+    return Instance(g, inst.k - dk, lambda2=lambda2), trace
+
+
+def _simplify_and_fold(inst: Instance, cfg: SolverConfig,
+                       presimplified: bool) -> tuple[Instance, ReductionTrace]:
     if presimplified:
         trace = ReductionTrace(final_graph=inst.graph)
     else:
@@ -198,8 +237,10 @@ def _base_maxis_gen(inst: Instance, cfg: SolverConfig, stats: SolveStats,
 
 
 def _base_agvc_gen(inst: Instance, cfg: SolverConfig, stats: SolveStats,
-                   depth: int) -> SolveGen:
-    inst, trace = _preprocess(inst, cfg, presimplified=False)
+                   depth: int, cache: Optional[_SearchCache] = None) -> SolveGen:
+    if cache is None:
+        cache = _NoReuse()
+    inst, trace = _preprocess(inst, cfg, False, cache)
     if inst.k < 0 or inst.mu2 < 0:
         return False, None
     g = inst.graph
@@ -208,18 +249,23 @@ def _base_agvc_gen(inst: Instance, cfg: SolverConfig, stats: SolveStats,
     _account(stats, cfg, depth)
     stats.rule_counts["base-agvc-split"] += 1
     yield
-    # simplified: the all-half solution is optimal, every vertex is support
-    maxdeg = g.max_degree()
-    u = min(v for v in g.vertices() if g.degree(v) == maxdeg)
-    branches = [
-        ({u}, {u}, 1),
-        (set(g.neighbors(u)), set(g.neighbors(u)) | {u}, maxdeg),
-    ]
-    for include, delete, dk in branches:
-        child = Instance(g.delete_vertices(delete), inst.k - dk)
-        ok, sub = yield from _base_agvc_gen(child, cfg, stats, depth + 1)
+    branches = cache.get(g, "agvc")
+    if branches is None:
+        # simplified: the all-half solution is optimal, every vertex is support
+        maxdeg = g.max_degree()
+        u = min(v for v in g.vertices() if g.degree(v) == maxdeg)
+        nbrs = frozenset(g.neighbors(u))
+        branches = []
+        for include, delete, dk in ((frozenset({u}), {u}, 1), (nbrs, nbrs | {u}, maxdeg)):
+            child = g.delete_vertices(delete)
+            branches.append((include, child, dk, lp_weight2(child)))
+        cache.put(g, "agvc", branches)
+        g._lp = None  # spent: later visits replay the branches
+    for include, child, dk, lambda2 in branches:
+        ok, sub = yield from _base_agvc_gen(Instance(child, inst.k - dk, lambda2=lambda2),
+                                            cfg, stats, depth + 1, cache)
         if ok:
-            return True, lift_cover(trace, frozenset(include) | sub)
+            return True, lift_cover(trace, include | sub)
     return False, None
 
 
@@ -257,8 +303,9 @@ def _predicted_exponents(inst: Instance, level: int, cfg: SolverConfig) -> tuple
 
 
 def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: SolveStats,
-                     depth: int, presimplified: bool = False) -> SolveGen:
-    inst, trace = _preprocess(inst, cfg, presimplified)
+                     depth: int, cache: _SearchCache,
+                     presimplified: bool = False) -> SolveGen:
+    inst, trace = _preprocess(inst, cfg, presimplified, cache)
     if inst.k < 0 or inst.mu2 < 0:
         return False, None
     g = inst.graph
@@ -268,9 +315,9 @@ def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: Solve
     if g.max_degree() < level:
         own_cost, maxis_cost = _predicted_exponents(inst, level, cfg)
         if level == 4:
-            own = _base_agvc_gen(inst, cfg, stats, depth + 1)
+            own = _base_agvc_gen(inst, cfg, stats, depth + 1, cache)
         else:
-            own = _solve_level_gen(inst, level - 1, cfg, stats, depth + 1,
+            own = _solve_level_gen(inst, level - 1, cfg, stats, depth + 1, cache,
                                    presimplified=True)
         other = _base_maxis_gen(inst, cfg, stats, depth + 1)
         if own_cost <= maxis_cost:
@@ -284,13 +331,19 @@ def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: Solve
 
     _account(stats, cfg, depth)
     yield
-    if level <= 6:
-        decision = select_branch(inst, stats.selector)
-    else:
-        maxdeg = g.max_degree()
-        u = min(v for v in g.vertices() if g.degree(v) == maxdeg)
-        decision = split_vertex(inst, u, claimed=((0.0, 1), (0.0, min(maxdeg, 7))),
-                                case="branch7/top-split")
+    decision = cache.get(g, level)
+    if decision is None:
+        if level <= 6:
+            decision = select_branch(inst, stats.selector)
+        else:
+            maxdeg = g.max_degree()
+            u = min(v for v in g.vertices() if g.degree(v) == maxdeg)
+            decision = split_vertex(inst, u, claimed=((0.0, 1), (0.0, min(maxdeg, 7))),
+                                    case="branch7/top-split")
+        cache.put(g, level, decision)
+        g._lp = None  # spent: later visits replay the decision
+    elif level <= 6:
+        stats.selector.note(decision.case)
     stats.rule_counts[decision.rule] += 1
     if cfg.audit:
         record = make_audit_record(
@@ -301,8 +354,9 @@ def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: Solve
             stats.audit_violations += 1
 
     for child in decision.children:
-        ok, sub = yield from _solve_level_gen(child.inst, level, cfg, stats,
-                                              depth + 1, presimplified=True)
+        sub_inst = Instance(child.inst.graph, inst.k - child.dk, lambda2=child.inst.lambda2)
+        ok, sub = yield from _solve_level_gen(sub_inst, level, cfg, stats, depth + 1,
+                                              cache, presimplified=True)
         if ok:
             return True, lift_cover(trace, child.include | lift_cover(child.trace, sub))
     return False, None
@@ -336,69 +390,12 @@ def solve_decision(inst: Instance, level: Optional[int] = None,
         raise ValueError(f"level must be 4..7, got {level}")
     stats = SolveStats()
     started = time.perf_counter()
-    if cfg.threads > 1:
-        feasible, cover = _solve_root_parallel(inst, level, cfg, stats)
-    else:
-        try:
-            feasible, cover = _drive(_solve_level_gen(inst, level, cfg, stats, 0))
-        except BudgetExhausted as exc:
-            exc.stats.wall_time = time.perf_counter() - started
-            raise
+    try:
+        feasible, cover = _drive(_solve_level_gen(inst, level, cfg, stats, 0, _NoReuse()))
+    except BudgetExhausted as exc:
+        exc.stats.wall_time = time.perf_counter() - started
+        raise
     return _finish(inst, feasible, cover, stats, started)
-
-
-def _solve_root_parallel(inst: Instance, level: int, cfg: SolverConfig,
-                         stats: SolveStats) -> tuple[bool, Optional[frozenset[int]]]:
-    """Explore the root decision's children in threads; first feasible wins."""
-    inst2, trace = _preprocess(inst, cfg, presimplified=False)
-    if inst2.k < 0 or inst2.mu2 < 0:
-        return False, None
-    g = inst2.graph
-    if g.n == 0:
-        return True, lift_cover(trace, ())
-    if g.max_degree() < level:
-        feasible, cover = _drive(_solve_level_gen(inst2, level, cfg, stats, 0,
-                                                  presimplified=True))
-        return feasible, (lift_cover(trace, cover) if feasible else None)
-    _account(stats, cfg, 0)
-    if level <= 6:
-        decision = select_branch(inst2, stats.selector)
-    else:
-        maxdeg = g.max_degree()
-        u = min(v for v in g.vertices() if g.degree(v) == maxdeg)
-        decision = split_vertex(inst2, u, claimed=((0.0, 1), (0.0, min(maxdeg, 7))))
-    stats.rule_counts[decision.rule] += 1
-    stats.nondeterministic = True
-
-    cancel = threading.Event()
-    outcomes: list = [None] * len(decision.children)
-    substats = [SolveStats() for _ in decision.children]
-
-    def work(i: int, child) -> None:
-        try:
-            outcomes[i] = _drive(
-                _solve_level_gen(child.inst, level, cfg, substats[i], 1,
-                                 presimplified=True), cancel)
-            if outcomes[i][0]:
-                cancel.set()
-        except (_Cancelled, BudgetExhausted):
-            outcomes[i] = None
-
-    threads = [threading.Thread(target=work, args=(i, c))
-               for i, c in enumerate(decision.children)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    for sub in substats:
-        stats.merge(sub)
-    for child, outcome in zip(decision.children, outcomes):
-        if outcome is not None and outcome[0]:
-            cover = child.include | lift_cover(child.trace, outcome[1])
-            return True, lift_cover(trace, cover)
-    if any(outcome is None for outcome in outcomes):
-        raise BudgetExhausted(stats)
-    return False, None
 
 
 def base_maxis(inst: Instance, cfg: Optional[SolverConfig] = None) -> SolveResult:
@@ -427,8 +424,7 @@ def dovetail(s1: Callable, s2: Callable, inst: Instance,
              cfg: Optional[SolverConfig] = None) -> SolveResult:
     """Run two exact solvers with fair interleaving; first answer wins.
 
-    Single-threaded mode alternates fixed node quanta deterministically;
-    with cfg.threads > 1 both run concurrently and the loser is cancelled.
+    The solvers alternate fixed node quanta deterministically.
     """
     cfg = cfg or SolverConfig()
     started = time.perf_counter()
@@ -436,31 +432,6 @@ def dovetail(s1: Callable, s2: Callable, inst: Instance,
     gen2 = getattr(s2, "generator", None)
     if gen1 is None or gen2 is None:
         raise TypeError("dovetail expects solvers exposing a .generator factory")
-    if cfg.threads > 1:
-        st1, st2 = SolveStats(), SolveStats()
-        cancel = threading.Event()
-        results: list = [None, None]
-
-        def work(i, factory, st):
-            try:
-                results[i] = _drive(factory(inst, cfg, st, 0), cancel)
-                cancel.set()
-            except (_Cancelled, BudgetExhausted):
-                pass
-
-        threads = [threading.Thread(target=work, args=(0, gen1, st1)),
-                   threading.Thread(target=work, args=(1, gen2, st2))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        stats = SolveStats(nondeterministic=True)
-        stats.merge(st1)
-        stats.merge(st2)
-        picked = results[0] if results[0] is not None else results[1]
-        if picked is None:
-            raise BudgetExhausted(stats)
-        return _finish(inst, picked[0], picked[1], stats, started)
     stats = SolveStats()
     feasible, cover = _drive(_dovetail_gen(gen1(inst, cfg, stats, 0),
                                            gen2(inst, cfg, stats, 0),
@@ -470,22 +441,24 @@ def dovetail(s1: Callable, s2: Callable, inst: Instance,
 
 def solve_optimum(g: Graph, cfg: Optional[SolverConfig] = None
                   ) -> tuple[int, frozenset[int], SolveStats]:
-    """Smallest k admitting a cover, by ascending search from ceil(lambda)."""
+    """Smallest k admitting a cover, by ascending search from ceil(lambda).
+
+    All decision runs share one _SearchCache, so each k re-expands only the
+    nodes the previous k did not reach; the cache ends with the call.
+    """
     cfg = cfg or SolverConfig()
     stats = SolveStats()
     started = time.perf_counter()
+    cache = _SearchCache()
     base = Instance(g, 0)
     k = (base.lambda2 + 1) // 2
     while True:
         inst = Instance(g, k, lambda2=base.lambda2)
-        if cfg.threads > 1:
-            feasible, cover = _solve_root_parallel(inst, cfg.level, cfg, stats)
-        else:
-            try:
-                feasible, cover = _drive(_solve_level_gen(inst, cfg.level, cfg, stats, 0))
-            except BudgetExhausted as exc:
-                exc.stats.wall_time = time.perf_counter() - started
-                raise
+        try:
+            feasible, cover = _drive(_solve_level_gen(inst, cfg.level, cfg, stats, 0, cache))
+        except BudgetExhausted as exc:
+            exc.stats.wall_time = time.perf_counter() - started
+            raise
         if feasible:
             result = _finish(inst, True, cover, stats, started)
             return len(result.cover), result.cover, result.stats

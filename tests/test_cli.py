@@ -189,7 +189,8 @@ GOLDEN_SOLVE_KEYS = {
 }
 GOLDEN_STATS_KEYS = {
     "nodes": int, "max_depth": int, "rule_counts": dict, "audit_records": int,
-    "audit_violations": int, "wall_ms": float, "nondeterministic": bool,
+    "audit_violations": int, "selector_cases": dict, "selector_fallbacks": int,
+    "wall_ms": float,
 }
 
 
@@ -210,5 +211,21 @@ def test_json_schema_golden(tmp_path):
     inp = [r for r in records if r["record"] == "input"][0]
     assert set(inp) == {"record", "name", "n", "m", "digest"}
     cfg = [r for r in records if r["record"] == "config"][0]
-    assert set(cfg) == {"record", "command", "algorithm", "seed", "budget",
-                        "threads"}
+    assert set(cfg) == {"record", "command", "algorithm", "budget"}
+
+
+def test_json_stats_report_selector_cases(tmp_path):
+    path = tmp_path / "c13.gr"
+    path.write_text(render_graph(circulant(13, (1, 2, 3))))
+    code, out = run(["optimize", str(path), "--algorithm", "level6", "--json"])
+    assert code == 0
+    stats = [json.loads(line) for line in out.splitlines()][-1]["stats"]
+    assert stats["selector_fallbacks"] == 0
+    assert sum(stats["selector_cases"].values()) == stats["nodes"] > 0
+
+
+@pytest.mark.parametrize("flag", ["--threads", "--seed"])
+def test_removed_solver_flags_are_usage_errors(tmp_path, flag):
+    path = tmp_path / "pet.gr"
+    path.write_text(render_graph(NAMED_GRAPHS["petersen"]()))
+    assert run(["solve", str(path), "--k", "6", flag, "2"])[0] == 2

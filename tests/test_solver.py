@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from vcbranch import branching, reduce, solver
 from vcbranch.graph import Graph, complete, cycle
 from vcbranch.lp import Instance
 from vcbranch.solver import (
@@ -11,7 +14,7 @@ from vcbranch.solver import (
     solve_decision,
     solve_optimum,
 )
-from vcbranch.cli import NAMED_GRAPHS, circulant, gnp
+from vcbranch.cli import NAMED_GRAPHS, circulant, gnp, random_regular
 
 from oracle_utils import exhaustive_vc, is_cover
 
@@ -71,22 +74,6 @@ def test_dovetail():
     assert r2.stats.nodes == r.stats.nodes and r2.cover == r.cover
 
 
-def test_dovetail_threaded():
-    cfg = SolverConfig(threads=2)
-    r = dovetail(base_agvc, base_maxis, Instance(PETERSEN, 6), cfg)
-    assert r.feasible and is_cover(PETERSEN, r.cover)
-    assert r.stats.nondeterministic
-
-
-def test_threaded_root_exploration():
-    g = circulant(13, (1, 2, 3))
-    opt = exhaustive_vc(g)
-    cfg = SolverConfig(level=6, threads=2)
-    r = solve_decision(Instance(g, opt), cfg=cfg)
-    assert r.feasible and is_cover(g, r.cover)
-    assert not solve_decision(Instance(g, opt - 1), cfg=cfg).feasible
-
-
 def test_budget_exhausted_carries_stats():
     g = circulant(13, (1, 2, 3))
     cfg = SolverConfig(level=6, node_budget=1)
@@ -136,3 +123,53 @@ def test_stats_shape():
     assert st.wall_time >= 0
     assert st.audit_violations == 0
     assert sum(st.rule_counts.values()) >= 1
+
+
+def _search_summary(stats):
+    audit = [(r.rule, r.claimed, r.realized, r.violation) for r in stats.audit_records]
+    return stats.nodes, stats.rule_counts, Counter(stats.selector.cases), audit
+
+
+@pytest.mark.parametrize("n,d,level,seed", [
+    (24, 4, 4, 1), (20, 5, 5, 2), (22, 5, 6, 1), (18, 6, 7, 2),
+    (40, 3, 4, 1),  # 3-regular: reaches the base-agvc stand-in
+])
+def test_optimum_search_equals_separate_decisions(n, d, level, seed):
+    """Replaying cached work across k changes no node, rule, case or cover."""
+    g = random_regular(n, d, seed)
+    cfg = SolverConfig(level=level, audit=True)
+    opt, cover, stats = solve_optimum(g, cfg)
+    first = (Instance(g, 0).lambda2 + 1) // 2
+    assert opt > first  # several decision values k are tried
+    nodes, rules, cases, audit = 0, Counter(), Counter(), []
+    for k in range(first, opt + 1):
+        r = solve_decision(Instance(g, k), cfg=cfg)
+        assert r.feasible == (k == opt)
+        k_nodes, k_rules, k_cases, k_audit = _search_summary(r.stats)
+        nodes += k_nodes
+        rules += k_rules
+        cases += k_cases
+        audit += k_audit
+    assert (nodes, rules, cases, audit) == _search_summary(stats)
+    assert cover == r.cover
+    if d == 3:
+        assert rules["base-agvc-split"] > 0
+
+
+def test_search_cache_does_not_outlive_the_call(monkeypatch):
+    calls = []
+    real = reduce.simplify
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "simplify", counting)
+    monkeypatch.setattr(branching, "simplify", counting)
+    g = random_regular(22, 5, 1)
+    cfg = SolverConfig(level=6)
+    first = solve_optimum(g, cfg)
+    per_call = len(calls)
+    second = solve_optimum(g, cfg)
+    assert per_call > 0 and len(calls) == 2 * per_call
+    assert first[:2] == second[:2] and first[2].nodes == second[2].nodes
