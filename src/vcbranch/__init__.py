@@ -7,7 +7,6 @@ from .lp import (
     Instance,
     SurplusCert,
     find_blocker,
-    find_min_set,
     lp_basic_solution,
     minsurp,
     shadow,
@@ -15,9 +14,6 @@ from .lp import (
 from .reduce import (
     ReductionStep,
     ReductionTrace,
-    apply_p1,
-    apply_p2,
-    apply_p3,
     lift_cover,
     simplify,
 )
@@ -26,9 +22,6 @@ from .branching import (
     MeasureParams,
     SIMPLE_LEVEL_PARAMS,
     dominates,
-    rule_a1,
-    rule_a2,
-    rule_a3,
     rule_b,
     select_branch,
     split_indset,
@@ -42,7 +35,6 @@ from .solver import (
     SolverConfig,
     base_agvc,
     base_maxis,
-    dovetail,
     solve_decision,
     solve_optimum,
 )

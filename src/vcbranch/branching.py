@@ -179,46 +179,6 @@ def rule_b(inst: Instance, x: int, us: Iterable[int], claimed: Optional[BranchSe
     return _decision(inst, "rule-B", parts, claimed, case)
 
 
-def rule_a1(inst: Instance, v: int, claimed: Optional[BranchSeq] = None,
-            case: Optional[str] = None) -> BranchDecision:
-    """Branch on a 2-vertex v: omit v, or omit both its neighbors."""
-    g = inst.graph
-    if g.degree(v) != 2:
-        raise PreconditionError(f"{v} is not a 2-vertex")
-    x, y = sorted(g.neighbors(v))
-    if g.has_edge(x, y):
-        raise PreconditionError(f"neighbors {x},{y} of {v} are adjacent")
-    outer = set(g.neighborhood([x, y]))
-    parts = [({x, y}, {v, x, y}), (outer, outer | {x, y})]
-    return _decision(inst, "A1", parts, claimed, case)
-
-
-def rule_a2(inst: Instance, u: int, x: int, v: int, claimed: Optional[BranchSeq] = None,
-            case: Optional[str] = None) -> BranchDecision:
-    """Branch on funnel (u, x) and v in N(u) - N[x]: v in C, or v,x both out."""
-    g = inst.graph
-    if not g.is_funnel(u, x):
-        raise PreconditionError(f"({u}, {x}) is not a funnel")
-    if v not in g.neighbors(u) - {x} or g.has_edge(v, x):
-        raise PreconditionError(f"{v} must lie in N({u}) - N[{x}]")
-    outer = set(g.neighborhood([v, x]))
-    parts = [({v}, {v}), (outer, outer | {v, x})]
-    return _decision(inst, "A2", parts, claimed, case)
-
-
-def rule_a3(inst: Instance, u: int, v: int, claimed: Optional[BranchSeq] = None,
-            case: Optional[str] = None) -> BranchDecision:
-    """Branch on shared neighbors: u,v both in C, or N(u) & N(v) in C."""
-    g = inst.graph
-    if u == v:
-        raise PreconditionError("A3 needs two distinct vertices")
-    shared = g.neighbors(u) & g.neighbors(v)
-    if not shared:
-        raise PreconditionError(f"{u} and {v} share no neighbors")
-    parts = [({u, v}, {u, v}), (set(shared), set(shared))]
-    return _decision(inst, "A3", parts, claimed, case)
-
-
 # ---------------------------------------------------------------------------
 # the branch selector
 # ---------------------------------------------------------------------------

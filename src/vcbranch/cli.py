@@ -407,16 +407,18 @@ def _cmd_reduce(args, out: _Output) -> int:
     return 0
 
 
+_GEN_FLAGS = {"gnp": ("n", "p"), "regular": ("n", "d"),
+              "circulant": ("n", "offsets"), "named": ("name",)}
+
+
 def _cmd_gen(args, out: _Output) -> int:
-    params: dict = {}
-    if args.kind == "gnp":
-        params = {"n": args.n, "p": args.p}
-    elif args.kind == "regular":
-        params = {"n": args.n, "d": args.d}
-    elif args.kind == "circulant":
-        params = {"n": args.n, "offsets": [int(x) for x in args.offsets.split(",")]}
-    elif args.kind == "named":
-        params = {"name": args.name}
+    flags = _GEN_FLAGS[args.kind]
+    missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
+    if missing:
+        raise ValueError(f"gen {args.kind} needs {' and '.join(missing)}")
+    params = {flag: getattr(args, flag) for flag in flags}
+    if args.kind == "circulant":
+        params["offsets"] = [int(x) for x in args.offsets.split(",")]
     g = generate(args.kind, params, args.seed)
     out.emit("graph", render_graph(g, args.format).rstrip("\n"),
              n=g.n, m=g.m, graph=render_graph(g, args.format))

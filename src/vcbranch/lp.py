@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graph import Graph, PreconditionError
+from .graph import Graph
 
 INFINITE_SURPLUS = math.inf
 
@@ -37,9 +37,6 @@ class HalfIntegralSolution:
 
     def zero_set(self) -> frozenset[int]:
         return frozenset(v for v, t in self.theta2.items() if t == 0)
-
-    def one_set(self) -> frozenset[int]:
-        return frozenset(v for v, t in self.theta2.items() if t == 2)
 
 
 @dataclass(frozen=True)
@@ -305,28 +302,6 @@ def minsurp(g: Graph, excluded: Iterable[int] = ()) -> SurplusCert:
     """Minimum surplus over non-empty independent sets, with certificate."""
     value, cert, _ = minsurp_full(g, frozenset(excluded))
     return SurplusCert(indset=frozenset(cert), surplus=value)
-
-
-def find_min_set(g: Graph, x: Iterable[int]) -> Optional[SurplusCert]:
-    """A min-set of g containing the independent set x, or None.
-
-    Containment is decided by the equality test
-    minsurp(G) == minsurp^-(G - N[X]) + surp(X).
-    """
-    xs = frozenset(x)
-    if not xs:
-        if g.n == 0:
-            raise ValueError("find_min_set on an empty graph")
-        return minsurp(g)
-    if not g.is_independent(xs):
-        raise PreconditionError(f"{sorted(xs)} is not independent")
-    ms, _, _ = minsurp_full(g)
-    surp_x = g.surplus(xs)
-    closed = set(g.neighborhood(xs, closed=True))
-    msm_x, zero_x = _msm_zeroset(g, frozenset(closed))
-    if msm_x + surp_x != ms:
-        return None
-    return SurplusCert(indset=zero_x | xs, surplus=ms)
 
 
 def shadow(g: Graph, x: Iterable[int]):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from .graph import Graph, PreconditionError
+from .graph import Graph
 from .lp import Instance, SurplusCert, minsurp_full, _msm_zeroset
 
 
@@ -74,6 +74,9 @@ def _p1_step(g: Graph, cert: SurplusCert) -> tuple[Graph, ReductionStep]:
 
 
 def _p2_step(g: Graph, cert: SurplusCert) -> tuple[Graph, ReductionStep]:
+    """Fold a surplus-one set I.  N(I) must be independent: with an edge
+    inside N(I) every cover contains N(I), and the fold would lose a unit
+    of k (a triangle is funnel territory)."""
     indset = cert.indset
     nbrs = g.neighborhood(indset)
     outer = g.neighborhood(nbrs) - indset
@@ -101,54 +104,6 @@ def _p3_step(g: Graph, u: int, x: int) -> tuple[Graph, ReductionStep]:
         side_x=tuple(sorted(side_x)),
     )
     return g2, step
-
-
-def _require_min_set(g: Graph, cert: SurplusCert) -> None:
-    if len(cert.indset) > 1:
-        value, _, _ = minsurp_full(g)
-        if value != cert.surplus:
-            raise PreconditionError(
-                f"indset with surplus {cert.surplus} is not a min-set (minsurp={value})"
-            )
-
-
-def apply_p1(inst: Instance, cert: SurplusCert) -> tuple[Instance, ReductionStep]:
-    """Delete N[I] for a critical set I with surplus <= 0; k' = k - |N(I)|."""
-    if not cert.verify(inst.graph):
-        raise PreconditionError("certificate surplus does not match the graph")
-    if cert.surplus > 0:
-        raise PreconditionError(f"P1 needs surplus <= 0, got {cert.surplus}")
-    _require_min_set(inst.graph, cert)
-    g2, step = _p1_step(inst.graph, cert)
-    return Instance(g2, inst.k - step.dk), step
-
-
-def apply_p2(inst: Instance, cert: SurplusCert) -> tuple[Instance, ReductionStep]:
-    """Fold a critical set I with surplus 1; k' = k - |I|.
-
-    N(I) must be independent: with an edge inside N(I) no cover can avoid
-    N(I), and the fold direction "y outside the cover" miscounts (on a
-    triangle it would lose a unit of k).  Such a shape is funnel territory.
-    """
-    if not cert.verify(inst.graph):
-        raise PreconditionError("certificate surplus does not match the graph")
-    if cert.surplus != 1:
-        raise PreconditionError(f"P2 needs surplus exactly 1, got {cert.surplus}")
-    if not inst.graph.is_independent(inst.graph.neighborhood(cert.indset)):
-        raise PreconditionError("P2 needs N(I) independent (fold a funnel instead)")
-    _require_min_set(inst.graph, cert)
-    g2, step = _p2_step(inst.graph, cert)
-    return Instance(g2, inst.k - step.dk), step
-
-
-def apply_p3(inst: Instance, funnel: tuple[int, int]) -> tuple[Instance, ReductionStep]:
-    """Fold a funnel (u, x); k' = k - 1 - codeg(u, x)."""
-    u, x = funnel
-    g = inst.graph
-    if not g.is_funnel(u, x):
-        raise PreconditionError(f"({u}, {x}) is not a funnel")
-    g2, step = _p3_step(g, u, x)
-    return Instance(g2, inst.k - step.dk), step
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Degree-stratified decision solvers, base-solver stand-ins, dovetailing.
 
-Level L simplifies, folds small side components, and branches on a vertex
-of degree >= L via the selector (levels 4-6) or a plain split on a
-max-degree vertex (level 7, which also absorbs the degree >= 8 top rule).
+Level L simplifies, folds small side components (each solved exactly by
+the MaxIS stand-in), and branches on a vertex of degree >= L via the
+selector (levels 4-6) or a plain split on a max-degree vertex (level 7,
+which also absorbs the degree >= 8 top rule).
 When the max degree falls below the level it delegates: level 4 dovetails
 the LP-guided and the bounded-degree base solver, levels 5-7 dovetail the
 next-lower level against the bounded-degree solver.
@@ -26,7 +27,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Generator, Optional
+from typing import Generator, Optional
 
 from .graph import Graph
 from .lp import Instance, SurplusCert, lp_weight2
@@ -39,25 +40,20 @@ from .reduce import (
     lift_cover,
     simplify,
 )
-from .branching import (
-    MeasureParams,
-    SIMPLE_LEVEL_PARAMS,
-    SelectorStats,
-    select_branch,
-    split_vertex,
-)
-from .verify import AGVC_RATE, MAXIS_RATES, AuditRecord, brute_force_vc, make_audit_record
+from .branching import SIMPLE_LEVEL_PARAMS, SelectorStats, select_branch, split_vertex
+from .verify import AGVC_RATE, MAXIS_RATES, AuditRecord, make_audit_record
+
+#: side components of at most this many vertices are solved exactly and folded
+COMPONENT_THRESHOLD = 24
+#: branch nodes each solver runs per turn when two solvers are dovetailed
+DOVETAIL_QUANTUM = 256
 
 
 @dataclass
 class SolverConfig:
     level: int = 7
-    params: dict[int, MeasureParams] = field(
-        default_factory=lambda: dict(SIMPLE_LEVEL_PARAMS))
-    component_threshold: int = 24
     node_budget: Optional[int] = None
     audit: bool = False
-    dovetail_quantum: int = 256
 
 
 @dataclass
@@ -145,13 +141,13 @@ class _NoReuse(_SearchCache):
 # node preprocessing: simplify + fold small side components
 # ---------------------------------------------------------------------------
 
-def _preprocess(inst: Instance, cfg: SolverConfig, presimplified: bool,
+def _preprocess(inst: Instance, presimplified: bool,
                 cache: _SearchCache) -> tuple[Instance, ReductionTrace]:
     """Simplify and fold inst once per graph; later visits shift k by dk."""
     tag = ("preprocess", presimplified)
     hit = cache.get(inst.graph, tag)
     if hit is None:
-        out, trace = _simplify_and_fold(inst, cfg, presimplified)
+        out, trace = _simplify_and_fold(inst, presimplified)
         hit = (out.graph, trace, inst.k - out.k, out.lambda2)
         cache.put(inst.graph, tag, hit)
         if out.graph is not inst.graph:
@@ -160,8 +156,8 @@ def _preprocess(inst: Instance, cfg: SolverConfig, presimplified: bool,
     return Instance(g, inst.k - dk, lambda2=lambda2), trace
 
 
-def _simplify_and_fold(inst: Instance, cfg: SolverConfig,
-                       presimplified: bool) -> tuple[Instance, ReductionTrace]:
+def _simplify_and_fold(inst: Instance, presimplified: bool
+                       ) -> tuple[Instance, ReductionTrace]:
     if presimplified:
         trace = ReductionTrace(final_graph=inst.graph)
     else:
@@ -171,14 +167,14 @@ def _simplify_and_fold(inst: Instance, cfg: SolverConfig,
     if len(comps) > 1:
         folded = False
         for comp in comps:
-            if len(comp) <= cfg.component_threshold:
+            if len(comp) <= COMPONENT_THRESHOLD:
                 keep = set(comp)
-                sub = g.delete_vertices([v for v in g.vertices() if v not in keep])
-                opt, cover = brute_force_vc(sub)
+                cover = _component_cover(
+                    g.delete_vertices([v for v in g.vertices() if v not in keep]))
                 g = g.delete_vertices(comp)
-                k -= opt
+                k -= len(cover)
                 trace.steps.append(ReductionStep(
-                    kind="ComponentSolve", removed=tuple(comp), dk=opt,
+                    kind="ComponentSolve", removed=tuple(comp), dk=len(cover),
                     comp_cover=tuple(sorted(cover))))
                 folded = True
         if folded:
@@ -236,11 +232,25 @@ def _base_maxis_gen(inst: Instance, cfg: SolverConfig, stats: SolveStats,
     return False, None
 
 
+def _component_cover(g: Graph) -> frozenset[int]:
+    """A minimum cover of a small graph: base-maxis decisions from k = n,
+    each asking for one vertex fewer than the last cover found.  Its nodes
+    are booked nowhere and no budget applies."""
+    cfg, stats = SolverConfig(), SolveStats()
+    best, k = None, g.n
+    while True:
+        feasible, cover = _drive(_base_maxis_gen(Instance(g, k, lambda2=0), cfg, stats, 0))
+        if not feasible:
+            return best
+        best, k = cover, len(cover) - 1
+
+
 def _base_agvc_gen(inst: Instance, cfg: SolverConfig, stats: SolveStats,
-                   depth: int, cache: Optional[_SearchCache] = None) -> SolveGen:
+                   depth: int, cache: Optional[_SearchCache] = None,
+                   presimplified: bool = False) -> SolveGen:
     if cache is None:
         cache = _NoReuse()
-    inst, trace = _preprocess(inst, cfg, False, cache)
+    inst, trace = _preprocess(inst, presimplified, cache)
     if inst.k < 0 or inst.mu2 < 0:
         return False, None
     g = inst.graph
@@ -289,14 +299,14 @@ def _dovetail_gen(first: SolveGen, second: SolveGen, quantum: int) -> SolveGen:
 # the level solvers
 # ---------------------------------------------------------------------------
 
-def _predicted_exponents(inst: Instance, level: int, cfg: SolverConfig) -> tuple[float, float]:
+def _predicted_exponents(inst: Instance, level: int) -> tuple[float, float]:
     """(cost of the parameterized solver, cost of the MaxIS stand-in),
     as exponents predicted from the published rates; heuristic only."""
     n = inst.graph.n
     if level == 4:
         own = max(inst.mu, 0.0) * math.log(AGVC_RATE)
     else:
-        p = cfg.params[level - 1]
+        p = SIMPLE_LEVEL_PARAMS[level - 1]
         own = p.a * max(inst.mu, 0.0) + p.b * max(inst.k, 0)
     maxis = n * math.log(MAXIS_RATES[level - 1])
     return own, maxis
@@ -305,7 +315,7 @@ def _predicted_exponents(inst: Instance, level: int, cfg: SolverConfig) -> tuple
 def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: SolveStats,
                      depth: int, cache: _SearchCache,
                      presimplified: bool = False) -> SolveGen:
-    inst, trace = _preprocess(inst, cfg, presimplified, cache)
+    inst, trace = _preprocess(inst, presimplified, cache)
     if inst.k < 0 or inst.mu2 < 0:
         return False, None
     g = inst.graph
@@ -313,17 +323,17 @@ def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: Solve
         return True, lift_cover(trace, ())
 
     if g.max_degree() < level:
-        own_cost, maxis_cost = _predicted_exponents(inst, level, cfg)
+        own_cost, maxis_cost = _predicted_exponents(inst, level)
         if level == 4:
-            own = _base_agvc_gen(inst, cfg, stats, depth + 1, cache)
+            own = _base_agvc_gen(inst, cfg, stats, depth + 1, cache, presimplified=True)
         else:
             own = _solve_level_gen(inst, level - 1, cfg, stats, depth + 1, cache,
                                    presimplified=True)
         other = _base_maxis_gen(inst, cfg, stats, depth + 1)
         if own_cost <= maxis_cost:
-            result = yield from _dovetail_gen(own, other, cfg.dovetail_quantum)
+            result = yield from _dovetail_gen(own, other, DOVETAIL_QUANTUM)
         else:
-            result = yield from _dovetail_gen(other, own, cfg.dovetail_quantum)
+            result = yield from _dovetail_gen(other, own, DOVETAIL_QUANTUM)
         feasible, cover = result
         if not feasible:
             return False, None
@@ -347,7 +357,7 @@ def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: Solve
     stats.rule_counts[decision.rule] += 1
     if cfg.audit:
         record = make_audit_record(
-            cfg.params[level], stats.nodes, decision.case or decision.rule,
+            SIMPLE_LEVEL_PARAMS[level], stats.nodes, decision.case or decision.rule,
             decision.claimed, decision.realized())
         stats.audit_records.append(record)
         if record.violation:
@@ -413,29 +423,6 @@ def base_agvc(inst: Instance, cfg: Optional[SolverConfig] = None) -> SolveResult
     stats = SolveStats()
     started = time.perf_counter()
     feasible, cover = _drive(_base_agvc_gen(inst, cfg, stats, 0))
-    return _finish(inst, feasible, cover, stats, started)
-
-
-base_maxis.generator = _base_maxis_gen  # type: ignore[attr-defined]
-base_agvc.generator = _base_agvc_gen    # type: ignore[attr-defined]
-
-
-def dovetail(s1: Callable, s2: Callable, inst: Instance,
-             cfg: Optional[SolverConfig] = None) -> SolveResult:
-    """Run two exact solvers with fair interleaving; first answer wins.
-
-    The solvers alternate fixed node quanta deterministically.
-    """
-    cfg = cfg or SolverConfig()
-    started = time.perf_counter()
-    gen1 = getattr(s1, "generator", None)
-    gen2 = getattr(s2, "generator", None)
-    if gen1 is None or gen2 is None:
-        raise TypeError("dovetail expects solvers exposing a .generator factory")
-    stats = SolveStats()
-    feasible, cover = _drive(_dovetail_gen(gen1(inst, cfg, stats, 0),
-                                           gen2(inst, cfg, stats, 0),
-                                           cfg.dovetail_quantum))
     return _finish(inst, feasible, cover, stats, started)
 
 

@@ -1,14 +1,11 @@
 import pytest
 
-from vcbranch.graph import Graph, PreconditionError, complete, cycle, path
+from vcbranch.graph import Graph, PreconditionError, complete, cycle
 from vcbranch.lp import Instance, SurplusCert, shadow
 from vcbranch.branching import (
     MeasureParams,
     SIMPLE_LEVEL_PARAMS,
     dominates,
-    rule_a1,
-    rule_a2,
-    rule_a3,
     rule_b,
     select_branch,
     split_indset,
@@ -100,40 +97,6 @@ def test_rule_b():
     # generic k-drop arithmetic: ell blocked vertices give drops (ell+1, deg x)
     d = rule_b(Instance(g, 4), 5, [0], _trusted=True)
     assert d.children[0].dk >= 2 and d.children[1].dk >= 3
-
-
-def test_rule_a1():
-    p3 = path(3)
-    d = rule_a1(Instance(p3, 2), 1)
-    for k in (0, 1, 2):
-        assert _exhaustive_decision(p3, k, rule_a1(Instance(p3, k), 1))
-    with pytest.raises(PreconditionError):
-        rule_a1(Instance(complete(3), 2), 0)  # neighbors adjacent
-    with pytest.raises(PreconditionError):
-        rule_a1(Instance(complete(4), 3), 0)  # not a 2-vertex
-
-
-def test_rule_a2():
-    kite = Graph(edges=[(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])
-    # funnel 0 with out-neighbor 1; v must avoid N[x]: v = 3
-    d = rule_a2(Instance(kite, 2), 0, 1, 3)
-    for k in (1, 2, 3):
-        assert _exhaustive_decision(kite, k, rule_a2(Instance(kite, k), 0, 1, 3))
-    with pytest.raises(PreconditionError):
-        rule_a2(Instance(kite, 2), 0, 1, 2)  # v=2 is adjacent to the out-neighbor
-    with pytest.raises(PreconditionError):
-        rule_a2(Instance(cycle(5), 3), 0, 1, 4)  # not a funnel
-
-
-def test_rule_a3():
-    c4 = cycle(4)
-    d = rule_a3(Instance(c4, 2), 0, 2)
-    assert d.children[0].include == {0, 2}
-    assert d.children[1].include == {1, 3}
-    for k in (1, 2, 3):
-        assert _exhaustive_decision(c4, k, rule_a3(Instance(c4, k), 0, 2))
-    with pytest.raises(PreconditionError):
-        rule_a3(Instance(path(3), 2), 0, 1)  # no shared neighbors
 
 
 def test_select_branch_c9_12():

@@ -184,6 +184,19 @@ def test_gen_command_round_trip():
     assert out1 == out2
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["gen", "gnp"], "--n and --p"),
+    (["gen", "gnp", "--n", "12"], "--p"),
+    (["gen", "regular", "--n", "12"], "--d"),
+    (["gen", "circulant", "--n", "9"], "--offsets"),
+])
+def test_gen_missing_flag_is_usage_error(argv, flag):
+    code, out = run(argv + ["--json"])
+    assert code == 2
+    record = json.loads(out)
+    assert record["record"] == "error" and record["error"].endswith("needs " + flag)
+
+
 GOLDEN_SOLVE_KEYS = {
     "record": str, "feasible": bool, "k": int, "cover": list, "stats": dict,
 }

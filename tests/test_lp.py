@@ -3,11 +3,10 @@ import random
 
 import pytest
 
-from vcbranch.graph import Graph, PreconditionError, complete, cycle, star
+from vcbranch.graph import Graph, complete, cycle, star
 from vcbranch.lp import (
     Instance,
     find_blocker,
-    find_min_set,
     _lp_core,
     lp_basic_solution,
     minsurp,
@@ -65,22 +64,6 @@ def test_lambda_lower_bounds_cover():
         g = gnp(9, 0.3, seed)
         inst = Instance(g, 0)
         assert inst.lambda2 <= 2 * exhaustive_vc(g)
-
-
-def test_find_min_set():
-    cert = find_min_set(star(3), [1])
-    assert cert.indset == {1, 2, 3} and cert.surplus == -2
-    cert = find_min_set(cycle(5), [0])
-    assert cert.indset == {0} and cert.surplus == 1
-    with pytest.raises(PreconditionError):
-        find_min_set(complete(4), [0, 1])
-    # {0,3} in C6 has surplus 2 but minsurp(C6) = 0: not in any min-set
-    assert find_min_set(cycle(6), [0, 3]) is None
-    cert = find_min_set(cycle(6), [0, 2])
-    assert cert is not None and cert.surplus == 0
-    # empty seed set: any min-set qualifies
-    cert = find_min_set(star(3), [])
-    assert cert.surplus == -2
 
 
 def test_shadow():

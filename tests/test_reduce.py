@@ -1,79 +1,67 @@
 import pytest
 
-from vcbranch.graph import Graph, PreconditionError, complete, cycle, path, star
+from vcbranch.graph import Graph, complete, cycle, path, star
 from vcbranch.lp import Instance, SurplusCert, minsurp
-from vcbranch.reduce import apply_p1, apply_p2, apply_p3, lift_cover, simplify
+from vcbranch.reduce import _p1_step, _p2_step, _p3_step, lift_cover, simplify
 from vcbranch.cli import circulant, gnp, hypercube
 
 from oracle_utils import exhaustive_vc, is_cover
 
 
 def test_apply_p1():
+    """P1 deletes N[I] and charges |N(I)| to the cover."""
     g = Graph(vertices=[0], edges=[])
     g.add_edge(1, 2)  # isolated 0 plus an edge
-    inst, step = apply_p1(Instance(g, 3), SurplusCert(frozenset({0}), -1))
-    assert inst.k == 3 and 0 not in inst.graph
+    g2, step = _p1_step(g, SurplusCert(frozenset({0}), -1))
+    assert step.dk == 0 and 0 not in g2
 
     pend = path(2)  # 0-1, deg(0)=1
-    inst, step = apply_p1(Instance(pend, 2), SurplusCert(frozenset({0}), 0))
-    assert inst.k == 1 and inst.graph.n == 0
+    g2, step = _p1_step(pend, SurplusCert(frozenset({0}), 0))
+    assert step.dk == 1 and g2.n == 0
 
-    inst, step = apply_p1(Instance(star(3), 1), SurplusCert(frozenset({1, 2, 3}), -2))
-    assert inst.k == 0 and inst.graph.n == 0
+    g2, step = _p1_step(star(3), SurplusCert(frozenset({1, 2, 3}), -2))
+    assert step.dk == 1 and g2.n == 0
     assert exhaustive_vc(star(3)) == 1
-
-    with pytest.raises(PreconditionError):
-        apply_p1(Instance(cycle(5), 3), SurplusCert(frozenset({0}), 1))
 
 
 def test_apply_p2():
-    inst, step = apply_p2(Instance(cycle(4), 2), SurplusCert(frozenset({0}), 1))
-    assert inst.k == 1
-    assert inst.graph.edges() == [(2, step.created)]
+    """P2 folds I and N(I) into a fresh vertex y and charges |I|."""
+    g2, step = _p2_step(cycle(4), SurplusCert(frozenset({0}), 1))
+    assert step.dk == 1
+    assert g2.edges() == [(2, step.created)]
 
     p3 = path(3)  # a-b-c = 0-1-2
-    inst, step = apply_p2(Instance(p3, 2), SurplusCert(frozenset({1}), 1))
-    assert inst.k == 1
-    assert inst.graph.degree(step.created) == 0
+    g2, step = _p2_step(p3, SurplusCert(frozenset({1}), 1))
+    assert step.dk == 1
+    assert g2.degree(step.created) == 0
 
-    inst, step = apply_p2(Instance(cycle(5), 3), SurplusCert(frozenset({0}), 1))
-    assert inst.k == 2
-    assert inst.graph.is_clique([2, 3, step.created])
-    assert exhaustive_vc(inst.graph) == 2
-
-    with pytest.raises(PreconditionError):
-        apply_p2(Instance(cycle(5), 3), SurplusCert(frozenset({0}), 0))
-
-
-def test_apply_p2_rejects_dependent_neighborhood():
-    # folding a triangle's degree-2 vertex would lose a unit of k
-    with pytest.raises(PreconditionError):
-        apply_p2(Instance(complete(3), 2), SurplusCert(frozenset({0}), 1))
+    g2, step = _p2_step(cycle(5), SurplusCert(frozenset({0}), 1))
+    assert step.dk == 1
+    assert g2.is_clique([2, 3, step.created])
+    assert exhaustive_vc(g2) == 2
 
 
 def test_apply_p3():
-    inst, step = apply_p3(Instance(complete(3), 2), (0, 1))
-    assert inst.graph.n == 0 and inst.k == 0
+    """P3 folds a funnel (u, x) and charges 1 + codeg(u, x)."""
+    g2, step = _p3_step(complete(3), 0, 1)
+    assert g2.n == 0 and step.dk == 2
     assert exhaustive_vc(complete(3)) == 2
 
     kite = Graph(edges=[(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])
-    inst, step = apply_p3(Instance(kite, 4), (0, 1))
-    assert step.dk == 2 and inst.k == 2
-    assert inst.graph.vertices() == [3] and inst.graph.degree(3) == 0
+    g2, step = _p3_step(kite, 0, 1)
+    assert step.dk == 2
+    assert g2.vertices() == [3] and g2.degree(3) == 0
 
     # funnel with disjoint outer neighborhoods: biclique B_u x B_x appears
     g = Graph(edges=[(0, 1), (0, 2), (0, 3), (2, 3),        # funnel 0, out 1
                      (1, 4), (1, 5), (2, 6), (3, 7)])
     assert g.is_funnel(0, 1)
-    inst, step = apply_p3(Instance(g, 5), (0, 1))
+    g2, step = _p3_step(g, 0, 1)
     assert step.shared == ()
     for b_u in (2, 3):
         for b_x in (4, 5):
-            assert inst.graph.has_edge(b_u, b_x)
-    assert inst.k == 4
-
-    with pytest.raises(PreconditionError):
-        apply_p3(Instance(cycle(5), 3), (0, 1))
+            assert g2.has_edge(b_u, b_x)
+    assert step.dk == 1
 
 
 def test_simplify_q4():
@@ -143,7 +131,8 @@ def test_kite_bonus():
                              (1, 4), (3, 4), (1, 5), (3, 5), (4, 5)])
     assert minsurp(kite_plus).surplus >= 1
     inst0 = Instance(kite_plus, 5)
-    inst, step = apply_p3(inst0, (0, 1))
+    g2, step = _p3_step(kite_plus, 0, 1)
+    inst = Instance(g2, inst0.k - step.dk)
     assert step.dk == 2
     assert inst0.mu2 - inst.mu2 >= 1
 
@@ -172,7 +161,7 @@ def test_lift_cover():
     assert is_cover(cycle(4), lifted) and len(lifted) == 2
 
     k3 = complete(3)
-    _, step = apply_p3(Instance(k3, 2), (0, 1))
+    _, step = _p3_step(k3, 0, 1)
     from vcbranch.reduce import ReductionTrace
     tr = ReductionTrace(steps=[step], final_graph=Graph())
     lifted = lift_cover(tr, [])

@@ -1,3 +1,5 @@
+import ast
+import inspect
 from collections import Counter
 
 import pytest
@@ -7,16 +9,16 @@ from vcbranch.graph import Graph, complete, cycle
 from vcbranch.lp import Instance
 from vcbranch.solver import (
     BudgetExhausted,
+    SolveStats,
     SolverConfig,
     base_agvc,
     base_maxis,
-    dovetail,
     solve_decision,
     solve_optimum,
 )
 from vcbranch.cli import NAMED_GRAPHS, circulant, gnp, random_regular
 
-from oracle_utils import exhaustive_vc, is_cover
+from oracle_utils import exhaustive_vc, is_cover, random_corpus
 
 
 PETERSEN = NAMED_GRAPHS["petersen"]()
@@ -60,18 +62,28 @@ def test_base_agvc():
     assert not base_agvc(Instance(PETERSEN, 5)).feasible
 
 
+def _dovetail(inst):
+    """The base-agvc and base-maxis stand-ins interleaved as the levels run them."""
+    cfg, stats = SolverConfig(), SolveStats()
+    gen = solver._dovetail_gen(solver._base_agvc_gen(inst, cfg, stats, 0),
+                               solver._base_maxis_gen(inst, cfg, stats, 0),
+                               solver.DOVETAIL_QUANTUM)
+    feasible, cover = solver._drive(gen)
+    return feasible, cover, stats
+
+
 def test_dovetail():
     # instant winner: agvc answers C5/k2 with zero nodes, maxis never runs
-    r = dovetail(base_agvc, base_maxis, Instance(cycle(5), 2))
-    assert not r.feasible and r.stats.nodes == 0
+    feasible, _, stats = _dovetail(Instance(cycle(5), 2))
+    assert not feasible and stats.nodes == 0
     # same answer as either solver alone
-    r = dovetail(base_agvc, base_maxis, Instance(PETERSEN, 6))
-    assert r.feasible and is_cover(PETERSEN, r.cover)
+    feasible, cover, stats = _dovetail(Instance(PETERSEN, 6))
+    assert feasible and is_cover(PETERSEN, cover) and len(cover) <= 6
     alone = base_maxis(Instance(PETERSEN, 6))
-    assert r.feasible == alone.feasible
+    assert feasible == alone.feasible
     # deterministic: identical stats across repeat runs
-    r2 = dovetail(base_agvc, base_maxis, Instance(PETERSEN, 6))
-    assert r2.stats.nodes == r.stats.nodes and r2.cover == r.cover
+    feasible2, cover2, stats2 = _dovetail(Instance(PETERSEN, 6))
+    assert stats2.nodes == stats.nodes and cover2 == cover
 
 
 def test_budget_exhausted_carries_stats():
@@ -105,7 +117,7 @@ def test_monotone_in_k():
 
 
 def test_component_folding():
-    # two far-apart components, both small: folded via the oracle
+    # two components, both small: each is solved exactly and folded
     g = Graph(edges=[(0, 1), (1, 2), (2, 0)])
     g2 = NAMED_GRAPHS["petersen"]()
     for u, v in g2.edges():
@@ -173,3 +185,65 @@ def test_search_cache_does_not_outlive_the_call(monkeypatch):
     second = solve_optimum(g, cfg)
     assert per_call > 0 and len(calls) == 2 * per_call
     assert first[:2] == second[:2] and first[2].nodes == second[2].nodes
+
+
+def test_component_cover_is_minimum():
+    graphs = [g for _, g in random_corpus(60, n_max=14, n_min=1)]
+    # regular graphs: the first cover found is often not a minimum one
+    graphs += [random_regular(12, d, seed) for d in (3, 4, 5) for seed in range(8)]
+    graphs += [Graph(vertices=range(n)) for n in (1, 5)]  # edgeless
+    graphs.append(Graph(edges=[(0, 1), (1, 2), (2, 0), (5, 6), (7, 8), (8, 9)]))
+    assert sum(len(g.components()) > 1 for g in graphs) >= 10
+    for g in graphs:
+        cover = solver._component_cover(g)
+        assert cover <= set(g.vertices()) and is_cover(g, cover)
+        assert len(cover) == exhaustive_vc(g)
+
+
+def test_solver_binds_no_oracle():
+    """The solver takes the published rates and the audit record from
+    verify, and nothing else: small components are solved in-layer."""
+    from_verify = set()
+    for node in ast.walk(ast.parse(inspect.getsource(solver))):
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").endswith("verify"):
+                from_verify.update(alias.name for alias in node.names)
+            else:
+                assert "verify" not in {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.endswith("verify") for alias in node.names)
+    assert from_verify == {"AGVC_RATE", "MAXIS_RATES", "AuditRecord", "make_audit_record"}
+    bound = {name for name, value in vars(solver).items()
+             if getattr(value, "__module__", None) == "vcbranch.verify"}
+    assert bound == {"AuditRecord", "make_audit_record"}
+
+
+def test_level4_hands_base_agvc_a_preprocessed_graph(monkeypatch):
+    """Within one decision run simplify never receives a graph that it was
+    given or returned before: level 4 tells base-agvc that its graph is
+    already simplified."""
+    seen, repeats = {}, []
+    real = reduce.simplify
+
+    def tracking(inst, *args, **kwargs):
+        if id(inst.graph) in seen:
+            repeats.append(inst.graph)
+        out, trace = real(inst, *args, **kwargs)
+        seen[id(inst.graph)] = inst.graph
+        seen[id(out.graph)] = out.graph
+        return out, trace
+
+    monkeypatch.setattr(solver, "simplify", tracking)
+    monkeypatch.setattr(branching, "simplify", tracking)
+    cfg = SolverConfig(level=4)
+    agvc_nodes = 0
+    for seed in range(1, 6):
+        g = random_regular(40, 3, seed)
+        opt = solve_optimum(g, cfg)[0]
+        for k in (opt - 1, opt):
+            seen.clear()
+            r = solve_decision(Instance(g, k), cfg=cfg)
+            assert r.feasible == (k == opt)
+            agvc_nodes += r.stats.rule_counts["base-agvc-split"]
+    assert agvc_nodes > 0
+    assert repeats == []
