@@ -147,11 +147,11 @@ class _LPEngine:
                         if path:
                             path.pop()
 
-    def solve(self, excluded: frozenset[int]) -> tuple[int, frozenset[int], int]:
-        """Return (weight2, zero_set, n_active) for LPVC(G - excluded)."""
-        hit = self.memo.get(excluded)
-        if hit is not None:
-            return hit
+    def _matching(self, excluded: frozenset[int]) -> tuple[list[int], list[int], list[int], int]:
+        """A maximum matching of the double cover of G - excluded.
+
+        Returns (match_l, match_r, exposed left vertices, n_active).
+        """
         index = self.index
         n = len(self.verts)
         match_l = self.match_l[:]
@@ -172,13 +172,91 @@ class _LPEngine:
                 match_l[j] = -1
                 cand.append(j)
             match_r[i] = n
-        if masked == n:
-            result = (0, _EMPTY, 0)
-        else:
-            exposed = self._augment(match_l, match_r, cand)
-            result = (n - masked - len(exposed), self._zero_set(match_r, exposed), n - masked)
+        exposed = self._augment(match_l, match_r, cand)
+        return match_l, match_r, exposed, n - masked
+
+    def solve(self, excluded: frozenset[int]) -> tuple[int, frozenset[int], int]:
+        """Return (weight2, zero_set, n_active) for LPVC(G - excluded)."""
+        hit = self.memo.get(excluded)
+        if hit is not None:
+            return hit
+        match_l, match_r, exposed, n_active = self._matching(excluded)
+        result = (n_active - len(exposed), self._zero_set(match_r, exposed), n_active)
         self.memo[excluded] = result
         return result
+
+    def tight(self, excluded: frozenset[int]) -> Optional[list[int]]:
+        """The vertices that are 0 in some optimal LP solution of G - excluded,
+        ascending; None unless the double cover has a perfect matching.
+
+        With a perfect matching M every minimum cover of the double cover
+        takes one end of each matched pair, and the set S of left vertices
+        whose right end is taken must be closed under the residual arcs
+        u -> match_r[w] (w adjacent to u).  x is 0 in the LP solution of such
+        a cover iff x is in S and match_r[x] is not, which some closed S
+        allows iff match_r[x] is not reachable from x.  One Tarjan pass with
+        a reach bitset per strongly connected component answers that for
+        every x at once.
+        """
+        match_l, match_r, exposed, _ = self._matching(excluded)
+        if exposed:
+            return None
+        adj = self.adj
+        n = len(adj)
+        order = [-1] * n   # DFS discovery number
+        low = [0] * n
+        comp = [-1] * n    # component id; -1 while the vertex is on `stack`
+        reach: list[int] = []  # per component: bitset of reachable components
+        stack: list[int] = []
+        count = 0
+        for root in range(n):
+            if order[root] >= 0 or match_l[root] == -2:
+                continue
+            order[root] = low[root] = count
+            count += 1
+            stack.append(root)
+            work = [(root, iter(adj[root]))]
+            while work:
+                u, arcs = work[-1]
+                for w in arcs:
+                    v = match_r[w]
+                    if v == n:  # w is masked
+                        continue
+                    if order[v] < 0:
+                        order[v] = low[v] = count
+                        count += 1
+                        stack.append(v)
+                        work.append((v, iter(adj[v])))
+                        break
+                    if comp[v] < 0 and order[v] < low[u]:
+                        low[u] = order[v]
+                else:
+                    work.pop()
+                    if work:
+                        p = work[-1][0]
+                        if low[u] < low[p]:
+                            low[p] = low[u]
+                    if low[u] == order[u]:
+                        # components are completed sinks first, so every
+                        # arc out of this one ends in a finished component
+                        c = len(reach)
+                        members = []
+                        while True:
+                            v = stack.pop()
+                            comp[v] = c
+                            members.append(v)
+                            if v == u:
+                                break
+                        bits = 1 << c
+                        for v in members:
+                            for w in adj[v]:
+                                d = match_r[w]
+                                if d < n and comp[d] != c:
+                                    bits |= reach[comp[d]]
+                        reach.append(bits)
+        verts = self.verts
+        return [verts[x] for x in range(n)
+                if match_l[x] != -2 and not (reach[comp[x]] >> comp[match_r[x]] & 1)]
 
     def _zero_set(self, match_r: list[int], exposed: list[int]) -> frozenset[int]:
         """Koenig: alternating reachability from the exposed left vertices.
@@ -206,12 +284,16 @@ class _LPEngine:
         return frozenset(verts[u] for u in queue if not seen_r[u])
 
 
-def _lp_core(g: Graph, excluded: frozenset[int]) -> tuple[int, frozenset[int], int]:
-    """Return (weight2, zero_set, n_active) for LPVC(G - excluded)."""
+def _engine(g: Graph) -> _LPEngine:
     engine = g._lp
     if engine is None:
         engine = g._lp = _LPEngine(g._adj)
-    return engine.solve(frozenset(excluded))
+    return engine
+
+
+def _lp_core(g: Graph, excluded: frozenset[int]) -> tuple[int, frozenset[int], int]:
+    """Return (weight2, zero_set, n_active) for LPVC(G - excluded)."""
+    return _engine(g).solve(frozenset(excluded))
 
 
 def _theta2_from_cover(g: Graph, excluded: frozenset[int]) -> HalfIntegralSolution:
@@ -263,6 +345,13 @@ def _masked_closed_nbhd(g: Graph, x: int, excluded: frozenset[int]) -> frozenset
     return frozenset(w for w in g._adj[x] if w not in excluded) | {x}
 
 
+def _vertex_entry(g: Graph, x: int, excluded: frozenset[int]) -> tuple[int, frozenset[int]]:
+    """(minsurp^-(G - N[x]) + deg(x) - 1, canonical min-set through x) in G - excluded."""
+    closed = _masked_closed_nbhd(g, x, excluded)
+    msm_x, zero_x = _msm_zeroset(g, excluded | closed)
+    return len(closed) - 2 + msm_x, zero_x | {x}
+
+
 def minsurp_full(
     g: Graph, excluded: frozenset[int] = _EMPTY, *, need_table: bool = False
 ) -> tuple[int, frozenset[int], Optional[dict[int, tuple[int, frozenset[int]]]]]:
@@ -274,8 +363,7 @@ def minsurp_full(
     need_table=False the sweep stops at the first vertex witnessing
     minsurp = 0 (the floor once the fast path fails).
     """
-    adj_map = g._adj
-    verts = sorted(v for v in adj_map if v not in excluded)
+    verts = sorted(v for v in g._adj if v not in excluded)
     if not verts:
         raise ValueError("minsurp of an empty graph is undefined")
     msm, zero = _msm_zeroset(g, excluded)
@@ -285,17 +373,35 @@ def minsurp_full(
     best_cert = None
     table: dict[int, tuple[int, frozenset[int]]] = {}
     for x in verts:
-        nbrs = [w for w in adj_map[x] if w not in excluded]
-        sub_excluded = excluded | set(nbrs) | {x}
-        msm_x, zero_x = _msm_zeroset(g, sub_excluded)
-        v_x = len(nbrs) - 1 + msm_x
-        cert_x = zero_x | {x}
-        table[x] = (v_x, cert_x)
+        v_x, cert_x = table[x] = _vertex_entry(g, x, excluded)
         if best_v is None or v_x < best_v:
             best_v, best_cert = v_x, cert_x
             if not need_table and msm == 0 and v_x == 0:
                 break  # 0 is the floor here; x is the lowest witness
     return best_v, best_cert, (table if need_table else None)
+
+
+def tight_vertices(g: Graph, excluded: frozenset[int] = _EMPTY) -> Optional[list[int]]:
+    """The x whose minsurp_full table value in G - excluded is 0, ascending.
+
+    None when min{0, minsurp(G - excluded)} < 0.  Otherwise a table value
+    v_x = 2*(lambda(G - excluded - N[x]) + deg(x) - lambda(G - excluded))
+    is 0 iff x is 0 in some optimal LP solution, which one pass over the
+    residual graph of a perfect matching decides for every x (see
+    _LPEngine.tight); no per-vertex LP runs.
+    """
+    return _engine(g).tight(frozenset(excluded))
+
+
+def zero_surplus_cert(g: Graph, excluded: frozenset[int] = _EMPTY) -> Optional[frozenset[int]]:
+    """minsurp_full's certificate when minsurp(G - excluded) == 0, else None.
+
+    That is the min-set through the lowest tight vertex: one masked LP.
+    """
+    tight = tight_vertices(g, excluded)
+    if not tight:
+        return None
+    return _vertex_entry(g, tight[0], excluded)[1]
 
 
 def minsurp(g: Graph, excluded: Iterable[int] = ()) -> SurplusCert:
@@ -327,8 +433,8 @@ def find_nonsingleton_minset(
     """A min-set of size >= 2 with surplus == target, if one exists.
 
     First pass reads the canonical certificates off the minsurp table; the
-    gap case (zero-set empty because minsurp(G - N[x]) == 0 exactly) runs
-    one nested minsurp per remaining candidate.
+    gap case (zero-set empty because minsurp(G - N[x]) == 0 exactly) asks
+    zero_surplus_cert of G - N[x] for each remaining candidate.
     """
     second_pass = []
     for x in sorted(table):
@@ -339,12 +445,9 @@ def find_nonsingleton_minset(
             return cert_x
         second_pass.append(x)
     for x in second_pass:
-        closed = g.neighborhood([x], closed=True)
-        if len(closed) >= g.n:
-            continue
-        value, cert, _ = minsurp_full(g, frozenset(closed))
-        if value == 0:
-            return frozenset(cert) | {x}
+        cert = zero_surplus_cert(g, frozenset(g.neighborhood([x], closed=True)))
+        if cert is not None:
+            return cert | {x}
     return None
 
 

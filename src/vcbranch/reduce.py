@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .graph import Graph
-from .lp import Instance, SurplusCert, minsurp_full, _msm_zeroset
+from .lp import Instance, SurplusCert, minsurp_full, zero_surplus_cert, _msm_zeroset
 
 
 @dataclass(frozen=True)
@@ -137,37 +137,41 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instan
             g2, step = _p1_step(g, SurplusCert(zero, msm))
             emit(g2, step)
             continue
-        ms, cert, table = minsurp_full(g, need_table=True)
-        if ms <= 0:
-            g2, step = _p1_step(g, SurplusCert(frozenset(cert), ms))
+        cert = zero_surplus_cert(g)
+        if cert is not None:
+            g2, step = _p1_step(g, SurplusCert(cert, 0))
             emit(g2, step)
             continue
-        if ms == 1:
-            deg2 = [x for x in g.vertices() if g.degree(x) == 2]
+        # minsurp >= 1 now, and a degree-2 vertex makes it exactly 1
+        deg2 = [x for x in g.vertices() if g.degree(x) == 2]
+        if deg2:
             indep2 = [x for x in deg2
                       if not g.has_edge(*sorted(g.neighbors(x)))]
             if indep2:
                 g2, step = _p2_step(g, SurplusCert(frozenset({indep2[0]}), 1))
-            elif deg2:
+            else:
                 v = deg2[0]  # neighbors adjacent: a triangle, so a funnel
                 g2, step = _p3_step(g, v, min(g.neighbors(v)))
+            emit(g2, step)
+            continue
+        ms, _, table = minsurp_full(g, need_table=True)
+        if ms == 1:
+            candidates = [(len(c), x, c)
+                          for x, (v, c) in sorted(table.items()) if v == 1]
+            indep = [t for t in candidates
+                     if g.is_independent(g.neighborhood(t[2]))]
+            if indep:
+                g2, step = _p2_step(g, SurplusCert(frozenset(min(indep)[2]), 1))
             else:
-                candidates = [(len(c), x, c)
-                              for x, (v, c) in sorted(table.items()) if v == 1]
-                indep = [t for t in candidates
-                         if g.is_independent(g.neighborhood(t[2]))]
-                if indep:
-                    g2, step = _p2_step(g, SurplusCert(frozenset(min(indep)[2]), 1))
+                match = g.find_pattern("kite") or g.find_pattern("funnel")
+                if match is not None:
+                    g2, step = _p3_step(g, match.u, match.out)
                 else:
-                    match = g.find_pattern("kite") or g.find_pattern("funnel")
-                    if match is not None:
-                        g2, step = _p3_step(g, match.u, match.out)
-                    else:
-                        # every certificate has an edge inside N(I): every
-                        # cover contains N(I), so force it; deletion shape
-                        # and lift coincide with a P1 step
-                        chosen = frozenset(min(candidates)[2])
-                        g2, step = _p1_step(g, SurplusCert(chosen, 1))
+                    # every certificate has an edge inside N(I): every
+                    # cover contains N(I), so force it; deletion shape
+                    # and lift coincide with a P1 step
+                    chosen = frozenset(min(candidates)[2])
+                    g2, step = _p1_step(g, SurplusCert(chosen, 1))
             emit(g2, step)
             continue
         match = g.find_pattern("kite") or g.find_pattern("funnel")

@@ -7,6 +7,7 @@ or over {0, 1/2, 1}^n assignments, independent of the solver's code paths.
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Iterable
 
 from vcbranch.graph import Graph
@@ -60,6 +61,16 @@ def exhaustive_minsurp(g: Graph) -> int:
     if best is None:
         raise ValueError("empty graph")
     return best
+
+
+def shuffled_ids(g: Graph, seed: int) -> Graph:
+    """g with its vertex ids permuted (and spread out) by a seeded shuffle,
+    so that id order says nothing about the graph's structure."""
+    verts = g.vertices()
+    ids = [3 * i + 1 for i in range(len(verts))]
+    random.Random(seed).shuffle(ids)
+    new = dict(zip(verts, ids))
+    return Graph(vertices=ids, edges=[(new[u], new[v]) for u, v in g.edges()])
 
 
 P_CHOICES = (0.1, 0.2, 0.3, 0.4, 0.5)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,12 +11,20 @@ from vcbranch.lp import (
     _lp_core,
     lp_basic_solution,
     minsurp,
+    minsurp_full,
     shadow,
     shadow_minus,
+    tight_vertices,
+    zero_surplus_cert,
 )
 from vcbranch.cli import gnp, random_regular
 
-from oracle_utils import exhaustive_lp_weight2, exhaustive_minsurp, exhaustive_vc
+from oracle_utils import (
+    exhaustive_lp_weight2,
+    exhaustive_minsurp,
+    exhaustive_vc,
+    shuffled_ids,
+)
 
 
 def test_lp_basic_small():
@@ -206,3 +215,45 @@ def test_lp_engine_dropped_on_mutation_and_not_shared():
         assert child._lp is None
         assert lp_basic_solution(child) == lp_basic_solution(rebuilt(child))
         assert child._lp is not g._lp
+
+
+def test_tight_vertices_equal_the_sweep():
+    """Where min{0, minsurp(G - X)} == 0, the residual-graph test names
+    exactly the zero entries of the minsurp table, and the certificate is the
+    sweep's first surplus-0 one; where it is negative, both return None.
+
+    X is empty or N[x] plus a few random vertices; ids are shuffled so that
+    the lowest tight vertex is not an artefact of the generator's order.
+    """
+    rng = random.Random(17)
+    graphs = [gnp(n, c / n, seed) for seed in range(90)
+              for n, c in [(6 + seed % 11, 2.5), (10 + seed % 19, 3.5)]]
+    graphs += [random_regular(n, d, seed) for seed in range(16)
+               for n, d in [(10 + 2 * seed, 3), (12 + seed, 4), (12 + 2 * seed, 5)]]
+    graphs += [cycle(n) for n in range(3, 43)]
+    seen = dict.fromkeys(itertools.product((False, True), ("negative", "tight", "tight-free")), 0)
+    for seed, g in enumerate(graphs):
+        g = shuffled_ids(g, seed)
+        verts = g.vertices()
+        masks = [frozenset()]
+        for x in rng.sample(verts, min(4, len(verts))):
+            extra = rng.sample(verts, rng.randint(0, 3))
+            masks.append(g.neighborhood([x], closed=True) | set(extra))
+        for mask in masks:
+            if len(mask) >= g.n:
+                continue
+            tight = tight_vertices(g, mask)
+            cert = zero_surplus_cert(g, mask)
+            if shadow_minus(g, mask) < 0:
+                seen[bool(mask), "negative"] += 1
+                assert tight is None and cert is None, (seed, sorted(mask))
+                continue
+            value, first, table = minsurp_full(g, mask, need_table=True)
+            assert tight == [y for y in sorted(table) if table[y][0] == 0], (seed, sorted(mask))
+            if value == 0:
+                seen[bool(mask), "tight"] += 1
+                assert cert == first, (seed, sorted(mask))
+            else:
+                seen[bool(mask), "tight-free"] += 1
+                assert cert is None, (seed, sorted(mask))
+    assert min(seen.values()) >= 50, seen

@@ -1,11 +1,19 @@
 import pytest
 
 from vcbranch.graph import Graph, complete, cycle, path, star
-from vcbranch.lp import Instance, SurplusCert, minsurp
-from vcbranch.reduce import _p1_step, _p2_step, _p3_step, lift_cover, simplify
-from vcbranch.cli import circulant, gnp, hypercube
+from vcbranch.lp import (
+    Instance,
+    SurplusCert,
+    _LPEngine,
+    _msm_zeroset,
+    find_nonsingleton_minset,
+    minsurp,
+    minsurp_full,
+)
+from vcbranch.reduce import ReductionTrace, _p1_step, _p2_step, _p3_step, lift_cover, simplify
+from vcbranch.cli import circulant, gnp, hypercube, random_regular
 
-from oracle_utils import exhaustive_vc, is_cover
+from oracle_utils import exhaustive_vc, is_cover, shuffled_ids
 
 
 def test_apply_p1():
@@ -198,3 +206,106 @@ def test_trace_serialization():
         kind = line.split()[0]
         assert kind in ("P1", "P2", "P3", "ComponentSolve")
         assert "removed=" in line and "dk=" in line
+
+
+def _table_policy_simplify(inst: Instance) -> tuple[Instance, ReductionTrace]:
+    """The rule policy of vcbranch.reduce with every step past the one-LP
+    fast path decided from a full minsurp table: the reference that
+    simplify's shortcuts must agree with."""
+    g, k = inst.graph, inst.k
+    trace = ReductionTrace()
+    while g.n:
+        msm, zero = _msm_zeroset(g, frozenset())
+        ms, cert, table = minsurp_full(g, need_table=True)
+        if msm < 0:
+            g2, step = _p1_step(g, SurplusCert(zero, msm))
+        elif ms <= 0:
+            g2, step = _p1_step(g, SurplusCert(frozenset(cert), ms))
+        elif ms == 1:
+            deg2 = [x for x in g.vertices() if g.degree(x) == 2]
+            indep2 = [x for x in deg2 if not g.has_edge(*sorted(g.neighbors(x)))]
+            candidates = [(len(c), x, c) for x, (v, c) in sorted(table.items()) if v == 1]
+            indep = [t for t in candidates if g.is_independent(g.neighborhood(t[2]))]
+            match = g.find_pattern("kite") or g.find_pattern("funnel")
+            if indep2:
+                g2, step = _p2_step(g, SurplusCert(frozenset({indep2[0]}), 1))
+            elif deg2:
+                g2, step = _p3_step(g, deg2[0], min(g.neighbors(deg2[0])))
+            elif indep:
+                g2, step = _p2_step(g, SurplusCert(frozenset(min(indep)[2]), 1))
+            elif match is not None:
+                g2, step = _p3_step(g, match.u, match.out)
+            else:
+                g2, step = _p1_step(g, SurplusCert(frozenset(min(candidates)[2]), 1))
+        else:
+            match = g.find_pattern("kite") or g.find_pattern("funnel")
+            if match is None:
+                break
+            g2, step = _p3_step(g, match.u, match.out)
+        trace.steps.append(step)
+        g, k = g2, k - step.dk
+    trace.final_graph = g
+    return Instance(g, k), trace
+
+
+def _sweep_nonsingleton_minset(g: Graph, table: dict, target: int):
+    """find_nonsingleton_minset with its second pass as a minsurp sweep."""
+    second_pass = []
+    for x in sorted(table):
+        v_x, cert_x = table[x]
+        if v_x != target:
+            continue
+        if len(cert_x) >= 2:
+            return cert_x
+        second_pass.append(x)
+    for x in second_pass:
+        closed = g.neighborhood([x], closed=True)
+        if len(closed) < g.n:
+            value, cert, _ = minsurp_full(g, frozenset(closed))
+            if value == 0:
+                return frozenset(cert) | {x}
+    return None
+
+
+def test_simplify_equals_the_table_policy():
+    """simplify reads surplus-0 witnesses off the LP matching and skips the
+    table when a degree-2 vertex fixes minsurp at 1; its trace and result
+    equal those of the policy that builds the full table at every step."""
+    graphs = [gnp(n, 3 / n, seed) for seed in range(3) for n in range(20, 121, 20)]
+    graphs += [gnp(8 + seed % 9, (0.2, 0.35, 0.5)[seed % 3], seed) for seed in range(30)]
+    graphs += [random_regular(16 + 2 * seed, d, seed) for seed in range(4) for d in (3, 4)]
+    graphs += [cycle(n) for n in (5, 6, 9, 12, 31)] + [hypercube(4), circulant(12, [1, 2])]
+    second_pass_hits = 0
+    for seed, g in enumerate(graphs):
+        g = shuffled_ids(g, seed)
+        inst, trace = simplify(Instance(g, g.n))
+        ref_inst, ref_trace = _table_policy_simplify(Instance(g, g.n))
+        assert trace.serialize() == ref_trace.serialize(), seed
+        assert inst.k == ref_inst.k, seed
+        assert inst.graph.vertices() == ref_inst.graph.vertices(), seed
+        assert inst.graph.edges() == ref_inst.graph.edges(), seed
+        if g.n:
+            _, _, table = minsurp_full(g, need_table=True)
+            for target in (0, 1, 2):
+                found = find_nonsingleton_minset(g, table, target)
+                assert found == _sweep_nonsingleton_minset(g, table, target), (seed, target)
+                if found is not None and all(len(c) < 2 for v, c in table.values()
+                                             if v == target):
+                    second_pass_hits += 1
+    assert second_pass_hits >= 5
+
+
+def test_simplify_long_odd_cycle_makes_linear_lp_solves(monkeypatch):
+    """A 401-cycle folds down by P2 steps; no step may sweep all vertices."""
+    calls = 0
+    solve = _LPEngine.solve
+
+    def counted(self, excluded):
+        nonlocal calls
+        calls += 1
+        return solve(self, excluded)
+
+    monkeypatch.setattr(_LPEngine, "solve", counted)
+    inst, trace = simplify(Instance(shuffled_ids(cycle(401), 5), 201))
+    assert inst.graph.n == 0 and trace.total_dk == 201
+    assert calls <= 1000
