@@ -435,7 +435,7 @@ def select_branch(inst: Instance, stats: Optional[SelectorStats] = None) -> Bran
     r = g.max_degree()
     if r <= 3:
         raise PreconditionError("maximum degree <= 3: use a base solver")
-    if g.min_degree() < 3 or g.find_pattern("funnel") is not None:
+    if g.min_degree() < 3 or g.find_pattern() is not None:
         raise PreconditionError("graph is not simplified")
     ms, _, table = minsurp_full(g, need_table=True)
     if ms < 2:

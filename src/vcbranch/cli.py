@@ -278,12 +278,26 @@ def _load_graph(args, out: _Output) -> Graph:
     return g
 
 
+def _budget(args) -> Optional[int]:
+    """The node budget: --budget, else $VC_BRANCH_BUDGET, else none."""
+    if args.budget is not None:
+        source, raw = "--budget", str(args.budget)
+    else:
+        source, raw = "VC_BRANCH_BUDGET", os.environ.get("VC_BRANCH_BUDGET")
+        if not raw:
+            return None
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {raw!r}")
+    return budget
+
+
 def _config(args, out: Optional[_Output] = None) -> SolverConfig:
     level = int(args.algorithm.removeprefix("level"))
-    budget = args.budget
-    if budget is None:
-        env = os.environ.get("VC_BRANCH_BUDGET")
-        budget = int(env) if env else None
+    budget = _budget(args)
     if out is not None:
         out.emit("config",
                  f"c config command={args.command} algorithm={args.algorithm} "
@@ -442,7 +456,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--algorithm", default="level7",
                        choices=("level4", "level5", "level6", "level7"))
         p.add_argument("--budget", type=int, default=None,
-                       help="branch-node budget (default: $VC_BRANCH_BUDGET)")
+                       help="branch-node budget, a non-negative integer "
+                            "(default: $VC_BRANCH_BUDGET)")
 
     p = sub.add_parser("solve", help="decide a cover of size <= k")
     common(p)

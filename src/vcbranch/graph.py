@@ -184,78 +184,53 @@ class Graph:
             comps.append(sorted(comp))
         return comps
 
-    def is_clique(self, s: Iterable[int]) -> bool:
-        s = self._check_vertices(s)
-        return all(v in self._adj[u] for u in s for v in s if u < v)
-
-    def is_funnel(self, u: int, x: int) -> bool:
-        """True when N(u) - {x} is a clique, making (u, x) foldable.
-
-        Plain degree-2 vertices with non-adjacent neighbors are excluded:
-        that shape is the degree-2 fold's job, not the funnel rule's.
-        """
-        nbrs = self.neighbors(u)
-        if x not in nbrs or len(nbrs) < 2:
-            return False
-        if len(nbrs) == 2 and not self.is_clique(nbrs):
-            return False
-        return self.is_clique(nbrs - {x})
-
-    def find_pattern(self, kind: str) -> Optional[PatternMatch]:
-        """Locate a funnel, kite or 3-triangle; lowest (u, out-neighbor) wins.
+    def find_pattern(self) -> Optional[PatternMatch]:
+        """The lowest kite if there is one, otherwise the lowest funnel;
+        "lowest" orders by (u, out-neighbor).
 
         funnel: vertex u with neighbor x such that N(u) - {x} is a clique.
-        kite: degree-3 u with neighbors x, y, z where x~y and y~z
-              (out-neighbor is the end of that path, a valid funnel out).
-        three_triangle: degree-3 u whose neighborhood contains an edge;
-              out-neighbor is the vertex outside the triangle.
+              A degree-2 u needs adjacent neighbors: the other shape is the
+              degree-2 fold's job, not the funnel rule's.
+        kite: degree-3 u whose neighborhood holds a path x - y - z; the
+              out-neighbor is the lowest funnel out, witness (y, z) with y
+              adjacent to it.
+        One pass: with inner[a] = |N(a) & N(u)| per neighbor a, N(u) - {x}
+        is a clique iff every edge missing from N(u) touches x, i.e. iff
+        d - 1 - inner[x] equals the number of missing edges.  Only x may
+        have inner[x] < d - 2, so a second such neighbor ends the check.
         """
-        if kind == "funnel":
-            return self._find_funnel()
-        if kind == "kite":
-            return self._find_kite()
-        if kind == "three_triangle":
-            return self._find_three_triangle()
-        raise ValueError(f"unknown pattern kind {kind!r}")
-
-    def _find_funnel(self) -> Optional[PatternMatch]:
-        for u in self.vertices():
-            nbrs = self._adj[u]
-            if len(nbrs) < 2 or (len(nbrs) == 2 and not self.is_clique(nbrs)):
-                continue
-            for x in sorted(nbrs):
-                rest = nbrs - {x}
-                if self.is_clique(rest):
-                    return PatternMatch("funnel", u, x, tuple(sorted(rest)))
-        return None
-
-    def _find_kite(self) -> Optional[PatternMatch]:
-        for u in self.vertices():
-            nbrs = self._adj[u]
-            if len(nbrs) != 3:
+        adj = self._adj
+        funnel = None
+        for u in sorted(adj):
+            nbrs = adj[u]
+            d = len(nbrs)
+            if d < 2 or (funnel is not None and d != 3):
                 continue
             ordered = sorted(nbrs)
-            # need a path x - y - z inside N(u); y is adjacent to both others
-            if not any(len(self._adj[y] & nbrs) == 2 for y in ordered):
-                continue
-            for x in ordered:
-                rest = nbrs - {x}
-                if self.is_clique(rest):
-                    a, b = sorted(rest)
-                    y, z = (a, b) if a in self._adj[x] else (b, a)
-                    return PatternMatch("kite", u, x, (y, z))
-        return None
-
-    def _find_three_triangle(self) -> Optional[PatternMatch]:
-        for u in self.vertices():
-            nbrs = self._adj[u]
-            if len(nbrs) != 3:
-                continue
-            for x in sorted(nbrs):
-                rest = nbrs - {x}
-                if self.is_clique(rest):
-                    return PatternMatch("three_triangle", u, x, tuple(sorted(rest)))
-        return None
+            inner = []
+            short = 0
+            for a in ordered:
+                count = len(adj[a] & nbrs)
+                if count < d - 2:
+                    short += 1
+                    if short == 2:
+                        break
+                inner.append(count)
+            else:
+                edges = sum(inner) // 2
+                if d == 2 and not edges:
+                    continue
+                missing = d * (d - 1) // 2 - edges
+                x = next((x for x, c in zip(ordered, inner) if d - 1 - c == missing), None)
+                if x is None:
+                    continue
+                rest = tuple(a for a in ordered if a != x)
+                if d == 3 and edges >= 2:
+                    a, b = rest
+                    return PatternMatch("kite", u, x, rest if a in adj[x] else (b, a))
+                if funnel is None:
+                    funnel = PatternMatch("funnel", u, x, rest)
+        return funnel
 
     # -- misc ----------------------------------------------------------------
 

@@ -393,6 +393,103 @@ def tight_vertices(g: Graph, excluded: frozenset[int] = _EMPTY) -> Optional[list
     return _engine(g).tight(frozenset(excluded))
 
 
+def certify_minsurp_two(g: Graph) -> bool:
+    """True only if minsurp(G) >= 2; False means "not certified".
+
+    With a perfect matching of the double cover, the table value v_x equals
+    the number of internally disjoint paths from x to sigma(x) = match_r[x]
+    in the residual digraph D (arcs u -> match_r[w], w a neighbour of u,
+    self-loops dropped), and x -> sigma(x) is never an arc.  So if D is
+    strongly connected and no single vertex separates it (no strong
+    articulation point), Menger gives every v_x >= 2.  Acceptance needs
+    minimum degree 3: x has deg(x) - 1 out-arcs.  After Italiano, Laura
+    and Santaroni (TCS 2012): for a root r, a vertex other than r is a
+    strong articulation point iff it is a non-trivial dominator of D or of
+    its reverse from r, and r is one iff D - r is not strongly connected.
+    Reads the engine's stored matching in place.
+    """
+    engine = _engine(g)
+    adj = engine.adj
+    if engine.exposed or not adj:
+        return False
+    match_l, match_r = engine.match_l, engine.match_r
+    n = len(adj)
+    succ = [[match_r[w] for w in adj[u] if w != match_l[u]] for u in range(n)]
+    pred = [[v for v in adj[match_l[u]] if v != u] for u in range(n)]
+    if not (_dominated_by_root_only(succ, pred) and _dominated_by_root_only(pred, succ)):
+        return False
+    # D - r strongly connected, r = 0: both searches from 1 reach n - 1 vertices
+    for arcs in (succ, pred):
+        seen = bytearray(n)
+        seen[0] = seen[1] = 1
+        stack = [1]
+        reached = 1
+        while stack:
+            for v in arcs[stack.pop()]:
+                if not seen[v]:
+                    seen[v] = 1
+                    reached += 1
+                    stack.append(v)
+        if reached < n - 1:
+            return False
+    return True
+
+
+def _dominated_by_root_only(succ: list[list[int]], pred: list[list[int]]) -> bool:
+    """Whether every vertex is reachable from vertex 0 and has 0 as its
+    immediate dominator (Cooper, Harvey and Kennedy, "A simple, fast
+    dominance algorithm", 2001: intersect the predecessors' dominators in
+    reverse postorder until nothing changes, or until every immediate
+    dominator is 0)."""
+    n = len(succ)
+    post = [-1] * n
+    order: list[int] = []  # postorder
+    seen = bytearray(n)
+    seen[0] = 1
+    work = [(0, iter(succ[0]))]
+    while work:
+        u, arcs = work[-1]
+        for v in arcs:
+            if not seen[v]:
+                seen[v] = 1
+                work.append((v, iter(succ[v])))
+                break
+        else:
+            work.pop()
+            post[u] = len(order)
+            order.append(u)
+    if len(order) < n:
+        return False
+    order.pop()  # the root
+    order.reverse()
+    idom = [-1] * n
+    idom[0] = 0
+    while True:
+        changed = False
+        for v in order:
+            new = -1
+            for p in pred[v]:
+                if idom[p] < 0:
+                    continue
+                if new < 0:
+                    new = p
+                    continue
+                a = p
+                while a != new:
+                    while post[a] < post[new]:
+                        a = idom[a]
+                    while post[new] < post[a]:
+                        new = idom[new]
+            if idom[v] != new:
+                idom[v] = new
+                changed = True
+        # the passes only shrink dominator sets, never below {v, 0}
+        if not any(idom):
+            return True
+        if not changed:
+            return False
+
+
 def zero_surplus_cert(g: Graph, excluded: frozenset[int] = _EMPTY) -> Optional[frozenset[int]]:
     """minsurp_full's certificate when minsurp(G - excluded) == 0, else None.
 

@@ -21,7 +21,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .graph import Graph
-from .lp import Instance, SurplusCert, minsurp_full, zero_surplus_cert, _msm_zeroset
+from .lp import (
+    Instance, SurplusCert, certify_minsurp_two, minsurp_full, zero_surplus_cert, _msm_zeroset,
+)
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,12 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instan
                 g2, step = _p3_step(g, v, min(g.neighbors(v)))
             emit(g2, step)
             continue
-        ms, _, table = minsurp_full(g, need_table=True)
+        # minimum degree 3 now; the table is needed only where the
+        # certificate cannot rule out minsurp 1
+        if certify_minsurp_two(g):
+            ms = 2  # a lower bound, which is all the policy asks
+        else:
+            ms, _, table = minsurp_full(g, need_table=True)
         if ms == 1:
             candidates = [(len(c), x, c)
                           for x, (v, c) in sorted(table.items()) if v == 1]
@@ -163,7 +170,7 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instan
             if indep:
                 g2, step = _p2_step(g, SurplusCert(frozenset(min(indep)[2]), 1))
             else:
-                match = g.find_pattern("kite") or g.find_pattern("funnel")
+                match = g.find_pattern()
                 if match is not None:
                     g2, step = _p3_step(g, match.u, match.out)
                 else:
@@ -174,7 +181,7 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instan
                     g2, step = _p1_step(g, SurplusCert(chosen, 1))
             emit(g2, step)
             continue
-        match = g.find_pattern("kite") or g.find_pattern("funnel")
+        match = g.find_pattern()
         if match is None:
             break
         g2, step = _p3_step(g, match.u, match.out)

@@ -497,16 +497,6 @@ def make_audit_record(params: MeasureParams, node_id: int, rule: str,
                        violation=vr > min(1.0, vc) + 1e-9)
 
 
-def compose_val(params: MeasureParams, outer: BranchSeq,
-                inners: Iterable[BranchSeq]) -> float:
-    """Value of a composed rule: outer drops followed by per-child rules."""
-    inners = list(inners)
-    if len(inners) != len(outer):
-        raise ValueError("one inner branch-seq per outer child required")
-    return sum(math.exp(-params.a * dmu - params.b * dk) * val(params, inner)
-               for (dmu, dk), inner in zip(outer, inners))
-
-
 @dataclass
 class AuditSummary:
     total: int

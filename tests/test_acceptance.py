@@ -101,7 +101,7 @@ def test_criterion_4_reduction_safety():
         out = inst.graph
         if out.n:
             assert out.min_degree() >= 3
-            assert out.find_pattern("funnel") is None
+            assert out.find_pattern() is None
             assert minsurp(out).surplus >= 2
         for gb, step, ga in records:
             # feasibility equivalence, exactly: VC(G) = VC(G') + dk

@@ -114,6 +114,24 @@ def test_budget_env(tmp_path, monkeypatch):
     monkeypatch.delenv("VC_BRANCH_BUDGET")
 
 
+@pytest.mark.parametrize("argv, env, source, raw", [
+    (["--budget", "-3"], None, "--budget", "-3"),
+    ([], "-1", "VC_BRANCH_BUDGET", "-1"),
+    ([], "ten", "VC_BRANCH_BUDGET", "ten"),
+    ([], "2.5", "VC_BRANCH_BUDGET", "2.5"),
+])
+def test_bad_budget_is_usage_error(tmp_path, monkeypatch, argv, env, source, raw):
+    path = tmp_path / "pet.gr"
+    path.write_text(render_graph(NAMED_GRAPHS["petersen"]()))
+    if env is None:
+        monkeypatch.delenv("VC_BRANCH_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("VC_BRANCH_BUDGET", env)
+    code, out = run(["solve", str(path), "--k", "6"] + argv)
+    assert code == 2  # before: exit 3, "budget exhausted after 1 nodes"
+    assert f"error: {source} must be a non-negative integer, got '{raw}'" in out
+
+
 def test_optimize_and_oracle_agree(tmp_path):
     path = tmp_path / "g.gr"
     path.write_text(render_graph(gnp(11, 0.35, 5)))

@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
 
-from vcbranch.graph import Graph, PreconditionError, complete, cycle, star
-from vcbranch.cli import gnp, parse_graph, render_graph
+from vcbranch.graph import Graph, PatternMatch, PreconditionError, complete, cycle, star
+from vcbranch.cli import gnp, parse_graph, random_regular, render_graph
+
+from oracle_utils import shuffled_ids
 
 
 def test_neighborhood_open_closed():
@@ -46,7 +49,7 @@ def test_add_vertex_with_edges():
     assert g.degree(y) == 0
     e = Graph(edges=[(0, 1)])
     tri, y = e.add_vertex_with_edges([0, 1])
-    assert tri.is_clique([0, 1, y])
+    assert tri.edges() == [(0, 1), (0, y), (1, y)]
     rest = cycle(4).delete_vertices([0, 1, 3])
     g, y = rest.add_vertex_with_edges([2])
     assert g.edges() == [(2, y)]
@@ -66,23 +69,72 @@ def test_add_biclique():
 
 def test_find_pattern_examples():
     k3 = complete(3)
-    m = k3.find_pattern("funnel")
-    assert (m.u, m.out) == (0, 1)
+    assert k3.find_pattern() == ("funnel", 0, 1, (2,))
     kite = Graph(edges=[(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])
-    m = kite.find_pattern("kite")
-    assert (m.u, m.out, m.witness) == (0, 1, (2, 3))
-    c5 = cycle(5)
-    assert c5.find_pattern("funnel") is None
-    assert c5.find_pattern("kite") is None
-    assert c5.find_pattern("three_triangle") is None
-
-
-def test_three_triangle():
-    # degree-3 vertex 0 with triangle {1,2} and out-neighbor 3
+    assert kite.find_pattern() == ("kite", 0, 1, (2, 3))
+    # one edge in N(0) is a funnel with out-neighbor 3, not a kite
     g = Graph(edges=[(0, 1), (0, 2), (0, 3), (1, 2)])
-    m = g.find_pattern("three_triangle")
-    assert (m.u, m.out, m.witness) == (0, 3, (1, 2))
-    assert g.find_pattern("kite") is None  # only one edge in N(0)
+    assert g.find_pattern() == ("funnel", 0, 3, (1, 2))
+    assert cycle(5).find_pattern() is None
+
+
+def _two_scan_pattern(g: Graph):
+    """The lowest kite, else the lowest funnel, by one clique test per
+    (u, x): the reference for find_pattern's one-pass counting."""
+    adj = g._adj
+
+    def is_clique(s):
+        return all(b in adj[a] for a, b in itertools.combinations(s, 2))
+
+    for u in g.vertices():
+        nbrs = adj[u]
+        if len(nbrs) != 3 or not any(len(adj[y] & nbrs) == 2 for y in nbrs):
+            continue
+        for x in sorted(nbrs):
+            a, b = sorted(nbrs - {x})
+            if b in adj[a]:
+                return PatternMatch("kite", u, x, (a, b) if a in adj[x] else (b, a))
+    for u in g.vertices():
+        nbrs = adj[u]
+        if len(nbrs) < 2 or (len(nbrs) == 2 and not is_clique(nbrs)):
+            continue
+        for x in sorted(nbrs):
+            if is_clique(nbrs - {x}):
+                return PatternMatch("funnel", u, x, tuple(sorted(nbrs - {x})))
+    return None
+
+
+def test_find_pattern_equals_the_two_scans():
+    """One counting pass finds what a kite scan followed by a funnel scan
+    finds, on seeded G(n, p) and regular graphs, graphs with triangles
+    through degree-2 vertices, K4/K5 neighbourhoods and isolated vertices,
+    and those graphs with a few vertices deleted."""
+    graphs = [gnp(n, p, seed) for seed in range(40)
+              for n, p in [(6 + seed % 9, 0.3), (8 + seed % 7, 0.5), (12, 0.7)]]
+    graphs += [random_regular(n, d, seed) for seed in range(10)
+               for n, d in [(8 + 2 * seed, 3), (8 + seed, 4), (10 + 2 * seed, 5), (12, 6)]]
+    graphs += [cycle(n) for n in (3, 4, 5)] + [complete(n) for n in range(1, 7)]
+    # triangles through degree-2 vertices hanging off a 4-cycle
+    graphs.append(Graph(edges=[(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (5, 2), (5, 3)]))
+    # u = 0 with a K4 and a K5 on its neighbourhood, plus isolated vertices
+    for k in (4, 5):
+        g = complete(k + 1)
+        g.add_edge(k, k + 1)
+        g.add_edge(k + 1, k + 2)
+        g.add_vertex(k + 5)
+        graphs.append(g)
+    graphs.append(Graph(vertices=range(4)))
+    rng = random.Random(5)
+    kinds = set()
+    for seed, g in enumerate(graphs):
+        g = shuffled_ids(g, seed)
+        variants = [g] + [g.delete_vertices(rng.sample(g.vertices(), min(g.n, k)))
+                          for k in (1, 2, 4)]
+        for h in variants:
+            match = h.find_pattern()
+            assert match == _two_scan_pattern(h), (seed, h.edges())
+            kinds.add(None if match is None else match.kind)
+    assert kinds == {None, "kite", "funnel"}
 
 
 def test_components():

@@ -7,6 +7,8 @@ import pytest
 from vcbranch.graph import Graph, complete, cycle, star
 from vcbranch.lp import (
     Instance,
+    certify_minsurp_two,
+    _engine,
     find_blocker,
     _lp_core,
     lp_basic_solution,
@@ -257,3 +259,118 @@ def test_tight_vertices_equal_the_sweep():
                 seen[bool(mask), "tight-free"] += 1
                 assert cert is None, (seed, sorted(mask))
     assert min(seen.values()) >= 50, seen
+
+
+def _residual_digraph(g: Graph):
+    """(successor lists, sigma) of the residual digraph of the engine's
+    perfect matching, on engine indices; None without a perfect matching."""
+    engine = _engine(g)
+    if engine.exposed:
+        return None
+    match_l, match_r = engine.match_l, engine.match_r
+    succ = [[match_r[w] for w in nbrs if w != match_l[u]] for u, nbrs in enumerate(engine.adj)]
+    return succ, match_r
+
+
+def _capped_menger(succ, s: int, t: int, cap: int = 3) -> int:
+    """Internally vertex-disjoint s -> t paths, at most cap, by augmenting
+    paths on the split digraph (v_in = 2v, v_out = 2v + 1, unit capacities
+    on arcs and on inner vertices)."""
+    residual: dict[int, dict[int, int]] = {}
+
+    def arc(a: int, b: int, c: int) -> None:
+        residual.setdefault(a, {})[b] = c
+        residual.setdefault(b, {}).setdefault(a, 0)
+
+    for v, outs in enumerate(succ):
+        arc(2 * v, 2 * v + 1, cap if v in (s, t) else 1)
+        for w in outs:
+            arc(2 * v + 1, 2 * w, 1)
+    flow = 0
+    while flow < cap:
+        parent = {2 * s + 1: None}
+        queue = [2 * s + 1]
+        for a in queue:
+            for b, c in residual[a].items():
+                if c > 0 and b not in parent:
+                    parent[b] = a
+                    queue.append(b)
+        if 2 * t not in parent:
+            break
+        b = 2 * t
+        while parent[b] is not None:
+            a = parent[b]
+            residual[a][b] -= 1
+            residual[b][a] += 1
+            b = a
+        flow += 1
+    return flow
+
+
+def _strongly_connected(succ, removed: int = -1) -> bool:
+    keep = [v for v in range(len(succ)) if v != removed]
+    pred = [[] for _ in succ]
+    for u, outs in enumerate(succ):
+        for v in outs:
+            pred[v].append(u)
+    for arcs in (succ, pred):
+        seen = {keep[0]}
+        stack = [keep[0]]
+        while stack:
+            for v in arcs[stack.pop()]:
+                if v != removed and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        if len(seen) < len(keep):
+            return False
+    return True
+
+
+def test_certify_minsurp_two():
+    """The table value v_x is the number of internally disjoint
+    x -> match_r[x] paths in the residual digraph D (compared up to 3), the
+    certificate accepts exactly when D is strongly connected without a
+    strong articulation point (each vertex removed in turn), and whatever
+    it accepts has minsurp >= 2."""
+    graphs = [gnp(n, c / n, seed) for seed in range(60)
+              for n, c in [(8 + seed % 13, 4.5), (10 + seed % 7, 6.0)]]
+    graphs += [random_regular(n, d, seed) for seed in range(12)
+               for n, d in [(10 + 2 * seed, 3), (10 + seed, 4), (10 + 2 * seed, 5)]]
+    graphs += [cycle(n) for n in range(3, 12)]
+    seen = dict.fromkeys(("accepted", "minsurp <= 1", "no perfect matching"), 0)
+    for seed, g in enumerate(graphs):
+        g = shuffled_ids(g, seed)
+        if g.n < 3:
+            continue
+        certified = certify_minsurp_two(g)
+        digraph = _residual_digraph(g)
+        if digraph is None:
+            seen["no perfect matching"] += 1
+            assert not certified, seed
+            continue
+        succ, sigma = digraph
+        value, _, table = minsurp_full(g, need_table=True)
+        for i, x in enumerate(_engine(g).verts):
+            assert _capped_menger(succ, i, sigma[i]) == min(3, table[x][0]), (seed, x)
+        assert certified == (_strongly_connected(succ)
+                             and all(_strongly_connected(succ, v) for v in range(g.n))), seed
+        if certified:
+            seen["accepted"] += 1
+            assert value >= 2, seed
+        else:
+            seen["minsurp <= 1"] += value <= 1
+    assert seen["accepted"] >= 50 and seen["minsurp <= 1"] >= 50, seen
+    assert seen["no perfect matching"] >= 5, seen
+
+    # minimum degree 3 and minsurp 1: a single vertex cuts some x from sigma(x)
+    g = random_regular(10, 3, 192)
+    assert minsurp(g).surplus == 1 and not certify_minsurp_two(g)
+    # two K4s sharing vertex 0: minsurp 2, D strongly connected, but a
+    # strong articulation point, so the certificate declines
+    g = Graph(edges=[(u, v) for part in ([0, 1, 2, 3], [0, 4, 5, 6])
+                     for u, v in itertools.combinations(part, 2)])
+    succ, _ = _residual_digraph(g)
+    assert minsurp(g).surplus == 2 and _strongly_connected(succ)
+    assert not all(_strongly_connected(succ, v) for v in range(g.n))
+    assert not certify_minsurp_two(g)
+    assert certify_minsurp_two(complete(5)) and not certify_minsurp_two(Graph())

@@ -45,7 +45,7 @@ def test_apply_p2():
 
     g2, step = _p2_step(cycle(5), SurplusCert(frozenset({0}), 1))
     assert step.dk == 1
-    assert g2.is_clique([2, 3, step.created])
+    assert g2.edges() == [(2, 3), (2, step.created), (3, step.created)]
     assert exhaustive_vc(g2) == 2
 
 
@@ -63,7 +63,7 @@ def test_apply_p3():
     # funnel with disjoint outer neighborhoods: biclique B_u x B_x appears
     g = Graph(edges=[(0, 1), (0, 2), (0, 3), (2, 3),        # funnel 0, out 1
                      (1, 4), (1, 5), (2, 6), (3, 7)])
-    assert g.is_funnel(0, 1)
+    assert g.find_pattern() == ("funnel", 0, 1, (2, 3))
     g2, step = _p3_step(g, 0, 1)
     assert step.shared == ()
     for b_u in (2, 3):
@@ -87,7 +87,7 @@ def test_simplify_c4_and_c9_12():
     assert not trace.steps and inst.graph.n == 9
     g = inst.graph
     assert g.min_degree() >= 3
-    assert g.find_pattern("funnel") is None
+    assert g.find_pattern() is None
     assert minsurp(g).surplus >= 2
 
 
@@ -107,7 +107,7 @@ def test_simplify_postconditions_random():
         out = inst.graph
         if out.n:
             assert out.min_degree() >= 3
-            assert out.find_pattern("funnel") is None
+            assert out.find_pattern() is None
             assert minsurp(out).surplus >= 2
         # lift of the empty-extension is consistent in size
         opt_red = exhaustive_vc(out) if out.n <= 14 else None
@@ -226,7 +226,7 @@ def _table_policy_simplify(inst: Instance) -> tuple[Instance, ReductionTrace]:
             indep2 = [x for x in deg2 if not g.has_edge(*sorted(g.neighbors(x)))]
             candidates = [(len(c), x, c) for x, (v, c) in sorted(table.items()) if v == 1]
             indep = [t for t in candidates if g.is_independent(g.neighborhood(t[2]))]
-            match = g.find_pattern("kite") or g.find_pattern("funnel")
+            match = g.find_pattern()
             if indep2:
                 g2, step = _p2_step(g, SurplusCert(frozenset({indep2[0]}), 1))
             elif deg2:
@@ -238,7 +238,7 @@ def _table_policy_simplify(inst: Instance) -> tuple[Instance, ReductionTrace]:
             else:
                 g2, step = _p1_step(g, SurplusCert(frozenset(min(candidates)[2]), 1))
         else:
-            match = g.find_pattern("kite") or g.find_pattern("funnel")
+            match = g.find_pattern()
             if match is None:
                 break
             g2, step = _p3_step(g, match.u, match.out)

@@ -4,7 +4,7 @@ import pytest
 
 from vcbranch.graph import Graph, complete, cycle
 from vcbranch.lp import Instance
-from vcbranch.branching import MeasureParams, SIMPLE_LEVEL_PARAMS, val
+from vcbranch.branching import SIMPLE_LEVEL_PARAMS
 from vcbranch.solver import SolverConfig, solve_decision
 from vcbranch.verify import (
     AGVC_RATE,
@@ -12,7 +12,6 @@ from vcbranch.verify import (
     audit_trace,
     brute_force_vc,
     combine_rate,
-    compose_val,
     evaluate_constraints,
     make_audit_record,
     triple_point_residual,
@@ -105,18 +104,6 @@ def test_audit_clean_petersen_run():
     r = solve_decision(Instance(g, 6), cfg=SolverConfig(audit=True))
     summary = audit_trace(r.stats.audit_records)
     assert summary.clean
-
-
-def test_compose_val():
-    p = MeasureParams(0.5, 0.1)
-    outer = ((1, 2), (2, 3))
-    inners = [((1, 1),), ((0.5, 1), (1, 2))]
-    direct = compose_val(p, outer, inners)
-    # flattening by hand: outer drop adds to each inner drop
-    flat = [(1 + 1, 2 + 1), (2 + 0.5, 3 + 1), (2 + 1, 3 + 2)]
-    assert direct == pytest.approx(val(p, flat))
-    with pytest.raises(ValueError):
-        compose_val(p, outer, [((1, 1),)])
 
 
 def test_brute_force_examples():
