@@ -25,14 +25,20 @@ class Graph:
     """Mutable container, but all public operations return fresh graphs.
 
     Callers that branch hold one copy per subproblem; nothing is shared.
+
+    No operation removes an edge between two vertices that both stay, so a
+    graph derived from another (copy, deletion, or adding to a graph whose
+    LP engine is built) keeps that engine as a one-shot hint: vcbranch.lp
+    builds the derived graph's engine from it and then drops it.
     """
 
-    __slots__ = ("_adj", "_next_id", "_lp")
+    __slots__ = ("_adj", "_next_id", "_lp", "_lp_hint")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
         self._adj: dict[int, set[int]] = {}
         self._next_id = 0
         self._lp = None  # LP engine (vcbranch.lp); built on demand, cleared on mutation
+        self._lp_hint = None  # an ancestor's LP engine, until this graph builds its own
         for v in vertices:
             self.add_vertex(v)
         for u, v in edges:
@@ -47,7 +53,8 @@ class Graph:
         if v < 0:
             raise ValueError(f"vertex ids must be non-negative, got {v}")
         self._adj.setdefault(v, set())
-        self._lp = None
+        if self._lp is not None:
+            self._lp_hint, self._lp = self._lp, None
         self._next_id = max(self._next_id, v + 1)
         return v
 
@@ -60,9 +67,13 @@ class Graph:
         self._adj[v].add(u)
 
     def copy(self) -> "Graph":
+        return self._derive({v: set(nbrs) for v, nbrs in self._adj.items()})
+
+    def _derive(self, adj: dict[int, set[int]]) -> "Graph":
         g = Graph()
-        g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
+        g._adj = adj
         g._next_id = self._next_id
+        g._lp_hint = self._lp if self._lp is not None else self._lp_hint
         return g
 
     # -- queries -----------------------------------------------------------
@@ -140,10 +151,7 @@ class Graph:
 
     def delete_vertices(self, s: Iterable[int]) -> "Graph":
         s = self._check_vertices(s)
-        g = Graph()
-        g._adj = {v: self._adj[v] - s for v in self._adj if v not in s}
-        g._next_id = self._next_id
-        return g
+        return self._derive({v: self._adj[v] - s for v in self._adj if v not in s})
 
     def add_vertex_with_edges(self, nbrs: Iterable[int]) -> tuple["Graph", int]:
         nbrs = self._check_vertices(nbrs)

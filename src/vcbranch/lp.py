@@ -55,10 +55,12 @@ class SurplusCert:
 # All routines take an `excluded` mask so callers can work on G - X without
 # materializing subgraphs.  One engine per graph holds a maximum matching of
 # the full double cover; a masked solve drops the matched pairs that touch
-# the mask and re-augments from there.  The Koenig zero-set (left vertices
-# that some maximum matching leaves exposed, minus their right neighbours)
-# and the matching size do not depend on which maximum matching is found,
-# so warm-started and memoized answers equal from-scratch ones.
+# the mask and re-augments from there; a derived graph's engine starts the
+# same way from its parent's matching (Iwata, Oka and Yoshida, SODA 2014).
+# The Koenig zero-set (left vertices that some maximum matching leaves
+# exposed, minus their right neighbours) and the matching size do not
+# depend on which maximum matching is found, so warm-started, derived and
+# memoized answers equal from-scratch ones.
 # ---------------------------------------------------------------------------
 
 class _LPEngine:
@@ -72,14 +74,41 @@ class _LPEngine:
 
     __slots__ = ("verts", "index", "adj", "match_l", "match_r", "exposed", "memo")
 
-    def __init__(self, adj_map: dict[int, set[int]]):
+    def __init__(self, adj_map: dict[int, set[int]], parent: Optional["_LPEngine"] = None):
+        """Build the engine of the graph adj_map, starting from the matching
+        of parent's engine if given.  parent must belong to a graph from
+        which adj_map was derived without removing an edge between two
+        surviving vertices: then each parent row, restricted to the
+        survivors, is the new row unless the vertex gained edges, and each
+        matched pair with both ends surviving is still an edge."""
         self.verts = verts = sorted(adj_map)
-        self.index = index = {v: i for i, v in enumerate(verts)}
-        self.adj = [sorted(index[w] for w in adj_map[v]) for v in verts]
         n = len(verts)
+        self.index = index = dict(zip(verts, range(n)))
         match_l = [-1] * n
         match_r = [-1] * n
-        self.exposed = self._augment(match_l, match_r, list(range(n)))
+        rows: list[Optional[list[int]]] = [None] * n
+        if parent is not None:
+            # old -> new index, -1 for a deleted vertex; both orders are by
+            # id, so filtering a sorted row keeps it sorted
+            table = [index.get(v, -1) for v in parent.verts]
+            table.append(-1)  # table[-1]: the partner of an exposed vertex
+            renumber = table.__getitem__
+            for v, t, old_row, old_pair in zip(parent.verts, table, parent.adj, parent.match_l):
+                if t < 0:
+                    continue
+                row = [*map(renumber, old_row)]
+                if -1 in row:
+                    row = [w for w in row if w >= 0]
+                if len(row) == len(adj_map[v]):
+                    rows[t] = row
+                w = table[old_pair]
+                if w >= 0:
+                    match_l[t] = w
+                    match_r[w] = t
+        self.adj = [sorted(index[w] for w in adj_map[v]) if row is None else row
+                    for v, row in zip(verts, rows)]
+        cand = [u for u, w in enumerate(match_l) if w < 0]
+        self.exposed = self._augment(match_l, match_r, cand)
         self.match_l = match_l
         self.match_r = match_r
         self.memo: dict[frozenset[int], tuple[int, frozenset[int], int]] = {}
@@ -287,7 +316,8 @@ class _LPEngine:
 def _engine(g: Graph) -> _LPEngine:
     engine = g._lp
     if engine is None:
-        engine = g._lp = _LPEngine(g._adj)
+        engine = g._lp = _LPEngine(g._adj, g._lp_hint)
+        g._lp_hint = None
     return engine
 
 

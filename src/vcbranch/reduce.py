@@ -83,8 +83,10 @@ def _p2_step(g: Graph, cert: SurplusCert) -> tuple[Graph, ReductionStep]:
     nbrs = g.neighborhood(indset)
     outer = g.neighborhood(nbrs) - indset
     removed = tuple(sorted(indset | nbrs))
-    g2 = g.delete_vertices(indset | nbrs)
-    g2, y = g2.add_vertex_with_edges(outer)
+    g2 = g.delete_vertices(indset | nbrs)  # a fresh graph: extend it in place
+    y = g2.add_vertex()
+    for v in outer:
+        g2.add_edge(y, v)
     step = ReductionStep(
         kind="P2", removed=removed, dk=len(indset), created=y,
         indset=tuple(sorted(indset)), nbrs=tuple(sorted(nbrs)),
@@ -98,8 +100,10 @@ def _p3_step(g: Graph, u: int, x: int) -> tuple[Graph, ReductionStep]:
     side_u = nu - nx - {x}
     side_x = nx - nu - {u}
     removed = tuple(sorted(shared | {u, x}))
-    g2 = g.delete_vertices(shared | {u, x})
-    g2 = g2.add_biclique(side_u, side_x)
+    g2 = g.delete_vertices(shared | {u, x})  # a fresh graph: extend it in place
+    for a in side_u:
+        for b in side_x:
+            g2.add_edge(a, b)
     step = ReductionStep(
         kind="P3", removed=removed, dk=1 + len(shared), funnel=(u, x),
         shared=tuple(sorted(shared)), side_u=tuple(sorted(side_u)),
@@ -145,15 +149,22 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instan
             emit(g2, step)
             continue
         # minsurp >= 1 now, and a degree-2 vertex makes it exactly 1
-        deg2 = [x for x in g.vertices() if g.degree(x) == 2]
-        if deg2:
-            indep2 = [x for x in deg2
-                      if not g.has_edge(*sorted(g.neighbors(x)))]
-            if indep2:
-                g2, step = _p2_step(g, SurplusCert(frozenset({indep2[0]}), 1))
-            else:
-                v = deg2[0]  # neighbors adjacent: a triangle, so a funnel
-                g2, step = _p3_step(g, v, min(g.neighbors(v)))
+        # the lowest degree-2 vertex with non-adjacent neighbors, else the
+        # lowest degree-2 vertex
+        fold = first2 = None
+        for x in g.vertices():
+            if g.degree(x) == 2:
+                if not g.has_edge(*g.neighbors(x)):
+                    fold = x
+                    break
+                if first2 is None:
+                    first2 = x
+        if fold is not None:
+            g2, step = _p2_step(g, SurplusCert(frozenset({fold}), 1))
+            emit(g2, step)
+            continue
+        if first2 is not None:  # neighbors adjacent: a triangle, so a funnel
+            g2, step = _p3_step(g, first2, min(g.neighbors(first2)))
             emit(g2, step)
             continue
         # minimum degree 3 now; the table is needed only where the

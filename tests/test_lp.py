@@ -7,6 +7,7 @@ import pytest
 from vcbranch.graph import Graph, complete, cycle, star
 from vcbranch.lp import (
     Instance,
+    _LPEngine,
     certify_minsurp_two,
     _engine,
     find_blocker,
@@ -217,6 +218,74 @@ def test_lp_engine_dropped_on_mutation_and_not_shared():
         assert child._lp is None
         assert lp_basic_solution(child) == lp_basic_solution(rebuilt(child))
         assert child._lp is not g._lp
+
+
+def _derive(h: Graph, rng: random.Random) -> Graph:
+    """One random derivation of h: a new graph, or h itself grown in place."""
+    verts = h.vertices()
+    kind = rng.choice(("copy", "delete", "fold", "biclique", "edge"))
+    if kind == "copy" or len(verts) < 4:
+        return h.copy()
+    if kind == "delete":
+        return h.delete_vertices(rng.sample(verts, rng.randint(1, 3)))
+    if kind == "fold":
+        return h.add_vertex_with_edges(rng.sample(verts, rng.randint(0, 3)))[0]
+    if kind == "biclique":
+        side = rng.sample(verts, rng.randint(2, 4))
+        cut = rng.randint(1, len(side) - 1)
+        return h.add_biclique(side[:cut], side[cut:])
+    # in place; the new id may fall between old ones (shuffled ids are spread out)
+    free = [v for v in range(verts[-1] + 2) if v not in h]
+    u = rng.choice(free + verts)
+    v = rng.choice([w for w in verts if w != u and not h.has_edge(u, w)] or free)
+    h.add_edge(u, v)
+    return h
+
+
+def test_derived_engine_equals_a_cold_build():
+    """Chains of derivations hand each graph its nearest ancestor's engine as
+    a hint.  The engine built from it holds a valid maximum matching, gives
+    the cold engine's solve and tight answers on random masks, and is never
+    shared; the hint is gone once it is built."""
+    rng = random.Random(29)
+    bases = [gnp(n, 3.5 / n, seed) for seed, n in enumerate(range(12, 40, 3))]
+    bases += [random_regular(n, d, seed) for seed in range(4)
+              for n, d in [(14 + 2 * seed, 3), (13 + seed, 4), (14 + 2 * seed, 5)]]
+    bases += [cycle(n) for n in (9, 20, 41)]
+    built = accepted = 0
+    engines: list = []
+    for seed, g in enumerate(bases):
+        g = shuffled_ids(g, seed)
+        _engine(g)
+        for _ in range(8):
+            source = g._lp if g._lp is not None else g._lp_hint
+            g = _derive(g, rng)
+            assert g._lp is None and g._lp_hint is source
+            if rng.random() < 0.3:
+                continue  # left unbuilt: its children inherit the same hint
+            engine = _engine(g)
+            assert g._lp_hint is None and all(engine is not e for e in engines)
+            engines.append(engine)
+            built += 1
+            cold = _LPEngine(g._adj)
+            assert engine.verts == cold.verts and engine.adj == cold.adj
+            match_l, match_r = engine.match_l, engine.match_r
+            for u, w in enumerate(match_l):
+                assert w == -1 or (match_r[w] == u and w in engine.adj[u]), seed
+            for w, u in enumerate(match_r):
+                assert u == -1 or match_l[u] == w, seed
+            assert sorted(engine.exposed) == [u for u, w in enumerate(match_l) if w == -1]
+            assert len(engine.exposed) == len(cold.exposed), seed
+            verts = g.vertices()
+            masks = [frozenset()]
+            masks += [frozenset(rng.sample(verts, rng.randint(1, 4))) for _ in range(3)]
+            for mask in masks:
+                assert engine.solve(mask) == cold.solve(mask), (seed, sorted(mask))
+                assert engine.tight(mask) == cold.tight(mask), (seed, sorted(mask))
+            if certify_minsurp_two(g):
+                accepted += 1
+                assert minsurp_full(g, need_table=True)[0] >= 2, seed
+    assert built >= 100 and accepted >= 10, (built, accepted)
 
 
 def test_tight_vertices_equal_the_sweep():

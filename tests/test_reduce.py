@@ -309,3 +309,21 @@ def test_simplify_long_odd_cycle_makes_linear_lp_solves(monkeypatch):
     inst, trace = simplify(Instance(shuffled_ids(cycle(401), 5), 201))
     assert inst.graph.n == 0 and trace.total_dk == 201
     assert calls <= 1000
+
+
+def test_simplify_long_cycle_derives_every_engine(monkeypatch):
+    """A shuffled 1001-cycle folds to the empty graph; every graph after the
+    input builds its LP engine from its parent's, so the folds cost no
+    full matching each."""
+    cold = 0
+    init = _LPEngine.__init__
+
+    def counted(self, *args):  # args: adj_map[, parent engine]
+        nonlocal cold
+        cold += len(args) < 2 or args[1] is None
+        init(self, *args)
+
+    monkeypatch.setattr(_LPEngine, "__init__", counted)
+    inst, trace = simplify(Instance(shuffled_ids(cycle(1001), 7), 501))
+    assert inst.graph.n == 0 and trace.total_dk == 501
+    assert cold == 1
