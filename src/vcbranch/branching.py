@@ -22,9 +22,11 @@ from .lp import (
     Instance,
     SurplusCert,
     _msm_zeroset,
+    certify_minsurp_two,
     find_blocker,
     find_nonsingleton_minset,
     is_blocker,
+    low_entries,
     minsurp_full,
     shadow_minus,
 )
@@ -437,17 +439,20 @@ def select_branch(inst: Instance, stats: Optional[SelectorStats] = None) -> Bran
         raise PreconditionError("maximum degree <= 3: use a base solver")
     if g.min_degree() < 3 or g.find_pattern() is not None:
         raise PreconditionError("graph is not simplified")
-    ms, _, table = minsurp_full(g, need_table=True)
-    if ms < 2:
-        raise PreconditionError("graph is not simplified (minsurp < 2)")
+    # only the entries with v_x == 2 are read: minsurp is 2 iff one exists
+    if certify_minsurp_two(g):
+        table = low_entries(g, 2)
+    else:
+        ms, _, table = minsurp_full(g, need_table=True)
+        if ms < 2:
+            raise PreconditionError("graph is not simplified (minsurp < 2)")
 
     sel = _Selector(inst)
     decision: Optional[BranchDecision] = None
 
-    if ms == 2:
-        indset = find_nonsingleton_minset(g, table, 2)
-        if indset is not None:
-            decision = sel.surplus_two(indset)
+    indset = find_nonsingleton_minset(g, table, 2)
+    if indset is not None:
+        decision = sel.surplus_two(indset)
 
     if decision is None:
         u = min(v for v in g.vertices() if g.degree(v) == r)

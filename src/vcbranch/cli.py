@@ -116,6 +116,8 @@ def _grid(rows: int, cols: int) -> Graph:
 
 
 def circulant(n: int, offsets: Iterable[int]) -> Graph:
+    if n < 1:
+        raise ValueError(f"circulant needs n >= 1, got {n}")
     g = Graph(vertices=range(n))
     for d in offsets:
         d = d % n
@@ -178,6 +180,10 @@ NAMED_GRAPHS = {
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:
+    if n < 0:
+        raise ValueError(f"gnp needs n >= 0, got {n}")
+    if not 0 <= p <= 1:
+        raise ValueError(f"gnp needs 0 <= p <= 1, got {p}")
     rng = random.Random(seed)
     g = Graph(vertices=range(n))
     for i in range(n):

@@ -66,13 +66,16 @@ class SurplusCert:
 class _LPEngine:
     """Double cover of one graph, its maximum matching and a mask memo.
 
-    Read-only after construction except for memo inserts; each solve works
-    on its own copy of the matching.  A masked right vertex is matched to
-    the marker index n; dist[n] == -2 and seen_l[n] keep every search from
-    entering it.
+    Read-only after construction except for memo inserts, the cached
+    certify_minsurp_two verdict and deficiency_exceeds' scratch arrays;
+    each solve works on its own copy of the matching, and
+    deficiency_exceeds puts the stored one back.  A masked right vertex is
+    matched to the marker index n; dist[n] == -2 and seen_l[n] keep every
+    search from entering it.
     """
 
-    __slots__ = ("verts", "index", "adj", "match_l", "match_r", "exposed", "memo")
+    __slots__ = ("verts", "index", "adj", "match_l", "match_r", "exposed", "memo",
+                 "certified", "_seen", "_prev", "_epoch")
 
     def __init__(self, adj_map: dict[int, set[int]], parent: Optional["_LPEngine"] = None):
         """Build the engine of the graph adj_map, starting from the matching
@@ -112,6 +115,10 @@ class _LPEngine:
         self.match_l = match_l
         self.match_r = match_r
         self.memo: dict[frozenset[int], tuple[int, frozenset[int], int]] = {}
+        self.certified: Optional[bool] = None
+        self._seen: list[int] = []
+        self._prev: list[int] = []
+        self._epoch = 0
 
     def _augment(self, match_l: list[int], match_r: list[int], cand: list[int]) -> list[int]:
         """Hopcroft-Karp phases until no augmenting path is left.
@@ -213,6 +220,90 @@ class _LPEngine:
         result = (n_active - len(exposed), self._zero_set(match_r, exposed), n_active)
         self.memo[excluded] = result
         return result
+
+    def deficiency_exceeds(self, x: int, stop: int) -> bool:
+        """Whether a maximum matching of the double cover of G - N[x] leaves
+        more than stop left vertices exposed.
+
+        Works on the stored matching in place: mask N[x] on both sides, then
+        one breadth-first augmenting search per exposed left vertex, Kuhn
+        style (a vertex with no augmenting path gets none after later
+        augmentations either), and return as soon as the count of failed
+        searches is decided.  An undo log restores the stored matching.
+        The search stamps right vertices with an epoch instead of clearing
+        a seen array; after a failed search the epoch is kept, since what
+        it reached cannot lie on a later augmenting path.
+        """
+        adj = self.adj
+        n = len(adj)
+        match_l, match_r = self.match_l, self.match_r
+        if len(self._seen) != n:
+            self._seen = [0] * n
+            self._prev = [0] * n
+        seen, prev = self._seen, self._prev
+        i = self.index[x]
+        closed = [i, *adj[i]]
+        log: list[tuple[list[int], int, int]] = []  # (array, index, old value)
+        roots = self.exposed[:]
+        for v in closed:
+            j = match_l[v]
+            if j >= 0:
+                log.append((match_r, j, v))
+                match_r[j] = -1
+            j = match_r[v]
+            if j >= 0:
+                log.append((match_l, j, v))
+                match_l[j] = -1
+                roots.append(j)
+        for v in closed:
+            log.append((match_l, v, match_l[v]))
+            match_l[v] = -2
+            log.append((match_r, v, match_r[v]))
+            match_r[v] = n
+        roots = [u for u in roots if match_l[u] == -1]
+        failed = 0
+        left = len(roots)
+        epoch = self._epoch + 1
+        for root in roots:
+            if failed + left <= stop:
+                break
+            left -= 1
+            queue = [root]
+            free = -1
+            for u in queue:
+                for w in adj[u]:
+                    if seen[w] != epoch:
+                        seen[w] = epoch
+                        prev[w] = u
+                        nxt = match_r[w]
+                        if nxt == -1:
+                            free = w
+                            break
+                        if nxt != n:
+                            queue.append(nxt)
+                if free >= 0:
+                    break
+            if free < 0:
+                failed += 1
+                if failed > stop:
+                    break
+                continue
+            epoch += 1
+            w = free
+            while True:
+                u = prev[w]
+                nw = match_l[u]
+                log.append((match_l, u, nw))
+                log.append((match_r, w, match_r[w]))
+                match_l[u] = w
+                match_r[w] = u
+                if u == root:
+                    break
+                w = nw
+        self._epoch = epoch
+        for arr, j, old in reversed(log):
+            arr[j] = old
+        return failed > stop
 
     def tight(self, excluded: frozenset[int]) -> Optional[list[int]]:
         """The vertices that are 0 in some optimal LP solution of G - excluded,
@@ -436,9 +527,17 @@ def certify_minsurp_two(g: Graph) -> bool:
     and Santaroni (TCS 2012): for a root r, a vertex other than r is a
     strong articulation point iff it is a non-trivial dominator of D or of
     its reverse from r, and r is one iff D - r is not strongly connected.
-    Reads the engine's stored matching in place.
+    Reads the engine's stored matching in place; the verdict is cached on
+    the engine, so simplify and the selector decide it once per graph.
     """
     engine = _engine(g)
+    if engine.certified is None:
+        engine.certified = _residual_two_connected(engine)
+    return engine.certified
+
+
+def _residual_two_connected(engine: _LPEngine) -> bool:
+    """certify_minsurp_two's test on the engine's stored matching."""
     adj = engine.adj
     if engine.exposed or not adj:
         return False
@@ -518,6 +617,28 @@ def _dominated_by_root_only(succ: list[list[int]], pred: list[list[int]]) -> boo
             return True
         if not changed:
             return False
+
+
+def low_entries(g: Graph, bound: int) -> dict[int, tuple[int, frozenset[int]]]:
+    """minsurp_full's table restricted to the x with v_x <= bound, for a
+    graph with minsurp >= bound.
+
+    v_x = deg(x) - 1 - d_x, where d_x is the deficiency of the double cover
+    of G - N[x].  A vertex with deg(x) - 1 == bound has v_x == bound, so
+    d_x == 0 and its entry is (bound, {x}) without an LP; any other x is
+    in the table iff d_x > deg(x) - 2 - bound, which
+    _LPEngine.deficiency_exceeds decides on the stored matching.  Only the
+    x that pass get the masked solve that builds their certificate.
+    """
+    engine = _engine(g)
+    table: dict[int, tuple[int, frozenset[int]]] = {}
+    for x, row in zip(engine.verts, engine.adj):
+        stop = len(row) - 2 - bound
+        if stop == -1:
+            table[x] = (bound, frozenset((x,)))
+        elif engine.deficiency_exceeds(x, stop):
+            table[x] = _vertex_entry(g, x, _EMPTY)
+    return table
 
 
 def zero_surplus_cert(g: Graph, excluded: frozenset[int] = _EMPTY) -> Optional[frozenset[int]]:

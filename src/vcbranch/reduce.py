@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional
 
 from .graph import Graph
 from .lp import (
-    Instance, SurplusCert, certify_minsurp_two, minsurp_full, zero_surplus_cert, _msm_zeroset,
+    Instance, SurplusCert, certify_minsurp_two, low_entries, zero_surplus_cert, _msm_zeroset,
 )
 
 
@@ -167,15 +167,11 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instan
             g2, step = _p3_step(g, first2, min(g.neighbors(first2)))
             emit(g2, step)
             continue
-        # minimum degree 3 now; the table is needed only where the
-        # certificate cannot rule out minsurp 1
-        if certify_minsurp_two(g):
-            ms = 2  # a lower bound, which is all the policy asks
-        else:
-            ms, _, table = minsurp_full(g, need_table=True)
-        if ms == 1:
-            candidates = [(len(c), x, c)
-                          for x, (v, c) in sorted(table.items()) if v == 1]
+        # minimum degree 3 and minsurp >= 1 now; the entries with v_x == 1
+        # are needed only where the certificate cannot rule out minsurp 1
+        table = {} if certify_minsurp_two(g) else low_entries(g, 1)
+        if table:
+            candidates = [(len(c), x, c) for x, (_, c) in sorted(table.items())]
             indep = [t for t in candidates
                      if g.is_independent(g.neighborhood(t[2]))]
             if indep:

@@ -327,3 +327,31 @@ def test_children_carry_independent_copies():
     d = split_vertex(inst, 0)
     d.children[0].inst.graph.add_vertex(99)
     assert 99 not in g and 99 not in d.children[1].inst.graph
+
+
+def test_selector_makes_few_masked_solves(monkeypatch):
+    """The selector reads minsurp == 2 and the v_x == 2 entries off capped
+    checks on the stored matching instead of one masked LP per vertex, and
+    the minsurp >= 2 certificate simplify computed for a graph is reused."""
+    from vcbranch import lp
+
+    solves = []
+    solve = lp._LPEngine.solve
+    monkeypatch.setattr(lp._LPEngine, "solve",
+                        lambda self, excluded: solves.append(self) or solve(self, excluded))
+    insts = [simplify(Instance(random_regular(60, 6, seed), 45))[0] for seed in range(4)]
+    for seed, inst in enumerate(insts):
+        assert inst.graph.n == 60
+        solves.clear()
+        select_branch(inst)
+        assert len(solves) < inst.graph.n // 4, (seed, len(solves))
+
+    certified = []
+    certify = lp._residual_two_connected
+    monkeypatch.setattr(lp, "_residual_two_connected",
+                        lambda engine: certified.append(engine) or certify(engine))
+    for seed in range(4):
+        inst, _ = simplify(Instance(random_regular(60, 6, seed), 45))
+        select_branch(inst)
+    # the list holds every engine, so no id is reused
+    assert len(certified) > 4 and len({id(e) for e in certified}) == len(certified)

@@ -215,6 +215,22 @@ def test_gen_missing_flag_is_usage_error(argv, flag):
     assert record["record"] == "error" and record["error"].endswith("needs " + flag)
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["gen", "circulant", "--n", "0", "--offsets", "1"], "n >= 1"),
+    (["gen", "circulant", "--n", "-4", "--offsets", "1"], "n >= 1"),
+    (["gen", "gnp", "--n", "-3", "--p", "0.5"], "n >= 0"),
+    (["gen", "gnp", "--n", "5", "--p", "1.5"], "0 <= p <= 1"),
+    (["gen", "gnp", "--n", "5", "--p", "-0.5"], "0 <= p <= 1"),
+    (["gen", "gnp", "--n", "5", "--p", "nan"], "0 <= p <= 1"),
+])
+def test_gen_invalid_size_is_usage_error(argv, message):
+    code, out = run(argv)
+    assert code == 2
+    assert out.count("\n") == 1 and out.startswith("error: ") and message in out
+    code, out = run(argv + ["--json"])
+    assert code == 2 and json.loads(out)["record"] == "error"
+
+
 GOLDEN_SOLVE_KEYS = {
     "record": str, "feasible": bool, "k": int, "cover": list, "stats": dict,
 }

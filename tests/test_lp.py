@@ -12,6 +12,7 @@ from vcbranch.lp import (
     _engine,
     find_blocker,
     _lp_core,
+    low_entries,
     lp_basic_solution,
     minsurp,
     minsurp_full,
@@ -443,3 +444,48 @@ def test_certify_minsurp_two():
     assert not all(_strongly_connected(succ, v) for v in range(g.n))
     assert not certify_minsurp_two(g)
     assert certify_minsurp_two(complete(5)) and not certify_minsurp_two(Graph())
+
+
+def _mixed_degree_graphs() -> list[Graph]:
+    """G(n, p), regular graphs of degree 3-6 and odd cycles: graphs with and
+    without perfect matchings, and with v_x <= 2 entries (random 6-regular
+    graphs have none)."""
+    graphs = [gnp(n, c / n, seed) for seed in range(60)
+              for n, c in [(8 + seed % 13, 3.0), (10 + seed % 11, 4.5), (12 + seed % 7, 6.0)]]
+    graphs += [random_regular(n, d, seed) for seed in range(8)
+               for n, d in [(10 + 2 * seed, 3), (10 + seed, 4), (12 + 2 * seed, 5), (14 + seed, 6)]]
+    graphs += [cycle(n) for n in range(3, 16, 2)]
+    return [shuffled_ids(g, seed) for seed, g in enumerate(graphs)]
+
+
+def test_deficiency_check_equals_the_masked_solve():
+    """deficiency_exceeds(x, stop) says whether the deficiency of G - N[x]
+    (exposed left vertices of the double cover) exceeds stop, exactly as the
+    masked solve reports it, and leaves the stored matching as it was."""
+    seen = dict.fromkeys(range(4), 0)
+    for seed, g in enumerate(_mixed_degree_graphs()):
+        engine = _engine(g)
+        stored = (engine.match_l[:], engine.match_r[:], engine.exposed[:])
+        for x in g.vertices():
+            weight2, _, n_active = engine.solve(frozenset(g.neighborhood([x], closed=True)))
+            deficiency = n_active - weight2
+            seen[min(deficiency, 3)] += 1
+            for stop in range(6):
+                assert engine.deficiency_exceeds(x, stop) == (deficiency > stop), (seed, x, stop)
+            assert (engine.match_l, engine.match_r, engine.exposed) == stored, (seed, x)
+    assert min(seen.values()) >= 200, seen
+
+
+def test_low_entries_equal_the_table():
+    """For minsurp >= bound, low_entries(g, bound) is minsurp_full's table
+    restricted to the entries with v_x <= bound, certificates included."""
+    seen = dict.fromkeys(((1, "empty"), (1, "entries"), (2, "empty"), (2, "entries")), 0)
+    for seed, g in enumerate(_mixed_degree_graphs()):
+        value, _, table = minsurp_full(g, need_table=True)
+        for bound in (1, 2):
+            if value < bound:
+                continue
+            low = {x: e for x, e in table.items() if e[0] <= bound}
+            assert low_entries(g, bound) == low, (seed, bound)
+            seen[bound, "entries" if low else "empty"] += 1
+    assert min(seen.values()) >= 30, seen
