@@ -438,7 +438,11 @@ def _cmd_gen(args, out: _Output) -> int:
         raise ValueError(f"gen {args.kind} needs {' and '.join(missing)}")
     params = {flag: getattr(args, flag) for flag in flags}
     if args.kind == "circulant":
-        params["offsets"] = [int(x) for x in args.offsets.split(",")]
+        try:
+            params["offsets"] = [int(x) for x in args.offsets.split(",")]
+        except ValueError:
+            raise ValueError("--offsets must be comma-separated integers, "
+                             f"got {args.offsets!r}") from None
     g = generate(args.kind, params, args.seed)
     out.emit("graph", render_graph(g, args.format).rstrip("\n"),
              n=g.n, m=g.m, graph=render_graph(g, args.format))

@@ -13,6 +13,23 @@ deterministic rule policy is:
 k may go negative during simplification; callers treat mu < 0 or k < 0 as
 infeasible.  Every step is logged so covers of the reduced instance can be
 lifted back.
+
+simplify decides minsurp <= 0 from one LP solve and the list of tight
+vertices (those 0 in some optimal LP solution), and two steps decide the
+next graph's list without either:
+
+* after a P2 step (minsurp >= 1 before) no vertex is tight and
+  min{0, minsurp} == 0: each independent set I' of the folded graph, with
+  y the new vertex, maps to an independent set of the old graph with the
+  same surplus (I' itself, I' + I if I' meets N(y) but avoids y, and
+  I' - y + N(I) if it holds y), so minsurp cannot drop below 1;
+* after a P1 step on a surplus-0 min-set I the tight vertices are the old
+  ones minus N[I], and min{0, minsurp} stays 0: Hall gives a perfect
+  matching between I and N(I), so optimal LP solutions of G restrict to
+  optimal ones of G - N[I], which extend back with 0 on I and 1 on N(I).
+
+A chain of degree-2 folds therefore runs no LP, and its graphs build no
+LP engine; the next graph that needs one derives it from the last built.
 """
 
 from __future__ import annotations
@@ -22,7 +39,8 @@ from typing import Callable, Iterable, Optional
 
 from .graph import Graph
 from .lp import (
-    Instance, SurplusCert, certify_minsurp_two, low_entries, zero_surplus_cert, _msm_zeroset,
+    Instance, SurplusCert, certify_minsurp_two, low_entries, tight_vertices,
+    _msm_zeroset, _vertex_entry,
 )
 
 
@@ -137,16 +155,22 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instan
         trace.steps.append(step)
         g, k = g2, k - step.dk
 
+    # the current graph's tight list once min{0, minsurp} == 0 is known, and
+    # None while unknown; see the module docstring for the steps that carry it
+    tight: Optional[list[int]] = None
     while g.n:
-        msm, zero = _msm_zeroset(g, frozenset())
-        if msm < 0:
-            g2, step = _p1_step(g, SurplusCert(zero, msm))
-            emit(g2, step)
-            continue
-        cert = zero_surplus_cert(g)
-        if cert is not None:
+        if tight is None:
+            msm, zero = _msm_zeroset(g, frozenset())
+            if msm < 0:
+                g2, step = _p1_step(g, SurplusCert(zero, msm))
+                emit(g2, step)
+                continue
+            tight = tight_vertices(g)
+        if tight:
+            cert = _vertex_entry(g, tight[0], frozenset())[1]
             g2, step = _p1_step(g, SurplusCert(cert, 0))
             emit(g2, step)
+            tight = [x for x in tight if x in g]  # minus step.removed
             continue
         # minsurp >= 1 now, and a degree-2 vertex makes it exactly 1
         # the lowest degree-2 vertex with non-adjacent neighbors, else the
@@ -161,8 +185,9 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instan
                     first2 = x
         if fold is not None:
             g2, step = _p2_step(g, SurplusCert(frozenset({fold}), 1))
-            emit(g2, step)
+            emit(g2, step)  # tight stays []
             continue
+        tight = None  # P3 and forced P1 steps below decide nothing
         if first2 is not None:  # neighbors adjacent: a triangle, so a funnel
             g2, step = _p3_step(g, first2, min(g.neighbors(first2)))
             emit(g2, step)
@@ -176,6 +201,7 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instan
                      if g.is_independent(g.neighborhood(t[2]))]
             if indep:
                 g2, step = _p2_step(g, SurplusCert(frozenset(min(indep)[2]), 1))
+                tight = []
             else:
                 match = g.find_pattern()
                 if match is not None:

@@ -222,6 +222,10 @@ def test_gen_missing_flag_is_usage_error(argv, flag):
     (["gen", "gnp", "--n", "5", "--p", "1.5"], "0 <= p <= 1"),
     (["gen", "gnp", "--n", "5", "--p", "-0.5"], "0 <= p <= 1"),
     (["gen", "gnp", "--n", "5", "--p", "nan"], "0 <= p <= 1"),
+    (["gen", "circulant", "--n", "5", "--offsets", "1,x"],
+     "--offsets must be comma-separated integers, got '1,x'"),
+    (["gen", "circulant", "--n", "5", "--offsets", ""],
+     "--offsets must be comma-separated integers, got ''"),
 ])
 def test_gen_invalid_size_is_usage_error(argv, message):
     code, out = run(argv)

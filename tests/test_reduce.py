@@ -9,6 +9,7 @@ from vcbranch.lp import (
     find_nonsingleton_minset,
     minsurp,
     minsurp_full,
+    tight_vertices,
 )
 from vcbranch.reduce import ReductionTrace, _p1_step, _p2_step, _p3_step, lift_cover, simplify
 from vcbranch.cli import circulant, gnp, hypercube, random_regular
@@ -312,18 +313,63 @@ def test_simplify_long_odd_cycle_makes_linear_lp_solves(monkeypatch):
 
 
 def test_simplify_long_cycle_derives_every_engine(monkeypatch):
-    """A shuffled 1001-cycle folds to the empty graph; every graph after the
-    input builds its LP engine from its parent's, so the folds cost no
-    full matching each."""
-    cold = 0
-    init = _LPEngine.__init__
+    """A shuffled 1001-cycle folds to the empty graph.  Each degree-2 fold
+    decides that the next graph has no tight vertex, so one tight pass is
+    made and only the graphs that ask for an LP build an engine (the input
+    and the empty result); each engine after the input's is derived from
+    its parent's, so no fold costs a full matching."""
+    passes = builds = cold = 0
+    tight, init = _LPEngine.tight, _LPEngine.__init__
 
-    def counted(self, *args):  # args: adj_map[, parent engine]
-        nonlocal cold
+    def counted_tight(self, excluded):
+        nonlocal passes
+        passes += 1
+        return tight(self, excluded)
+
+    def counted_init(self, *args):  # args: adj_map[, parent engine]
+        nonlocal builds, cold
+        builds += 1
         cold += len(args) < 2 or args[1] is None
         init(self, *args)
 
-    monkeypatch.setattr(_LPEngine, "__init__", counted)
+    monkeypatch.setattr(_LPEngine, "tight", counted_tight)
+    monkeypatch.setattr(_LPEngine, "__init__", counted_init)
     inst, trace = simplify(Instance(shuffled_ids(cycle(1001), 7), 501))
     assert inst.graph.n == 0 and trace.total_dk == 501
     assert cold == 1
+    assert passes <= 2 and builds <= 3
+
+
+def _cold(g: Graph) -> Graph:
+    """g with no LP engine and no engine hint."""
+    return Graph(vertices=g.vertices(), edges=g.edges())
+
+
+def test_p2_and_surplus0_p1_steps_decide_the_next_tight_set():
+    """The two facts simplify carries its tight list by, checked on cold
+    engines: after a P2 step (minsurp >= 1 before) min{0, minsurp} is 0 and
+    no vertex is tight; after a P1 step on a surplus-0 min-set the tight
+    vertices are the old ones minus the deleted ones."""
+    graphs = [gnp(n, p, seed) for seed in range(8) for n in range(5, 31, 5)
+              for p in (0.1, 0.2, 0.35)]
+    graphs += [random_regular(n, d, seed) for seed in range(10) for d in (3, 4, 5)
+               for n in (10, 16, 20)]
+    graphs += [shuffled_ids(cycle(n), n) for n in (5, 8, 13, 40, 101)]
+    p2 = table_p2 = p1 = p1_kept = 0
+    for g in graphs:
+        for gb, _, step, ga, _ in _steps_with_snapshots(g, g.n):
+            if step.kind == "P2":
+                p2 += 1
+                table_p2 += gb.degree(step.indset[0]) > 2
+                if ga.n:
+                    after = _cold(ga)
+                    assert _msm_zeroset(after, frozenset())[0] == 0
+                    assert tight_vertices(after) == []
+            elif step.kind == "P1" and len(step.nbrs) == len(step.indset):
+                p1 += 1
+                before = tight_vertices(_cold(gb))
+                assert step.indset[0] == before[0]
+                expected = [x for x in before if x not in step.removed]
+                assert tight_vertices(_cold(ga)) == expected
+                p1_kept += bool(expected)
+    assert p2 >= 150 and table_p2 >= 5 and p1 >= 150 and p1_kept >= 50
