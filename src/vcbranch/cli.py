@@ -17,7 +17,7 @@ import random
 import sys
 from typing import Iterable, Optional
 
-from .graph import Graph
+from .graph import Graph, complete, cycle, star
 from .lp import Instance
 from .reduce import simplify
 from .solver import (
@@ -119,10 +119,10 @@ def circulant(n: int, offsets: Iterable[int]) -> Graph:
     if n < 1:
         raise ValueError(f"circulant needs n >= 1, got {n}")
     g = Graph(vertices=range(n))
-    for d in offsets:
-        d = d % n
+    for offset in offsets:
+        d = offset % n
         if d == 0:
-            raise ValueError("offset 0 would create self-loops")
+            raise ValueError(f"offset {offset} would create self-loops for n = {n}")
         for i in range(n):
             g.add_edge(i, (i + d) % n)
     return g
@@ -147,29 +147,14 @@ def hypercube(dim: int) -> Graph:
     return g
 
 
-def _cycle(n: int) -> Graph:
-    from .graph import cycle
-    return cycle(n)
-
-
-def _complete(n: int) -> Graph:
-    from .graph import complete
-    return complete(n)
-
-
-def _star(leaves: int) -> Graph:
-    from .graph import star
-    return star(leaves)
-
-
 NAMED_GRAPHS = {
     "petersen": petersen,
     "q4": lambda: hypercube(4),
-    "c4": lambda: _cycle(4), "c5": lambda: _cycle(5), "c6": lambda: _cycle(6),
-    "c7": lambda: _cycle(7), "c8": lambda: _cycle(8), "c9": lambda: _cycle(9),
-    "k2": lambda: _complete(2), "k3": lambda: _complete(3),
-    "k4": lambda: _complete(4), "k5": lambda: _complete(5),
-    "k13": lambda: _star(3),
+    "c4": lambda: cycle(4), "c5": lambda: cycle(5), "c6": lambda: cycle(6),
+    "c7": lambda: cycle(7), "c8": lambda: cycle(8), "c9": lambda: cycle(9),
+    "k2": lambda: complete(2), "k3": lambda: complete(3),
+    "k4": lambda: complete(4), "k5": lambda: complete(5),
+    "k13": lambda: star(3),
     "c9_12": lambda: circulant(9, (1, 2)),
     "c11_123": lambda: circulant(11, (1, 2, 3)),
     "c13_123": lambda: circulant(13, (1, 2, 3)),

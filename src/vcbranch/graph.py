@@ -117,9 +117,10 @@ class Graph:
 
     def _check_vertices(self, s: Iterable[int]) -> set[int]:
         s = set(s)
-        missing = s - self._adj.keys()
-        if missing:
-            raise ValueError(f"unknown vertices {sorted(missing)}")
+        adj = self._adj
+        for v in s:
+            if v not in adj:
+                raise ValueError(f"unknown vertices {sorted(v for v in s if v not in adj)}")
         return s
 
     def neighborhood(self, s: Iterable[int], closed: bool = False) -> frozenset[int]:

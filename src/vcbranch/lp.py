@@ -23,6 +23,8 @@ INFINITE_SURPLUS = math.inf
 
 _EMPTY: frozenset[int] = frozenset()
 
+_Log = list[tuple[list[int], int, int]]  # (array, index, old value) per write
+
 
 @dataclass(frozen=True)
 class HalfIntegralSolution:
@@ -51,30 +53,30 @@ class SurplusCert:
 
 
 # ---------------------------------------------------------------------------
-# LP core: Hopcroft-Karp on the bipartite double cover + Koenig extraction.
+# LP core: augmenting paths on the bipartite double cover + Koenig extraction.
 # All routines take an `excluded` mask so callers can work on G - X without
 # materializing subgraphs.  One engine per graph holds a maximum matching of
-# the full double cover; a masked solve drops the matched pairs that touch
-# the mask and re-augments from there; a derived graph's engine starts the
-# same way from its parent's matching (Iwata, Oka and Yoshida, SODA 2014).
-# The Koenig zero-set (left vertices that some maximum matching leaves
-# exposed, minus their right neighbours) and the matching size do not
-# depend on which maximum matching is found, so warm-started, derived and
-# memoized answers equal from-scratch ones.
+# the full double cover, and every query follows one pattern on it: mask the
+# excluded vertices in place, augment (Kuhn, 1955), read the answer off the
+# live arrays, and undo from a log.  A derived graph's engine starts from its
+# parent's matching (Iwata, Oka and Yoshida, SODA 2014).  The Koenig
+# zero-set (left vertices that some maximum matching leaves exposed, minus
+# their right neighbours) and the matching size do not depend on which
+# maximum matching is found, so warm-started and derived answers equal
+# from-scratch ones.
 # ---------------------------------------------------------------------------
 
 class _LPEngine:
-    """Double cover of one graph, its maximum matching and a mask memo.
+    """Double cover of one graph and a maximum matching of it.
 
-    Read-only after construction except for memo inserts, the cached
-    certify_minsurp_two verdict and deficiency_exceeds' scratch arrays;
-    each solve works on its own copy of the matching, and
-    deficiency_exceeds puts the stored one back.  A masked right vertex is
-    matched to the marker index n; dist[n] == -2 and seen_l[n] keep every
-    search from entering it.
+    Every query masks, augments and reads in place on the stored matching
+    and puts it back before it returns; only the cached certify_minsurp_two
+    verdict and the search's scratch arrays change.  match_l[u] is -1 for an
+    exposed left vertex and -2 for a masked one; a masked right vertex is
+    matched to the marker index n, which no search enters.
     """
 
-    __slots__ = ("verts", "index", "adj", "match_l", "match_r", "exposed", "memo",
+    __slots__ = ("verts", "index", "adj", "match_l", "match_r", "exposed",
                  "certified", "_seen", "_prev", "_epoch")
 
     def __init__(self, adj_map: dict[int, set[int]], parent: Optional["_LPEngine"] = None):
@@ -110,140 +112,20 @@ class _LPEngine:
                     match_r[w] = t
         self.adj = [sorted(index[w] for w in adj_map[v]) if row is None else row
                     for v, row in zip(verts, rows)]
-        cand = [u for u, w in enumerate(match_l) if w < 0]
-        self.exposed = self._augment(match_l, match_r, cand)
         self.match_l = match_l
         self.match_r = match_r
-        self.memo: dict[frozenset[int], tuple[int, frozenset[int], int]] = {}
         self.certified: Optional[bool] = None
-        self._seen: list[int] = []
-        self._prev: list[int] = []
+        self._seen = [0] * n
+        self._prev = [0] * n
         self._epoch = 0
+        self.exposed = self._augment([u for u, w in enumerate(match_l) if w < 0], None)
 
-    def _augment(self, match_l: list[int], match_r: list[int], cand: list[int]) -> list[int]:
-        """Hopcroft-Karp phases until no augmenting path is left.
-
-        match_l[u] is -1 for an exposed left vertex, -2 for a masked one;
-        cand holds every exposed left vertex (and maybe others).  Returns
-        the exposed left vertices of the final maximum matching.
-        """
-        adj = self.adj
-        n = len(adj)
-        inf = n + 1
-        while True:
-            roots = [u for u in cand if match_l[u] == -1]
-            dist = [inf] * n
-            dist.append(-2)
-            for u in roots:
-                dist[u] = 0
-            queue = roots[:]
-            found = inf
-            for u in queue:
-                du = dist[u]
-                if du >= found:
-                    break
-                for w in adj[u]:
-                    nxt = match_r[w]
-                    if nxt < 0:
-                        found = du + 1
-                    elif dist[nxt] == inf:
-                        dist[nxt] = du + 1
-                        queue.append(nxt)
-            if found == inf:
-                return roots
-            # Vertex-disjoint shortest augmenting paths by an iterative DFS
-            # along the BFS layers; each vertex's edge iterator is its cursor
-            # for the whole phase.  Only the last layer looks for a free
-            # right vertex; free (-1) and masked (n) right vertices both
-            # read dist[n] == -2, which matches no layer.
-            cursors = list(map(iter, adj))
-            for root in roots:
-                stack = [root]
-                path: list[int] = []  # path[i]: the edge stack[i] leaves by
-                while stack:
-                    u = stack[-1]
-                    step = dist[u] + 1
-                    for w in cursors[u]:
-                        nxt = match_r[w]
-                        if step == found:
-                            if nxt < 0:
-                                path.append(w)
-                                for s, w in zip(stack, path):
-                                    match_r[w] = s
-                                    match_l[s] = w
-                                stack.clear()
-                                break
-                        elif dist[nxt] == step:
-                            path.append(w)
-                            stack.append(nxt)
-                            break
-                    else:
-                        dist[u] = inf
-                        stack.pop()
-                        if path:
-                            path.pop()
-
-    def _matching(self, excluded: frozenset[int]) -> tuple[list[int], list[int], list[int], int]:
-        """A maximum matching of the double cover of G - excluded.
-
-        Returns (match_l, match_r, exposed left vertices, n_active).
-        """
-        index = self.index
-        n = len(self.verts)
-        match_l = self.match_l[:]
-        match_r = self.match_r[:]
-        cand = self.exposed[:]
-        masked = 0
-        for v in excluded:
-            i = index.get(v)
-            if i is None:
-                continue
-            masked += 1
-            j = match_l[i]
-            if j >= 0:
-                match_r[j] = -1
-            match_l[i] = -2
-            j = match_r[i]
-            if j >= 0:
-                match_l[j] = -1
-                cand.append(j)
-            match_r[i] = n
-        exposed = self._augment(match_l, match_r, cand)
-        return match_l, match_r, exposed, n - masked
-
-    def solve(self, excluded: frozenset[int]) -> tuple[int, frozenset[int], int]:
-        """Return (weight2, zero_set, n_active) for LPVC(G - excluded)."""
-        hit = self.memo.get(excluded)
-        if hit is not None:
-            return hit
-        match_l, match_r, exposed, n_active = self._matching(excluded)
-        result = (n_active - len(exposed), self._zero_set(match_r, exposed), n_active)
-        self.memo[excluded] = result
-        return result
-
-    def deficiency_exceeds(self, x: int, stop: int) -> bool:
-        """Whether a maximum matching of the double cover of G - N[x] leaves
-        more than stop left vertices exposed.
-
-        Works on the stored matching in place: mask N[x] on both sides, then
-        one breadth-first augmenting search per exposed left vertex, Kuhn
-        style (a vertex with no augmenting path gets none after later
-        augmentations either), and return as soon as the count of failed
-        searches is decided.  An undo log restores the stored matching.
-        The search stamps right vertices with an epoch instead of clearing
-        a seen array; after a failed search the epoch is kept, since what
-        it reached cannot lie on a later augmenting path.
-        """
-        adj = self.adj
-        n = len(adj)
+    def _mask(self, closed: list[int], log: _Log) -> list[int]:
+        """Mask the vertices `closed` (engine indices) on both sides of the
+        stored matching, logging every write, and return the exposed left
+        vertices: the augmenting search's roots."""
         match_l, match_r = self.match_l, self.match_r
-        if len(self._seen) != n:
-            self._seen = [0] * n
-            self._prev = [0] * n
-        seen, prev = self._seen, self._prev
-        i = self.index[x]
-        closed = [i, *adj[i]]
-        log: list[tuple[list[int], int, int]] = []  # (array, index, old value)
+        n = len(match_l)
         roots = self.exposed[:]
         for v in closed:
             j = match_l[v]
@@ -260,14 +142,32 @@ class _LPEngine:
             match_l[v] = -2
             log.append((match_r, v, match_r[v]))
             match_r[v] = n
-        roots = [u for u in roots if match_l[u] == -1]
-        failed = 0
-        left = len(roots)
+        return [u for u in roots if match_l[u] == -1]
+
+    def _augment(self, roots: list[int], log: Optional[_Log], stop: Optional[int] = None) -> list[int]:
+        """One breadth-first augmenting search per root, in order, and the
+        roots left exposed.
+
+        Kuhn: a root with no augmenting path gets none after later
+        augmentations either, so one pass yields a maximum matching.  The
+        search stamps right vertices with an epoch instead of clearing a
+        seen array; after a failed search the epoch is kept, since what it
+        reached cannot lie on a later augmenting path.  With a stop, the
+        pass ends as soon as it is decided whether more than stop roots stay
+        exposed.  log is None only for the build, whose writes are kept.
+        """
+        adj = self.adj
+        n = len(adj)
+        match_l, match_r = self.match_l, self.match_r
+        seen, prev = self._seen, self._prev
+        total = len(roots)
+        exposed: list[int] = []
         epoch = self._epoch + 1
-        for root in roots:
-            if failed + left <= stop:
+        for k, root in enumerate(roots):
+            # undecided while exposed <= stop < exposed + roots not yet searched
+            if stop is not None and not len(exposed) <= stop < len(exposed) + total - k:
+                exposed += roots[k:]
                 break
-            left -= 1
             queue = [root]
             free = -1
             for u in queue:
@@ -284,26 +184,49 @@ class _LPEngine:
                 if free >= 0:
                     break
             if free < 0:
-                failed += 1
-                if failed > stop:
-                    break
+                exposed.append(root)
                 continue
             epoch += 1
             w = free
             while True:
                 u = prev[w]
                 nw = match_l[u]
-                log.append((match_l, u, nw))
-                log.append((match_r, w, match_r[w]))
+                if log is not None:
+                    log.append((match_l, u, nw))
+                    log.append((match_r, w, match_r[w]))
                 match_l[u] = w
                 match_r[w] = u
                 if u == root:
                     break
                 w = nw
         self._epoch = epoch
+        return exposed
+
+    @staticmethod
+    def _undo(log: _Log) -> None:
         for arr, j, old in reversed(log):
             arr[j] = old
-        return failed > stop
+
+    def solve(self, excluded: frozenset[int]) -> tuple[int, frozenset[int], int]:
+        """Return (weight2, zero_set, n_active) for LPVC(G - excluded)."""
+        index = self.index
+        closed = [index[v] for v in excluded if v in index]
+        n_active = len(self.verts) - len(closed)
+        log: _Log = []
+        exposed = self._augment(self._mask(closed, log), log)
+        result = (n_active - len(exposed), self._zero_set(exposed), n_active)
+        self._undo(log)
+        return result
+
+    def deficiency_exceeds(self, x: int, stop: int) -> bool:
+        """Whether a maximum matching of the double cover of G - N[x] leaves
+        more than stop left vertices exposed; the search ends as soon as
+        that is decided."""
+        i = self.index[x]
+        log: _Log = []
+        exceeds = len(self._augment(self._mask([i, *self.adj[i]], log), log, stop)) > stop
+        self._undo(log)
+        return exceeds
 
     def tight(self, excluded: frozenset[int]) -> Optional[list[int]]:
         """The vertices that are 0 in some optimal LP solution of G - excluded,
@@ -318,11 +241,14 @@ class _LPEngine:
         a reach bitset per strongly connected component answers that for
         every x at once.
         """
-        match_l, match_r, exposed, _ = self._matching(excluded)
-        if exposed:
+        index = self.index
+        log: _Log = []
+        if self._augment(self._mask([index[v] for v in excluded if v in index], log), log):
+            self._undo(log)
             return None
         adj = self.adj
         n = len(adj)
+        match_l, match_r = self.match_l, self.match_r
         order = [-1] * n   # DFS discovery number
         low = [0] * n
         comp = [-1] * n    # component id; -1 while the vertex is on `stack`
@@ -375,16 +301,19 @@ class _LPEngine:
                                     bits |= reach[comp[d]]
                         reach.append(bits)
         verts = self.verts
-        return [verts[x] for x in range(n)
-                if match_l[x] != -2 and not (reach[comp[x]] >> comp[match_r[x]] & 1)]
+        tight = [verts[x] for x in range(n)
+                 if match_l[x] != -2 and not (reach[comp[x]] >> comp[match_r[x]] & 1)]
+        self._undo(log)
+        return tight
 
-    def _zero_set(self, match_r: list[int], exposed: list[int]) -> frozenset[int]:
+    def _zero_set(self, exposed: list[int]) -> frozenset[int]:
         """Koenig: alternating reachability from the exposed left vertices.
 
         cover = (L not reachable) + (R reachable); theta2(v) = Lv + Rv in
         cover, so v has value 0 iff Lv is reachable and Rv is not.
         """
         adj = self.adj
+        match_r = self.match_r
         n = len(adj)
         seen_l = bytearray(n + 1)
         seen_l[n] = 1

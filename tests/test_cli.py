@@ -226,6 +226,8 @@ def test_gen_missing_flag_is_usage_error(argv, flag):
      "--offsets must be comma-separated integers, got '1,x'"),
     (["gen", "circulant", "--n", "5", "--offsets", ""],
      "--offsets must be comma-separated integers, got ''"),
+    (["gen", "circulant", "--n", "5", "--offsets", "5"],
+     "offset 5 would create self-loops for n = 5"),
 ])
 def test_gen_invalid_size_is_usage_error(argv, message):
     code, out = run(argv)

@@ -20,6 +20,8 @@ def test_neighborhood_open_closed():
 def test_neighborhood_unknown_vertex():
     with pytest.raises(ValueError):
         cycle(5).neighborhood([7])
+    with pytest.raises(ValueError, match=r"unknown vertices \[7, 9\]"):
+        cycle(5).delete_vertices([9, 7, 1])
 
 
 def test_surplus():

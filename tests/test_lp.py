@@ -190,7 +190,7 @@ def test_masked_lp_equals_from_scratch_solve():
             sub = g.delete_vertices(mask & set(g.vertices()))
             cold = _lp_core(sub, frozenset())
             assert warm == cold, (g, sorted(mask))
-            assert _lp_core(g, mask) == warm  # memo hit
+            assert _lp_core(g, mask) == warm  # the first query left the stored matching intact
             if sub.n <= 8:
                 assert warm[0] == exhaustive_lp_weight2(sub)
             assert warm[2] == sub.n
@@ -461,19 +461,51 @@ def _mixed_degree_graphs() -> list[Graph]:
 def test_deficiency_check_equals_the_masked_solve():
     """deficiency_exceeds(x, stop) says whether the deficiency of G - N[x]
     (exposed left vertices of the double cover) exceeds stop, exactly as the
-    masked solve reports it, and leaves the stored matching as it was."""
+    masked solve reports it.  Every query masks and augments on the stored
+    matching in place; after each deficiency check, solve and tight (on N[x]
+    and on random masks, with and without a perfect matching of the double
+    cover of G - mask) the stored matching is as it was."""
+    rng = random.Random(5)
     seen = dict.fromkeys(range(4), 0)
+    tight_seen = {True: 0, False: 0}  # keyed by "tight returned None"
     for seed, g in enumerate(_mixed_degree_graphs()):
         engine = _engine(g)
         stored = (engine.match_l[:], engine.match_r[:], engine.exposed[:])
-        for x in g.vertices():
-            weight2, _, n_active = engine.solve(frozenset(g.neighborhood([x], closed=True)))
+        verts = g.vertices()
+        for x in verts:
+            closed = frozenset(g.neighborhood([x], closed=True))
+            weight2, _, n_active = engine.solve(closed)
+            assert (engine.match_l, engine.match_r, engine.exposed) == stored, (seed, x)
             deficiency = n_active - weight2
             seen[min(deficiency, 3)] += 1
             for stop in range(6):
                 assert engine.deficiency_exceeds(x, stop) == (deficiency > stop), (seed, x, stop)
-            assert (engine.match_l, engine.match_r, engine.exposed) == stored, (seed, x)
+                assert (engine.match_l, engine.match_r, engine.exposed) == stored, (seed, x)
+            for mask in (closed, frozenset(rng.sample(verts, rng.randint(1, len(verts) // 2)))):
+                weight2, _, n_active = engine.solve(mask)
+                assert (engine.match_l, engine.match_r, engine.exposed) == stored, (seed, mask)
+                tight = engine.tight(mask)
+                assert (engine.match_l, engine.match_r, engine.exposed) == stored, (seed, mask)
+                assert (tight is None) == (weight2 < n_active), (seed, mask)
+                tight_seen[tight is None] += 1
     assert min(seen.values()) >= 200, seen
+    assert min(tight_seen.values()) >= 1000, tight_seen
+
+
+def test_cold_builds_of_large_sparse_graphs():
+    """Cold engines far larger than any derived chain in the other tests: a
+    shuffled 20001-vertex path (one left vertex stays exposed) and a shuffled
+    80 x 80 grid (perfect matching)."""
+    n = 20001
+    path = shuffled_ids(Graph(vertices=range(n), edges=[(i, i + 1) for i in range(n - 1)]), 3)
+    engine = _LPEngine(path._adj)
+    assert engine.solve(frozenset())[0] == n - 1 and len(engine.exposed) == 1
+    side = 80
+    edges = [(v, v + 1) for v in range(side * side) if v % side < side - 1]
+    edges += [(v, v + side) for v in range(side * (side - 1))]
+    grid = shuffled_ids(Graph(vertices=range(side * side), edges=edges), 4)
+    engine = _LPEngine(grid._adj)
+    assert engine.solve(frozenset())[0] == side * side and engine.exposed == []
 
 
 def test_low_entries_equal_the_table():
