@@ -2,7 +2,8 @@
 
 Graph files use the PACE-style header "p td <n> <m>" with 1-indexed edge
 lines; 'c' lines are comments.  A --format flag admits DIMACS "p edge"
-files with "e u v" edge lines.  Exit codes: 0 success, 1 the decision was
+files with "e u v" edge lines.  Covers are printed in the input file's
+1-based vertex numbers.  Exit codes: 0 success, 1 the decision was
 answered infeasible, 2 usage error, 3 node budget exhausted, 4 internal
 error, 5 the audit found violations.
 """
@@ -298,8 +299,13 @@ def _config(args, out: Optional[_Output] = None) -> SolverConfig:
                         audit=getattr(args, "audit_on", False))
 
 
+def _file_numbers(cover: Iterable[int]) -> list[int]:
+    """A cover in the input file's 1-based numbers (parse_graph maps u to u - 1)."""
+    return sorted(v + 1 for v in cover)
+
+
 def _emit_solve(out: _Output, result, k: int) -> int:
-    cover = sorted(result.cover) if result.cover is not None else None
+    cover = _file_numbers(result.cover) if result.cover is not None else None
     if result.feasible:
         out.emit("result", f"feasible k={k} cover={','.join(map(str, cover))}",
                  feasible=True, k=k, cover=cover, stats=_stats_record(result.stats))
@@ -345,8 +351,9 @@ def _cmd_optimize(args, out: _Output) -> int:
     g = _load_graph(args, out)
     cfg = _config(args, out)
     opt, cover, stats = solve_optimum(g, cfg)
-    out.emit("result", f"optimum {opt} cover={','.join(map(str, sorted(cover)))}",
-             optimum=opt, cover=sorted(cover), stats=_stats_record(stats))
+    cover = _file_numbers(cover)
+    out.emit("result", f"optimum {opt} cover={','.join(map(str, cover))}",
+             optimum=opt, cover=cover, stats=_stats_record(stats))
     return 0
 
 
@@ -392,8 +399,9 @@ def _cmd_audit(args, out: _Output) -> int:
 def _cmd_oracle(args, out: _Output) -> int:
     g = _load_graph(args, out)
     opt, cover = brute_force_vc(g)
-    out.emit("result", f"optimum {opt} cover={','.join(map(str, sorted(cover)))}",
-             optimum=opt, cover=sorted(cover))
+    cover = _file_numbers(cover)
+    out.emit("result", f"optimum {opt} cover={','.join(map(str, cover))}",
+             optimum=opt, cover=cover)
     return 0
 
 

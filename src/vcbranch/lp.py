@@ -23,7 +23,7 @@ INFINITE_SURPLUS = math.inf
 
 _EMPTY: frozenset[int] = frozenset()
 
-_Log = list[tuple[list[int], int, int]]  # (array, index, old value) per write
+_Log = list[tuple[int, int, int, int]]  # (u, old match_l[u], w, old match_r[w]) per flip
 
 
 @dataclass(frozen=True)
@@ -56,28 +56,34 @@ class SurplusCert:
 # LP core: augmenting paths on the bipartite double cover + Koenig extraction.
 # All routines take an `excluded` mask so callers can work on G - X without
 # materializing subgraphs.  One engine per graph holds a maximum matching of
-# the full double cover, and every query follows one pattern on it: mask the
-# excluded vertices in place, augment (Kuhn, 1955), read the answer off the
-# live arrays, and undo from a log.  A derived graph's engine starts from its
-# parent's matching (Iwata, Oka and Yoshida, SODA 2014).  The Koenig
-# zero-set (left vertices that some maximum matching leaves exposed, minus
-# their right neighbours) and the matching size do not depend on which
-# maximum matching is found, so warm-started and derived answers equal
-# from-scratch ones.
+# the full double cover, and every query follows one pattern on it: stamp
+# the excluded vertices, augment (Kuhn, 1955) in the view the stamps leave,
+# read the answer off the live arrays, and undo the augmenting-path flips
+# from a log.  A derived graph's engine starts from its parent's matching
+# (Iwata, Oka and Yoshida, SODA 2014).  The Koenig zero-set (left vertices
+# that some maximum matching leaves exposed, minus their right neighbours)
+# and the matching size do not depend on which maximum matching is found,
+# so warm-started and derived answers equal from-scratch ones.
 # ---------------------------------------------------------------------------
 
 class _LPEngine:
     """Double cover of one graph and a maximum matching of it.
 
-    Every query masks, augments and reads in place on the stored matching
-    and puts it back before it returns; only the cached certify_minsurp_two
-    verdict and the search's scratch arrays change.  match_l[u] is -1 for an
-    exposed left vertex and -2 for a masked one; a masked right vertex is
-    matched to the marker index n, which no search enters.
+    Between queries match_l and match_r hold a matching of the whole double
+    cover (-1 for an exposed vertex).  A query stamps its masked indices
+    with a fresh mark in _stamp; a vertex is masked, on both sides, iff its
+    stamp equals _mark.  The masked view's matching is the stored one
+    without the pairs that touch a masked vertex: searches skip stamped
+    right vertices and treat a right vertex whose partner is stamped as
+    free.  Augmenting-path flips write only unmasked entries, so the
+    unmasked entries always form a matching of the view; masked entries go
+    stale and are never read.  Each query undoes its flips before it
+    returns; only the cached certify_minsurp_two verdict, the stamps and the
+    search's scratch arrays change.
     """
 
     __slots__ = ("verts", "index", "adj", "match_l", "match_r", "exposed",
-                 "certified", "_seen", "_prev", "_epoch")
+                 "certified", "_seen", "_prev", "_epoch", "_stamp", "_mark")
 
     def __init__(self, adj_map: dict[int, set[int]], parent: Optional["_LPEngine"] = None):
         """Build the engine of the graph adj_map, starting from the matching
@@ -118,35 +124,30 @@ class _LPEngine:
         self._seen = [0] * n
         self._prev = [0] * n
         self._epoch = 0
+        self._stamp = [-1] * n  # no stamp equals the build's mark 0
+        self._mark = 0
         self.exposed = self._augment([u for u, w in enumerate(match_l) if w < 0], None)
 
-    def _mask(self, closed: list[int], log: _Log) -> list[int]:
-        """Mask the vertices `closed` (engine indices) on both sides of the
-        stored matching, logging every write, and return the exposed left
-        vertices: the augmenting search's roots."""
-        match_l, match_r = self.match_l, self.match_r
-        n = len(match_l)
-        roots = self.exposed[:]
+    def _roots(self, closed: list[int]) -> list[int]:
+        """Stamp the engine indices closed as this query's mask and return
+        the left vertices the masked view leaves exposed: the stored
+        matching's exposed ones and the partners of masked right vertices,
+        minus the masked ones.  These are the augmenting search's roots."""
+        self._mark = mark = self._mark + 1
+        stamp = self._stamp
         for v in closed:
-            j = match_l[v]
-            if j >= 0:
-                log.append((match_r, j, v))
-                match_r[j] = -1
-            j = match_r[v]
-            if j >= 0:
-                log.append((match_l, j, v))
-                match_l[j] = -1
-                roots.append(j)
+            stamp[v] = mark
+        roots = [u for u in self.exposed if stamp[u] != mark]
+        match_r = self.match_r
         for v in closed:
-            log.append((match_l, v, match_l[v]))
-            match_l[v] = -2
-            log.append((match_r, v, match_r[v]))
-            match_r[v] = n
-        return [u for u in roots if match_l[u] == -1]
+            u = match_r[v]
+            if u >= 0 and stamp[u] != mark:
+                roots.append(u)
+        return roots
 
     def _augment(self, roots: list[int], log: Optional[_Log], stop: Optional[int] = None) -> list[int]:
-        """One breadth-first augmenting search per root, in order, and the
-        roots left exposed.
+        """One breadth-first augmenting search per root, in order, in the
+        current masked view, and the roots left exposed.
 
         Kuhn: a root with no augmenting path gets none after later
         augmentations either, so one pass yields a maximum matching.  The
@@ -154,12 +155,12 @@ class _LPEngine:
         seen array; after a failed search the epoch is kept, since what it
         reached cannot lie on a later augmenting path.  With a stop, the
         pass ends as soon as it is decided whether more than stop roots stay
-        exposed.  log is None only for the build, whose writes are kept.
+        exposed.  log is None only for the build, whose flips are kept.
         """
         adj = self.adj
-        n = len(adj)
         match_l, match_r = self.match_l, self.match_r
         seen, prev = self._seen, self._prev
+        stamp, mark = self._stamp, self._mark
         total = len(roots)
         exposed: list[int] = []
         epoch = self._epoch + 1
@@ -174,13 +175,14 @@ class _LPEngine:
                 for w in adj[u]:
                     if seen[w] != epoch:
                         seen[w] = epoch
+                        if stamp[w] == mark:
+                            continue
                         prev[w] = u
                         nxt = match_r[w]
-                        if nxt == -1:
+                        if nxt < 0 or stamp[nxt] == mark:
                             free = w
                             break
-                        if nxt != n:
-                            queue.append(nxt)
+                        queue.append(nxt)
                 if free >= 0:
                     break
             if free < 0:
@@ -192,8 +194,7 @@ class _LPEngine:
                 u = prev[w]
                 nw = match_l[u]
                 if log is not None:
-                    log.append((match_l, u, nw))
-                    log.append((match_r, w, match_r[w]))
+                    log.append((u, nw, w, match_r[w]))
                 match_l[u] = w
                 match_r[w] = u
                 if u == root:
@@ -202,18 +203,22 @@ class _LPEngine:
         self._epoch = epoch
         return exposed
 
-    @staticmethod
-    def _undo(log: _Log) -> None:
-        for arr, j, old in reversed(log):
-            arr[j] = old
+    def _undo(self, log: _Log) -> None:
+        match_l, match_r = self.match_l, self.match_r
+        for u, nw, w, old in reversed(log):
+            match_l[u] = nw
+            match_r[w] = old
 
     def solve(self, excluded: frozenset[int]) -> tuple[int, frozenset[int], int]:
         """Return (weight2, zero_set, n_active) for LPVC(G - excluded)."""
         index = self.index
         closed = [index[v] for v in excluded if v in index]
         n_active = len(self.verts) - len(closed)
+        roots = self._roots(closed)
+        if not closed:  # the stored matching is maximum: nothing to search
+            return n_active - len(roots), self._zero_set(roots), n_active
         log: _Log = []
-        exposed = self._augment(self._mask(closed, log), log)
+        exposed = self._augment(roots, log)
         result = (n_active - len(exposed), self._zero_set(exposed), n_active)
         self._undo(log)
         return result
@@ -224,7 +229,7 @@ class _LPEngine:
         that is decided."""
         i = self.index[x]
         log: _Log = []
-        exceeds = len(self._augment(self._mask([i, *self.adj[i]], log), log, stop)) > stop
+        exceeds = len(self._augment(self._roots([i, *self.adj[i]]), log, stop)) > stop
         self._undo(log)
         return exceeds
 
@@ -243,12 +248,13 @@ class _LPEngine:
         """
         index = self.index
         log: _Log = []
-        if self._augment(self._mask([index[v] for v in excluded if v in index], log), log):
+        if self._augment(self._roots([index[v] for v in excluded if v in index]), log):
             self._undo(log)
             return None
         adj = self.adj
         n = len(adj)
-        match_l, match_r = self.match_l, self.match_r
+        match_r = self.match_r
+        stamp, mark = self._stamp, self._mark
         order = [-1] * n   # DFS discovery number
         low = [0] * n
         comp = [-1] * n    # component id; -1 while the vertex is on `stack`
@@ -256,7 +262,7 @@ class _LPEngine:
         stack: list[int] = []
         count = 0
         for root in range(n):
-            if order[root] >= 0 or match_l[root] == -2:
+            if order[root] >= 0 or stamp[root] == mark:
                 continue
             order[root] = low[root] = count
             count += 1
@@ -265,9 +271,9 @@ class _LPEngine:
             while work:
                 u, arcs = work[-1]
                 for w in arcs:
-                    v = match_r[w]
-                    if v == n:  # w is masked
+                    if stamp[w] == mark:
                         continue
+                    v = match_r[w]
                     if order[v] < 0:
                         order[v] = low[v] = count
                         count += 1
@@ -296,37 +302,41 @@ class _LPEngine:
                         bits = 1 << c
                         for v in members:
                             for w in adj[v]:
-                                d = match_r[w]
-                                if d < n and comp[d] != c:
-                                    bits |= reach[comp[d]]
+                                if stamp[w] != mark:
+                                    d = comp[match_r[w]]
+                                    if d != c:
+                                        bits |= reach[d]
                         reach.append(bits)
         verts = self.verts
         tight = [verts[x] for x in range(n)
-                 if match_l[x] != -2 and not (reach[comp[x]] >> comp[match_r[x]] & 1)]
+                 if stamp[x] != mark and not (reach[comp[x]] >> comp[match_r[x]] & 1)]
         self._undo(log)
         return tight
 
     def _zero_set(self, exposed: list[int]) -> frozenset[int]:
-        """Koenig: alternating reachability from the exposed left vertices.
+        """Koenig: alternating reachability from the exposed left vertices
+        of a maximum matching of the current masked view.
 
         cover = (L not reachable) + (R reachable); theta2(v) = Lv + Rv in
-        cover, so v has value 0 iff Lv is reachable and Rv is not.
+        cover, so v has value 0 iff Lv is reachable and Rv is not.  An
+        unmasked right vertex reached here is matched in the view, or the
+        matching would not be maximum.
         """
         adj = self.adj
         match_r = self.match_r
+        stamp, mark = self._stamp, self._mark
         n = len(adj)
-        seen_l = bytearray(n + 1)
-        seen_l[n] = 1
+        seen_l = bytearray(n)
         seen_r = bytearray(n)
         queue = exposed[:]
         for u in queue:
             seen_l[u] = 1
         for u in queue:
             for w in adj[u]:
-                if not seen_r[w]:
+                if not seen_r[w] and stamp[w] != mark:
                     seen_r[w] = 1
                     nxt = match_r[w]
-                    if nxt >= 0 and not seen_l[nxt]:
+                    if not seen_l[nxt]:
                         seen_l[nxt] = 1
                         queue.append(nxt)
         verts = self.verts

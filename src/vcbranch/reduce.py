@@ -30,6 +30,13 @@ next graph's list without either:
 
 A chain of degree-2 folds therefore runs no LP, and its graphs build no
 LP engine; the next graph that needs one derives it from the last built.
+
+A third fact decides the step without the list: when the LP solve shows
+min{0, minsurp} == 0 on a graph of minimum degree >= 3, certify_minsurp_two
+runs before the tight pass, and its acceptance proves minsurp >= 2.  Then
+no vertex is tight, none has degree 2 and no surplus-1 set exists, so the
+step is P3 on the lowest pattern, or the fixpoint.  A declined certificate
+stays cached on the graph's engine for the steps below.
 """
 
 from __future__ import annotations
@@ -165,6 +172,14 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instan
                 g2, step = _p1_step(g, SurplusCert(zero, msm))
                 emit(g2, step)
                 continue
+            if g.min_degree() >= 3 and certify_minsurp_two(g):
+                # minsurp >= 2: nothing is tight, folds or forces
+                match = g.find_pattern()
+                if match is None:
+                    break
+                g2, step = _p3_step(g, match.u, match.out)
+                emit(g2, step)  # tight stays unknown
+                continue
             tight = tight_vertices(g)
         if tight:
             cert = _vertex_entry(g, tight[0], frozenset())[1]
@@ -176,13 +191,12 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instan
         # the lowest degree-2 vertex with non-adjacent neighbors, else the
         # lowest degree-2 vertex
         fold = first2 = None
-        for x in g.vertices():
-            if g.degree(x) == 2:
-                if not g.has_edge(*g.neighbors(x)):
-                    fold = x
-                    break
-                if first2 is None:
+        for x, nbrs in g._adj.items():
+            if len(nbrs) == 2:
+                if first2 is None or x < first2:
                     first2 = x
+                if (fold is None or x < fold) and not g.has_edge(*nbrs):
+                    fold = x
         if fold is not None:
             g2, step = _p2_step(g, SurplusCert(frozenset({fold}), 1))
             emit(g2, step)  # tight stays []

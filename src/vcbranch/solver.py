@@ -191,10 +191,9 @@ def _fold_subquadratic(g: Graph, k: int) -> tuple[Graph, int, ReductionTrace]:
     """Fold vertices of degree <= 2 via singleton P1/P2 until none remain."""
     trace = ReductionTrace()
     while True:
-        low = sorted(v for v in g.vertices() if g.degree(v) <= 2)
-        if not low:
+        v = min((v for v, nbrs in g._adj.items() if len(nbrs) <= 2), default=None)
+        if v is None:
             break
-        v = low[0]
         deg = g.degree(v)
         if deg <= 1:
             g, step = _p1_step(g, SurplusCert(frozenset({v}), deg - 1))

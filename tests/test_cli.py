@@ -145,6 +145,33 @@ def test_optimize_and_oracle_agree(tmp_path):
     assert opt == oracle
 
 
+@pytest.mark.parametrize("text", [
+    "p td 4 3\n1 2\n1 3\n1 4\n",  # a star: the only minimum cover is the center, 1
+    render_graph(NAMED_GRAPHS["petersen"]()),
+    render_graph(gnp(11, 0.35, 5)),
+], ids=["star", "petersen", "gnp"])
+def test_printed_covers_use_the_file_numbers(tmp_path, text):
+    """Every command that prints a cover names the input file's 1-based
+    vertices, as text and with --json: the cover covers each edge line."""
+    path = tmp_path / "g.gr"
+    path.write_text(text)
+    header, *lines = text.splitlines()
+    n = int(header.split()[2])
+    edges = [tuple(map(int, line.split())) for line in lines]
+    opt = brute_force_vc(parse_graph(text))[0]
+    for argv in (["solve", "--k", str(opt)], ["optimize"], ["audit", "--k", str(opt)], ["oracle"]):
+        covers = []
+        code, out = run([argv[0], str(path), *argv[1:]])
+        assert code == 0, argv
+        covers.append([int(v) for v in out.splitlines()[-1].split("cover=")[1].split(",")])
+        code, out = run([argv[0], str(path), *argv[1:], "--json"])
+        assert code == 0, argv
+        covers.append(json.loads(out.splitlines()[-1])["cover"])
+        for cover in covers:
+            assert len(cover) == opt and set(cover) <= set(range(1, n + 1)), (argv, cover)
+            assert all(u in cover or v in cover for u, v in edges), (argv, cover)
+
+
 def test_verify_constants_command():
     code, out = run(["verify-constants", "--profile", "simple"])
     assert code == 0 and "all pass" in out

@@ -464,10 +464,14 @@ def test_deficiency_check_equals_the_masked_solve():
     masked solve reports it.  Every query masks and augments on the stored
     matching in place; after each deficiency check, solve and tight (on N[x]
     and on random masks, with and without a perfect matching of the double
-    cover of G - mask) the stored matching is as it was."""
+    cover of G - mask) the stored matching is as it was.  A query that
+    follows one with a different mask, and an unmasked solve (answered off
+    the stored matching with no search), equal a cold engine's first query,
+    on engines with and without exposed vertices."""
     rng = random.Random(5)
     seen = dict.fromkeys(range(4), 0)
     tight_seen = {True: 0, False: 0}  # keyed by "tight returned None"
+    unmasked_seen = {True: 0, False: 0}  # keyed by "the engine has exposed vertices"
     for seed, g in enumerate(_mixed_degree_graphs()):
         engine = _engine(g)
         stored = (engine.match_l[:], engine.match_r[:], engine.exposed[:])
@@ -488,8 +492,15 @@ def test_deficiency_check_equals_the_masked_solve():
                 assert (engine.match_l, engine.match_r, engine.exposed) == stored, (seed, mask)
                 assert (tight is None) == (weight2 < n_active), (seed, mask)
                 tight_seen[tight is None] += 1
+            other = frozenset(rng.sample(verts, rng.randint(0, len(verts) // 2)))
+            assert engine.solve(other) == _LPEngine(g._adj).solve(other), (seed, other)
+            assert engine.tight(other) == _LPEngine(g._adj).tight(other), (seed, other)
+            assert engine.solve(frozenset()) == _LPEngine(g._adj).solve(frozenset()), seed
+            assert (engine.match_l, engine.match_r, engine.exposed) == stored, (seed, x)
+            unmasked_seen[bool(engine.exposed)] += 1
     assert min(seen.values()) >= 200, seen
     assert min(tight_seen.values()) >= 1000, tight_seen
+    assert min(unmasked_seen.values()) >= 400, unmasked_seen
 
 
 def test_cold_builds_of_large_sparse_graphs():

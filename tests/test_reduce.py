@@ -6,6 +6,7 @@ from vcbranch.lp import (
     SurplusCert,
     _LPEngine,
     _msm_zeroset,
+    _residual_two_connected,
     find_nonsingleton_minset,
     minsurp,
     minsurp_full,
@@ -276,10 +277,19 @@ def test_simplify_equals_the_table_policy():
     graphs += [gnp(8 + seed % 9, (0.2, 0.35, 0.5)[seed % 3], seed) for seed in range(30)]
     graphs += [random_regular(16 + 2 * seed, d, seed) for seed in range(4) for d in (3, 4)]
     graphs += [cycle(n) for n in (5, 6, 9, 12, 31)] + [hypercube(4), circulant(12, [1, 2])]
-    second_pass_hits = 0
+    # certified P3 chains: minsurp >= 2 at most steps, so the certificate
+    # decides them before any tight pass
+    graphs += [random_regular(n, d, seed).delete_vertices(range(cut))
+               for seed, (n, d, cut) in enumerate([(24, 5, 1), (28, 5, 2), (30, 6, 1), (32, 6, 2)])]
+    second_pass_hits = certified_p3 = 0
+
+    def count_certified_p3(gb, kb, step, ga, ka):
+        nonlocal certified_p3
+        certified_p3 += step.kind == "P3" and gb._lp is not None and gb._lp.certified is True
+
     for seed, g in enumerate(graphs):
         g = shuffled_ids(g, seed)
-        inst, trace = simplify(Instance(g, g.n))
+        inst, trace = simplify(Instance(g, g.n), count_certified_p3)
         ref_inst, ref_trace = _table_policy_simplify(Instance(g, g.n))
         assert trace.serialize() == ref_trace.serialize(), seed
         assert inst.k == ref_inst.k, seed
@@ -293,7 +303,7 @@ def test_simplify_equals_the_table_policy():
                 if found is not None and all(len(c) < 2 for v, c in table.values()
                                              if v == target):
                     second_pass_hits += 1
-    assert second_pass_hits >= 5
+    assert second_pass_hits >= 5 and certified_p3 >= 10, (second_pass_hits, certified_p3)
 
 
 def test_simplify_long_odd_cycle_makes_linear_lp_solves(monkeypatch):
@@ -338,6 +348,30 @@ def test_simplify_long_cycle_derives_every_engine(monkeypatch):
     assert inst.graph.n == 0 and trace.total_dk == 501
     assert cold == 1
     assert passes <= 2 and builds <= 3
+
+
+def test_simplify_certifies_before_the_tight_pass(monkeypatch):
+    """On 6-regular graphs minus a vertex most steps have minsurp >= 2.
+    simplify asks the certificate before the tight pass whenever the
+    minimum degree is at least 3, so a tight pass runs only on a graph
+    whose certificate declines or that has a vertex of degree below 3."""
+    calls: list[_LPEngine] = []
+    tight = _LPEngine.tight
+
+    def recorded(self, excluded):
+        calls.append(self)
+        return tight(self, excluded)
+
+    monkeypatch.setattr(_LPEngine, "tight", recorded)
+    certified = 0
+    for n, seed in [(36, 14), (40, 5), (44, 5)]:
+        g = random_regular(n, 6, seed)
+        for cut in ([0], [0, 1], sorted(g.neighbors(0))[:2]):
+            inst, _ = simplify(Instance(g.delete_vertices(cut), n))
+            certified += inst.graph.n > 0 and inst.graph._lp.certified is True
+    assert certified >= 6
+    for engine in calls:
+        assert min(map(len, engine.adj)) < 3 or not _residual_two_connected(engine)
 
 
 def _cold(g: Graph) -> Graph:
