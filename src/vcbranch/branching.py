@@ -22,6 +22,7 @@ from .lp import (
     Instance,
     SurplusCert,
     _msm_zeroset,
+    blockers,
     certify_minsurp_two,
     find_blocker,
     find_nonsingleton_minset,
@@ -29,6 +30,8 @@ from .lp import (
     low_entries,
     minsurp_full,
     shadow_minus,
+    tight_vertices,
+    zero_surplus_cert,
 )
 from .reduce import ReductionTrace, reduction_gain, simplify
 
@@ -201,31 +204,17 @@ def _closed(g: Graph, u: int) -> frozenset[int]:
     return frozenset(g.neighbors(u)) | {u}
 
 
-def _blocked_minset(g: Graph, u: int) -> tuple[Optional[int], frozenset[int]]:
-    """(minsurp, min-set) of G - N[u]; (None, empty) when that graph is empty.
-
-    Falls back to the full sweep only when the one-LP bound is 0.
-    """
+def _blocked_minset(g: Graph, u: int) -> Optional[frozenset[int]]:
+    """A min-set of G - N[u] when u is blocked (shad(N[u]) <= 0), else None:
+    the LP zero-set when shad(N[u]) < 0, the min-set through the lowest
+    tight vertex when it is 0."""
     closed = _closed(g, u)
     if len(closed) >= g.n:
-        return None, frozenset()
+        return None
     msm, zero = _msm_zeroset(g, closed)
     if msm < 0:
-        return msm, zero
-    value, cert, _ = minsurp_full(g, closed)
-    return value, frozenset(cert)
-
-
-def _blockers_of(g: Graph, u: int) -> tuple[Optional[int], list[tuple[int, frozenset[int]]]]:
-    """All canonical (blocker, min-set) pairs of G - N[u], if u is blocked."""
-    closed = _closed(g, u)
-    if len(closed) >= g.n:
-        return None, []
-    value, _, table = minsurp_full(g, closed, need_table=True)
-    if value > 0:
-        return value, []
-    out = [(x, cert) for x, (v, cert) in sorted(table.items()) if v == value]
-    return value, out
+        return zero
+    return zero_surplus_cert(g, closed)
 
 
 class _Selector:
@@ -265,8 +254,7 @@ class _Selector:
                                 "surplus2/size3-split", _trusted=True)
         if shadow_minus(g, _closed(g, z)) >= 5 - g.degree(z):
             return split_vertex(self.inst, z, ((0.5, 4), (2, 5)), "surplus2/size3-splitz")
-        _, blockers = _blockers_of(g, z)
-        ts = [t for t, _ in blockers if t != y]
+        ts = [t for t, _ in blockers(g, z) if t != y]
         if ts:
             return rule_b(self.inst, ts[0], [z], ((1, 4), (1, 4)),
                           "surplus2/size3-ruleB", _trusted=True)
@@ -294,8 +282,7 @@ class _Selector:
         z = high[0]
         if shadow_minus(g, _closed(g, z)) >= 0:
             return split_vertex(self.inst, z, ((0.5, 3), (2, 5)), "surplus2/pair-splitz")
-        _, blockers = _blockers_of(g, z)
-        ts = [t for t, _ in blockers if t not in indset]
+        ts = [t for t, _ in blockers(g, z) if t not in indset]
         if ts:
             return rule_b(self.inst, ts[0], [z], ((1, 4), (1, 4)),
                           "surplus2/pair-ruleB", _trusted=True)
@@ -329,8 +316,7 @@ class _Selector:
             sm = shadow_minus(g, _closed(g, w))
             if sm >= 5 - g.degree(w):
                 return split_vertex(self.inst, w, ((0.5, 2), (2, 5)), "branch55/split")
-            _, iset = _blocked_minset(g, w)
-            blocked[w] = iset
+            blocked[w] = _blocked_minset(g, w)
         for w in universe:
             for x in sorted(blocked[w]):
                 if g.degree(x) >= 4:
@@ -365,8 +351,8 @@ class _Selector:
     def blocked_low(self, u: int) -> Optional[BranchDecision]:
         """deg(u) in {4, 5} and shad(N[u]) <= 4 - deg(u)."""
         g = self.g
-        value, iset = _blocked_minset(g, u)
-        if value is None or value > 0:
+        iset = _blocked_minset(g, u)
+        if iset is None:
             return None  # not blocked after all (reachable via sub-dispatch)
         options = [(x, sorted(g.neighbors(x) & g.neighbors(u))) for x in sorted(iset)]
         options = [(x, shared) for x, shared in options if shared]
@@ -388,8 +374,8 @@ class _Selector:
         """deg(u) >= 6 and shad(N[u]) <= 5 - deg(u)."""
         g = self.g
         closed = _closed(g, u)
-        value, iset = _blocked_minset(g, u)
-        if value is None or value > 0:
+        iset = _blocked_minset(g, u)
+        if iset is None:
             return None
         for x in sorted(iset):
             if g.degree(x) >= 4:
@@ -439,13 +425,12 @@ def select_branch(inst: Instance, stats: Optional[SelectorStats] = None) -> Bran
         raise PreconditionError("maximum degree <= 3: use a base solver")
     if g.min_degree() < 3 or g.find_pattern() is not None:
         raise PreconditionError("graph is not simplified")
+    # no tight vertex gives minsurp >= 1, and no entry v_x <= 1 then gives 2
+    if not (certify_minsurp_two(g)
+            or (tight_vertices(g) == [] and not low_entries(g, 1))):
+        raise PreconditionError("graph is not simplified (minsurp < 2)")
     # only the entries with v_x == 2 are read: minsurp is 2 iff one exists
-    if certify_minsurp_two(g):
-        table = low_entries(g, 2)
-    else:
-        ms, _, table = minsurp_full(g, need_table=True)
-        if ms < 2:
-            raise PreconditionError("graph is not simplified (minsurp < 2)")
+    table = low_entries(g, 2)
 
     sel = _Selector(inst)
     decision: Optional[BranchDecision] = None

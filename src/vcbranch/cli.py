@@ -16,6 +16,7 @@ import json
 import os
 import random
 import sys
+from dataclasses import replace
 from typing import Iterable, Optional
 
 from .graph import Graph, complete, cycle, star
@@ -416,7 +417,11 @@ def _cmd_reduce(args, out: _Output) -> int:
              graph=rendered)
     if args.emit_trace:
         for step in trace.steps:
-            out.emit("trace", step.serialize(), step=step.serialize())
+            # file numbers, as for covers; a created vertex y prints as y + 1 > n
+            line = replace(step, removed=tuple(v + 1 for v in step.removed),
+                           created=None if step.created is None else step.created + 1
+                           ).serialize()
+            out.emit("trace", line, step=line)
     return 0
 
 

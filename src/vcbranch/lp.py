@@ -401,13 +401,9 @@ def _msm_zeroset(g: Graph, excluded: frozenset[int]) -> tuple[int, frozenset[int
     return weight2 - n, zero
 
 
-def _masked_closed_nbhd(g: Graph, x: int, excluded: frozenset[int]) -> frozenset[int]:
-    return frozenset(w for w in g._adj[x] if w not in excluded) | {x}
-
-
 def _vertex_entry(g: Graph, x: int, excluded: frozenset[int]) -> tuple[int, frozenset[int]]:
     """(minsurp^-(G - N[x]) + deg(x) - 1, canonical min-set through x) in G - excluded."""
-    closed = _masked_closed_nbhd(g, x, excluded)
+    closed = frozenset(w for w in g._adj[x] if w not in excluded) | {x}
     msm_x, zero_x = _msm_zeroset(g, excluded | closed)
     return len(closed) - 2 + msm_x, zero_x | {x}
 
@@ -646,37 +642,30 @@ def is_blocker(g: Graph, u: int, x: int) -> Optional[SurplusCert]:
     value, _, _ = minsurp_full(g, closed)
     if value > 0:
         return None
-    sub_excluded = closed | _masked_closed_nbhd(g, x, closed)
-    msm_x, zero_x = _msm_zeroset(g, sub_excluded)
-    deg_x = sum(1 for w in g._adj[x] if w not in closed)
-    if msm_x + deg_x - 1 != value:
+    v_x, cert_x = _vertex_entry(g, x, closed)
+    if v_x != value:
         return None
-    return SurplusCert(indset=zero_x | {x}, surplus=value)
+    return SurplusCert(indset=cert_x, surplus=value)
+
+
+def blockers(g: Graph, u: int) -> list[tuple[int, SurplusCert]]:
+    """Every x whose minsurp_full table entry in G - N[u] attains the
+    minimum, ascending, with its canonical min-set; empty when u is not
+    blocked (shadow(N[u]) > 0) or G - N[u] is empty."""
+    closed = frozenset(g.neighborhood([u], closed=True))
+    if len(closed) >= g.n:
+        return []
+    value, _, table = minsurp_full(g, closed, need_table=True)
+    if value > 0:
+        return []
+    return [(x, SurplusCert(cert, value)) for x, (v, cert) in sorted(table.items())
+            if v == value]
 
 
 def find_blocker(g: Graph, u: int) -> Optional[tuple[int, SurplusCert]]:
-    """Lowest-id blocker of u within the smallest canonical min-set.
-
-    Returns None when u is not blocked (shadow(N[u]) > 0) or G - N[u] is
-    empty.  Candidates are ranked by (certificate size, vertex id).
-    """
-    closed = frozenset(g.neighborhood([u], closed=True))
-    if len(closed) >= g.n:
-        return None
-    value, cert, table = minsurp_full(g, closed, need_table=True)
-    if value > 0:
-        return None
-    best = None
-    for x, (v_x, cert_x) in sorted(table.items()):
-        if v_x != value:
-            continue
-        key = (len(cert_x), x)
-        if best is None or key < best[0]:
-            best = (key, x, cert_x)
-    if best is None:  # pragma: no cover - table always witnesses the min
-        return None
-    _, x, cert_x = best
-    return x, SurplusCert(indset=cert_x, surplus=value)
+    """The blocker of u with the smallest canonical min-set, lowest id on
+    ties; None when u has none."""
+    return min(blockers(g, u), key=lambda b: (len(b[1].indset), b[0]), default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,16 @@ next graph's list without either:
 A chain of degree-2 folds therefore runs no LP, and its graphs build no
 LP engine; the next graph that needs one derives it from the last built.
 
-A third fact decides the step without the list: when the LP solve shows
-min{0, minsurp} == 0 on a graph of minimum degree >= 3, certify_minsurp_two
-runs before the tight pass, and its acceptance proves minsurp >= 2.  Then
-no vertex is tight, none has degree 2 and no surplus-1 set exists, so the
-step is P3 on the lowest pattern, or the fixpoint.  A declined certificate
-stays cached on the graph's engine for the steps below.
+A third fact decides the list without the tight pass: when the LP solve
+shows min{0, minsurp} == 0 on a graph of minimum degree >= 3,
+certify_minsurp_two runs first, and its acceptance proves minsurp >= 2.
+Then the list is empty, no vertex has degree 2 and no surplus-1 set
+exists, so the step is P3 on the lowest pattern, or the fixpoint.  The
+verdict stays cached on the graph's engine for the steps below.
+
+The result graph has minsurp >= 2, so its LP optimum is all-half
+(2*lambda - n = min{0, minsurp} = 0) and simplify returns lambda2 = n
+without a solve.
 """
 
 from __future__ import annotations
@@ -173,14 +177,9 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instan
                 emit(g2, step)
                 continue
             if g.min_degree() >= 3 and certify_minsurp_two(g):
-                # minsurp >= 2: nothing is tight, folds or forces
-                match = g.find_pattern()
-                if match is None:
-                    break
-                g2, step = _p3_step(g, match.u, match.out)
-                emit(g2, step)  # tight stays unknown
-                continue
-            tight = tight_vertices(g)
+                tight = []  # minsurp >= 2: nothing is tight, folds or forces
+            else:
+                tight = tight_vertices(g)
         if tight:
             cert = _vertex_entry(g, tight[0], frozenset())[1]
             g2, step = _p1_step(g, SurplusCert(cert, 0))
@@ -209,34 +208,25 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instan
         # minimum degree 3 and minsurp >= 1 now; the entries with v_x == 1
         # are needed only where the certificate cannot rule out minsurp 1
         table = {} if certify_minsurp_two(g) else low_entries(g, 1)
-        if table:
-            candidates = [(len(c), x, c) for x, (_, c) in sorted(table.items())]
-            indep = [t for t in candidates
-                     if g.is_independent(g.neighborhood(t[2]))]
-            if indep:
-                g2, step = _p2_step(g, SurplusCert(frozenset(min(indep)[2]), 1))
-                tight = []
-            else:
-                match = g.find_pattern()
-                if match is not None:
-                    g2, step = _p3_step(g, match.u, match.out)
-                else:
-                    # every certificate has an edge inside N(I): every
-                    # cover contains N(I), so force it; deletion shape
-                    # and lift coincide with a P1 step
-                    chosen = frozenset(min(candidates)[2])
-                    g2, step = _p1_step(g, SurplusCert(chosen, 1))
-            emit(g2, step)
-            continue
-        match = g.find_pattern()
-        if match is None:
+        candidates = [(len(c), x, c) for x, (_, c) in sorted(table.items())]
+        indep = [t for t in candidates if g.is_independent(g.neighborhood(t[2]))]
+        if indep:
+            g2, step = _p2_step(g, SurplusCert(frozenset(min(indep)[2]), 1))
+            tight = []
+        elif (match := g.find_pattern()) is not None:
+            g2, step = _p3_step(g, match.u, match.out)
+        elif candidates:
+            # every certificate has an edge inside N(I): every cover
+            # contains N(I), so force it; deletion shape and lift
+            # coincide with a P1 step
+            g2, step = _p1_step(g, SurplusCert(frozenset(min(candidates)[2]), 1))
+        else:
             break
-        g2, step = _p3_step(g, match.u, match.out)
         emit(g2, step)
 
     trace.final_graph = g
-    out = Instance(g, k)
-    return out, trace
+    # minsurp >= 2 (or no vertex left): the all-half solution is optimal
+    return Instance(g, k, lambda2=g.n), trace
 
 
 def reduction_gain(g: Graph, removed: Iterable[int]) -> int:

@@ -178,8 +178,9 @@ def _simplify_and_fold(inst: Instance, presimplified: bool
                     comp_cover=tuple(sorted(cover))))
                 folded = True
         if folded:
+            # the components left are simplified: all-half is LP-optimal
             trace.final_graph = g
-            inst = Instance(g, k)
+            inst = Instance(g, k, lambda2=g.n)
     return inst, trace
 
 
@@ -375,9 +376,13 @@ def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: Solve
 # public entry points
 # ---------------------------------------------------------------------------
 
-def _finish(inst: Instance, feasible: bool, cover, stats: SolveStats,
-            started: float) -> SolveResult:
-    stats.wall_time = time.perf_counter() - started
+def _run(inst: Instance, gen: SolveGen, stats: SolveStats, started: float) -> SolveResult:
+    """Drive one decision run to its answer; the wall time since started is
+    booked on stats whether it answers or runs out of budget."""
+    try:
+        feasible, cover = _drive(gen)
+    finally:
+        stats.wall_time = time.perf_counter() - started
     if feasible:
         cover = frozenset(cover)
         g = inst.graph
@@ -398,31 +403,22 @@ def solve_decision(inst: Instance, level: Optional[int] = None,
     if level not in (4, 5, 6, 7):
         raise ValueError(f"level must be 4..7, got {level}")
     stats = SolveStats()
-    started = time.perf_counter()
-    try:
-        feasible, cover = _drive(_solve_level_gen(inst, level, cfg, stats, 0, _NoReuse()))
-    except BudgetExhausted as exc:
-        exc.stats.wall_time = time.perf_counter() - started
-        raise
-    return _finish(inst, feasible, cover, stats, started)
+    return _run(inst, _solve_level_gen(inst, level, cfg, stats, 0, _NoReuse()),
+                stats, time.perf_counter())
 
 
 def base_maxis(inst: Instance, cfg: Optional[SolverConfig] = None) -> SolveResult:
     """Exact decision via max-degree branching with degree <= 2 folding."""
-    cfg = cfg or SolverConfig()
     stats = SolveStats()
-    started = time.perf_counter()
-    feasible, cover = _drive(_base_maxis_gen(inst, cfg, stats, 0))
-    return _finish(inst, feasible, cover, stats, started)
+    return _run(inst, _base_maxis_gen(inst, cfg or SolverConfig(), stats, 0),
+                stats, time.perf_counter())
 
 
 def base_agvc(inst: Instance, cfg: Optional[SolverConfig] = None) -> SolveResult:
     """Exact decision via LP-guided branching; mu < 0 rejects immediately."""
-    cfg = cfg or SolverConfig()
     stats = SolveStats()
-    started = time.perf_counter()
-    feasible, cover = _drive(_base_agvc_gen(inst, cfg, stats, 0))
-    return _finish(inst, feasible, cover, stats, started)
+    return _run(inst, _base_agvc_gen(inst, cfg or SolverConfig(), stats, 0),
+                stats, time.perf_counter())
 
 
 def solve_optimum(g: Graph, cfg: Optional[SolverConfig] = None
@@ -440,13 +436,9 @@ def solve_optimum(g: Graph, cfg: Optional[SolverConfig] = None
     k = (base.lambda2 + 1) // 2
     while True:
         inst = Instance(g, k, lambda2=base.lambda2)
-        try:
-            feasible, cover = _drive(_solve_level_gen(inst, cfg.level, cfg, stats, 0, cache))
-        except BudgetExhausted as exc:
-            exc.stats.wall_time = time.perf_counter() - started
-            raise
-        if feasible:
-            result = _finish(inst, True, cover, stats, started)
+        result = _run(inst, _solve_level_gen(inst, cfg.level, cfg, stats, 0, cache),
+                      stats, started)
+        if result.feasible:
             return len(result.cover), result.cover, result.stats
         k += 1
         if k > g.n:

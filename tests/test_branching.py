@@ -1,10 +1,14 @@
 import pytest
 
 from vcbranch.graph import Graph, PreconditionError, complete, cycle
-from vcbranch.lp import Instance, SurplusCert, shadow
+from vcbranch.lp import (
+    Instance, SurplusCert, certify_minsurp_two, minsurp, minsurp_full, shadow,
+    shadow_minus,
+)
 from vcbranch.branching import (
     MeasureParams,
     SIMPLE_LEVEL_PARAMS,
+    _blocked_minset,
     dominates,
     rule_b,
     select_branch,
@@ -120,6 +124,13 @@ def test_select_branch_preconditions():
         select_branch(Instance(cycle(9), 6))  # maxdeg 2
     with pytest.raises(PreconditionError):
         select_branch(Instance(cycle(4), 2))  # not simplified (minsurp 0)
+    # minimum degree 3, maximum degree 8, no kite or funnel, and a declined
+    # certificate: only the surplus checks see that minsurp is 1
+    g = gnp(15, 0.45, 1566)
+    assert g.min_degree() >= 3 and g.max_degree() >= 4 and g.find_pattern() is None
+    assert not certify_minsurp_two(g) and minsurp(g).surplus == 1
+    with pytest.raises(PreconditionError, match="minsurp < 2"):
+        select_branch(Instance(g, g.n))
 
 
 def _simplified_instances(count=40):
@@ -319,6 +330,42 @@ def test_selector_regressions_from_regular_graphs(seed, case):
         assert r.stats.audit_violations == 0
         hit = hit or case in r.stats.selector.cases
     assert hit
+
+
+def test_size3_split_plain_is_reached():
+    """A level-6 search on a 6-regular graph that splits on a surplus-two
+    set of size 3 with no vertex of N(I) seeing two of its members."""
+    from vcbranch.solver import SolverConfig, solve_optimum
+
+    _, _, stats = solve_optimum(random_regular(28, 6, 3), SolverConfig(level=6, audit=True))
+    assert stats.selector.cases.get("surplus2/size3-split-plain") == 2
+    assert stats.audit_violations == 0
+
+
+def test_blocked_minset_equals_the_sweep():
+    """_blocked_minset(g, u) is the min-set the minsurp sweep of G - N[u]
+    certifies when shad(N[u]) <= 0 (the LP zero-set below 0, the min-set
+    through the lowest tight vertex at 0), and None otherwise."""
+    seen = {"negative": 0, "zero": 0, "positive": 0}
+    graphs = [gnp(n, c / n, seed) for seed in range(25)
+              for n, c in [(10 + seed % 9, 3.5), (14 + seed % 7, 5.0)]]
+    graphs += [random_regular(14 + 2 * (seed % 3), d, seed) for seed in range(8) for d in (4, 5, 6)]
+    for seed, g in enumerate(graphs):
+        for u in g.vertices():
+            closed = frozenset(g.neighborhood([u], closed=True))
+            found = _blocked_minset(g, u)
+            if len(closed) >= g.n:
+                assert found is None
+                continue
+            value, cert, _ = minsurp_full(g, closed)
+            assert shadow_minus(g, closed) == min(0, value)
+            if value > 0:
+                seen["positive"] += 1
+                assert found is None, (seed, u)
+            else:
+                seen["negative" if value < 0 else "zero"] += 1
+                assert found == cert, (seed, u)
+    assert min(seen.values()) >= 100, seen
 
 
 def test_children_carry_independent_copies():

@@ -207,6 +207,24 @@ def test_reduce_command(tmp_path):
     assert [r for r in rows if r["record"] == "trace"]
 
 
+def test_reduce_trace_prints_file_numbers(tmp_path):
+    """Trace steps name the file's 1-based vertices; a vertex a P2 fold
+    creates gets the next number after n."""
+    p5 = tmp_path / "p5.gr"
+    p5.write_text("p td 5 4\n1 2\n2 3\n3 4\n4 5\n")
+    code, out = run(["reduce", str(p5), "--emit-trace"])
+    assert code == 0
+    assert out.splitlines()[-1] == "P1 removed=1,2,3,4,5 created=- dk=2"
+    c7 = tmp_path / "c7.gr"
+    c7.write_text("p td 7 7\n" + "".join(f"{v} {v % 7 + 1}\n" for v in range(1, 8)))
+    code, out = run(["reduce", str(c7), "--emit-trace", "--json"])
+    assert code == 0
+    steps = [json.loads(line)["step"] for line in out.splitlines()
+             if json.loads(line)["record"] == "trace"]
+    assert steps[0] == "P2 removed=1,2,7 created=8 dk=1"
+    assert steps[1].startswith("P2 removed=3,4,8 created=9 ")
+
+
 def test_reduce_then_oracle_then_lift_matches():
     for name, g in named_corpus():
         if g.n > 20:

@@ -8,9 +8,11 @@ from vcbranch.graph import Graph, complete, cycle, star
 from vcbranch.lp import (
     Instance,
     _LPEngine,
+    blockers,
     certify_minsurp_two,
     _engine,
     find_blocker,
+    is_blocker,
     _lp_core,
     low_entries,
     lp_basic_solution,
@@ -125,6 +127,40 @@ def test_find_blocker_unblocked():
     g = circulant(13, (1, 2, 3))
     assert shadow(g, g.neighborhood([0], closed=True)) == 2
     assert find_blocker(g, 0) is None
+
+
+def test_blockers_equal_the_table_minimum():
+    """blockers(g, u) lists the entries of the minsurp table of G - N[u]
+    that attain its minimum when that is <= 0; find_blocker takes the one
+    with the smallest certificate, and is_blocker certifies exactly these."""
+    graphs = [gnp(n, c / n, seed) for seed in range(30)
+              for n, c in [(8 + seed % 9, 3.0), (12 + seed % 11, 4.0)]]
+    graphs += [random_regular(12 + 2 * (seed % 4), d, seed) for seed in range(6) for d in (3, 4, 5)]
+    graphs += [star(3), complete(4)]  # G - N[u] empty
+    seen = {"blocked": 0, "unblocked": 0, "empty": 0}
+    for seed, g in enumerate(graphs):
+        g = shuffled_ids(g, seed)
+        for u in g.vertices()[:5]:
+            closed = frozenset(g.neighborhood([u], closed=True))
+            found = blockers(g, u)
+            if len(closed) >= g.n:
+                seen["empty"] += 1
+                assert found == [] and find_blocker(g, u) is None
+                continue
+            value, _, table = minsurp_full(g, closed, need_table=True)
+            expected = [(x, cert) for x, (v, cert) in sorted(table.items())
+                        if v == value and value <= 0]
+            assert [(x, c.indset) for x, c in found] == expected, (seed, u)
+            assert all(c.surplus == value for _, c in found)
+            seen["blocked" if found else "unblocked"] += 1
+            best = min(expected, key=lambda e: (len(e[1]), e[0]), default=None)
+            hit = find_blocker(g, u)
+            assert (hit and (hit[0], hit[1].indset)) == (best or None), (seed, u)
+            certs = dict(found)
+            for x in g.vertices():
+                cert = is_blocker(g, u, x)
+                assert cert == certs.get(x), (seed, u, x)
+    assert seen["blocked"] >= 20 and seen["unblocked"] >= 20 and seen["empty"] >= 3, seen
 
 
 def test_zero_set_surplus_identity():

@@ -8,6 +8,7 @@ from vcbranch.lp import (
     _msm_zeroset,
     _residual_two_connected,
     find_nonsingleton_minset,
+    lp_weight2,
     minsurp,
     minsurp_full,
     tight_vertices,
@@ -107,6 +108,7 @@ def test_simplify_postconditions_random():
         g = gnp(6 + seed % 9, (0.2, 0.35, 0.5)[seed % 3], seed)
         inst, trace = simplify(Instance(g, g.n))
         out = inst.graph
+        assert inst.lambda2 == lp_weight2(out) == out.n  # all-half is optimal
         if out.n:
             assert out.min_degree() >= 3
             assert out.find_pattern() is None
@@ -293,6 +295,7 @@ def test_simplify_equals_the_table_policy():
         ref_inst, ref_trace = _table_policy_simplify(Instance(g, g.n))
         assert trace.serialize() == ref_trace.serialize(), seed
         assert inst.k == ref_inst.k, seed
+        assert inst.lambda2 == lp_weight2(inst.graph) == ref_inst.lambda2, seed
         assert inst.graph.vertices() == ref_inst.graph.vertices(), seed
         assert inst.graph.edges() == ref_inst.graph.edges(), seed
         if g.n:

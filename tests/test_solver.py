@@ -1,12 +1,13 @@
 import ast
 import inspect
+import random
 from collections import Counter
 
 import pytest
 
 from vcbranch import branching, reduce, solver
 from vcbranch.graph import Graph, complete, cycle
-from vcbranch.lp import Instance
+from vcbranch.lp import Instance, lp_weight2
 from vcbranch.solver import (
     BudgetExhausted,
     SolveStats,
@@ -17,6 +18,7 @@ from vcbranch.solver import (
     solve_optimum,
 )
 from vcbranch.cli import NAMED_GRAPHS, circulant, gnp, random_regular
+from vcbranch.verify import brute_force_vc
 
 from oracle_utils import exhaustive_vc, is_cover, random_corpus
 
@@ -92,6 +94,74 @@ def test_budget_exhausted_carries_stats():
     with pytest.raises(BudgetExhausted) as err:
         solve_decision(Instance(g, exhaustive_vc(g) - 1), cfg=cfg)
     assert err.value.stats.nodes >= 1
+
+
+@pytest.mark.parametrize("run", [
+    lambda g, cfg: base_maxis(Instance(g, 18), cfg),
+    lambda g, cfg: base_agvc(Instance(g, 22), cfg),
+    lambda g, cfg: solve_decision(Instance(g, 22), level=4, cfg=cfg),
+    lambda g, cfg: solve_optimum(g, cfg),
+], ids=["base_maxis", "base_agvc", "solve_decision", "solve_optimum"])
+def test_budget_exhausted_books_wall_time(run):
+    cfg = SolverConfig(level=4, node_budget=3)
+    with pytest.raises(BudgetExhausted) as err:
+        run(random_regular(40, 3, 1), cfg)
+    assert err.value.stats.nodes == 4 and err.value.stats.wall_time > 0
+
+
+def test_dovetail_turns(monkeypatch):
+    """With a one-node quantum the dovetailed solvers take turns inside
+    every small solve; the answers still match the oracle."""
+    monkeypatch.setattr(solver, "DOVETAIL_QUANTUM", 1)
+    both = 0
+    for level in (4, 5):
+        for d in (3, 4):
+            for n, seed in [(16, 2), (20, 1), (22, 0), (26, 1)]:
+                g = random_regular(n, d, seed)
+                opt, cover, stats = solve_optimum(g, SolverConfig(level=level))
+                assert opt == brute_force_vc(g)[0], (level, d, n, seed)
+                assert is_cover(g, cover) and len(cover) == opt
+                rules = stats.rule_counts
+                both += rules["base-maxis-split"] > 0 and len(rules) >= 2
+    assert both >= 8, both
+
+
+def _shuffled_union(parts: list[Graph], seed: int) -> tuple[Graph, list[set[int]]]:
+    """The disjoint union of parts with shuffled ids, and each part's ids."""
+    ids = list(range(sum(p.n for p in parts)))
+    random.Random(seed).shuffle(ids)
+    g, owners, start = Graph(vertices=ids), [], 0
+    for part in parts:
+        new = dict(zip(part.vertices(), ids[start:start + part.n]))
+        start += part.n
+        for u, v in part.edges():
+            g.add_edge(new[u], new[v])
+        owners.append(set(new.values()))
+    return g, owners
+
+
+def test_component_folding_of_a_shuffled_union(monkeypatch):
+    """simplify leaves three 4-regular components; the two of at most
+    COMPONENT_THRESHOLD vertices are solved apart and folded, the LP value
+    left is that of the largest, and the ComponentSolve steps are lifted
+    back into the optimum cover."""
+    parts = [random_regular(10, 4, 0), random_regular(12, 4, 1), random_regular(26, 4, 2)]
+    g, owners = _shuffled_union(parts, 5)
+    folded, lambdas = [], []
+    real = solver._simplify_and_fold
+
+    def recording(inst, presimplified):
+        out, trace = real(inst, presimplified)
+        folded.extend(set(s.removed) for s in trace.steps if s.kind == "ComponentSolve")
+        lambdas.append((out.lambda2, lp_weight2(out.graph)))
+        return out, trace
+
+    monkeypatch.setattr(solver, "_simplify_and_fold", recording)
+    opt, cover, _ = solve_optimum(g)
+    assert opt == sum(brute_force_vc(part)[0] for part in parts)
+    assert is_cover(g, cover) and len(cover) == opt
+    assert {frozenset(c) for c in folded} == {frozenset(c) for c in owners[:2]}
+    assert (26, 26) in lambdas and all(a == b for a, b in lambdas)
 
 
 def test_level_independence_and_oracle_small():
