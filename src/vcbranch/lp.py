@@ -463,11 +463,31 @@ def certify_minsurp_two(g: Graph) -> bool:
     strong articulation point iff it is a non-trivial dominator of D or of
     its reverse from r, and r is one iff D - r is not strongly connected.
     Reads the engine's stored matching in place; the verdict is cached on
-    the engine, so simplify and the selector decide it once per graph.
+    the engine, so simplify and the selector decide it once per graph.  A
+    cached True may instead come from recertify_minsurp_two's local check.
     """
     engine = _engine(g)
     if engine.certified is None:
         engine.certified = _residual_two_connected(engine)
+    return engine.certified
+
+
+def recertify_minsurp_two(g: Graph, near: Iterable[int]) -> bool:
+    """True only if minsurp(G) >= 2, given that G arose from a graph of
+    minsurp >= 2 by deleting a set S and adding edges between survivors,
+    and near = N(S) - S in that graph; False means "not certified".
+
+    A set of surplus <= 1 in G then holds a vertex of near (see
+    vcbranch.reduce), so minsurp(G) >= 2 iff every x in near has
+    v_x = deg(x) - 1 - d_x >= 2, which one capped check d_x <= deg(x) - 3
+    on the stored matching decides (a negative stop fails at once).  The
+    caller vouches for the precondition.  A decline needs none: it finds
+    an x with v_x <= 1, so minsurp(G) <= 1 and certify_minsurp_two would
+    decline too.  Either verdict is cached as certify_minsurp_two's.
+    """
+    engine = _engine(g)
+    adj = g._adj
+    engine.certified = not any(engine.deficiency_exceeds(x, len(adj[x]) - 3) for x in near)
     return engine.certified
 
 
@@ -477,9 +497,17 @@ def _residual_two_connected(engine: _LPEngine) -> bool:
     if engine.exposed or not adj:
         return False
     match_l, match_r = engine.match_l, engine.match_r
-    n = len(adj)
-    succ = [[match_r[w] for w in adj[u] if w != match_l[u]] for u in range(n)]
-    pred = [[v for v in adj[match_l[u]] if v != u] for u in range(n)]
+    succ = [[match_r[w] for w in row if w != match_l[u]] for u, row in enumerate(adj)]
+    pred = [[v for v in adj[w] if v != u] for u, w in enumerate(match_l)]
+    return _strongly_two_connected(succ, pred)
+
+
+def _strongly_two_connected(succ: list[list[int]], pred: list[list[int]]) -> bool:
+    """Whether the digraph with these successor and predecessor lists (at
+    least 2 vertices) is strongly connected and has no strong articulation
+    point: vertex 0 is the only dominator of every vertex, from 0 in it and
+    in its reverse, and it stays strongly connected without vertex 0."""
+    n = len(succ)
     if not (_dominated_by_root_only(succ, pred) and _dominated_by_root_only(pred, succ)):
         return False
     # D - r strongly connected, r = 0: both searches from 1 reach n - 1 vertices
@@ -501,31 +529,27 @@ def _residual_two_connected(engine: _LPEngine) -> bool:
 
 def _dominated_by_root_only(succ: list[list[int]], pred: list[list[int]]) -> bool:
     """Whether every vertex is reachable from vertex 0 and has 0 as its
-    immediate dominator (Cooper, Harvey and Kennedy, "A simple, fast
-    dominance algorithm", 2001: intersect the predecessors' dominators in
-    reverse postorder until nothing changes, or until every immediate
-    dominator is 0)."""
+    immediate dominator.  Cooper, Harvey and Kennedy ("A simple, fast
+    dominance algorithm", 2001) on breadth-first ranks: each pass sets
+    idom[v] to the meet of those predecessors of v that have an idom,
+    walking the higher-ranked finger up.  The breadth-first parent is one
+    of them, and a meet ranks no higher than its inputs, so every idom
+    ranks below its vertex and the walk stops at the nearest common
+    dominator; a meet that reaches 0 is final.  The passes only shrink
+    dominator sets, never below {v, 0}, so the test accepts once every
+    idom is 0 and declines on a pass that changes nothing."""
     n = len(succ)
-    post = [-1] * n
-    order: list[int] = []  # postorder
-    seen = bytearray(n)
-    seen[0] = 1
-    work = [(0, iter(succ[0]))]
-    while work:
-        u, arcs = work[-1]
-        for v in arcs:
-            if not seen[v]:
-                seen[v] = 1
-                work.append((v, iter(succ[v])))
-                break
-        else:
-            work.pop()
-            post[u] = len(order)
-            order.append(u)
+    rank = [-1] * n  # breadth-first position
+    rank[0] = 0
+    order = [0]
+    for u in order:
+        for v in succ[u]:
+            if rank[v] < 0:
+                rank[v] = len(order)
+                order.append(v)
     if len(order) < n:
         return False
-    order.pop()  # the root
-    order.reverse()
+    del order[0]  # the root
     idom = [-1] * n
     idom[0] = 0
     while True:
@@ -537,17 +561,17 @@ def _dominated_by_root_only(succ: list[list[int]], pred: list[list[int]]) -> boo
                     continue
                 if new < 0:
                     new = p
-                    continue
-                a = p
-                while a != new:
-                    while post[a] < post[new]:
-                        a = idom[a]
-                    while post[new] < post[a]:
-                        new = idom[new]
+                else:
+                    while p != new:
+                        while rank[p] > rank[new]:
+                            p = idom[p]
+                        while rank[new] > rank[p]:
+                            new = idom[new]
+                if new == 0:
+                    break
             if idom[v] != new:
                 idom[v] = new
                 changed = True
-        # the passes only shrink dominator sets, never below {v, 0}
         if not any(idom):
             return True
         if not changed:

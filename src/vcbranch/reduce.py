@@ -38,6 +38,23 @@ Then the list is empty, no vertex has degree 2 and no surplus-1 set
 exists, so the step is P3 on the lowest pattern, or the fixpoint.  The
 verdict stays cached on the graph's engine for the steps below.
 
+A fourth fact carries minsurp >= 2 across a P3 step taken where it held
+before (the certificate accepted, or no entry v_x <= 1 exists).  Let G
+have minsurp >= 2, and let G' be G - S plus some edges between surviving
+vertices.  An independent set I' of G' is independent in G, and its
+G'-neighbourhood contains N_G(I') - S.  If I' avoids N_G(S) - S, no
+vertex of I' has a neighbour in S, so surp_G'(I') >= surp_G(I') >= 2.
+Hence every set of surplus <= 1 in G' holds a vertex of N_G(S) - S, and
+minsurp(G') >= 2 exactly when every x there has v'_x >= 2, that is
+deg'(x) >= 3 and d'_x <= deg'(x) - 3 (v_x = deg(x) - 1 - d_x, with d_x
+the deficiency of the double cover of G - N[x]).  recertify_minsurp_two
+makes one capped check per such x on the next graph's engine.  On
+acceptance its list is empty and its certificate verdict is True, with
+no LP solve, tight pass or residual digraph.  A decline shows some
+v'_x <= 1, so the certificate would decline too: its verdict is False
+without the residual digraph, and the LP solve and tight pass run as
+before.
+
 The result graph has minsurp >= 2, so its LP optimum is all-half
 (2*lambda - n = min{0, minsurp} = 0) and simplify returns lambda2 = n
 without a solve.
@@ -50,8 +67,8 @@ from typing import Callable, Iterable, Optional
 
 from .graph import Graph
 from .lp import (
-    Instance, SurplusCert, certify_minsurp_two, low_entries, tight_vertices,
-    _msm_zeroset, _vertex_entry,
+    Instance, SurplusCert, certify_minsurp_two, low_entries, recertify_minsurp_two,
+    tight_vertices, _msm_zeroset, _vertex_entry,
 )
 
 
@@ -112,10 +129,12 @@ def _p2_step(g: Graph, cert: SurplusCert) -> tuple[Graph, ReductionStep]:
     nbrs = g.neighborhood(indset)
     outer = g.neighborhood(nbrs) - indset
     removed = tuple(sorted(indset | nbrs))
-    g2 = g.delete_vertices(indset | nbrs)  # a fresh graph: extend it in place
+    g2 = g.delete_vertices(indset | nbrs)  # fresh rows: write them in place
     y = g2.add_vertex()
+    adj = g2._adj
+    adj[y] = set(outer)
     for v in outer:
-        g2.add_edge(y, v)
+        adj[v].add(y)
     step = ReductionStep(
         kind="P2", removed=removed, dk=len(indset), created=y,
         indset=tuple(sorted(indset)), nbrs=tuple(sorted(nbrs)),
@@ -129,10 +148,12 @@ def _p3_step(g: Graph, u: int, x: int) -> tuple[Graph, ReductionStep]:
     side_u = nu - nx - {x}
     side_x = nx - nu - {u}
     removed = tuple(sorted(shared | {u, x}))
-    g2 = g.delete_vertices(shared | {u, x})  # a fresh graph: extend it in place
+    g2 = g.delete_vertices(shared | {u, x})  # fresh rows: write them in place
+    adj = g2._adj
     for a in side_u:
-        for b in side_x:
-            g2.add_edge(a, b)
+        adj[a] |= side_x
+    for b in side_x:
+        adj[b] |= side_u
     step = ReductionStep(
         kind="P3", removed=removed, dk=1 + len(shared), funnel=(u, x),
         shared=tuple(sorted(shared)), side_u=tuple(sorted(side_u)),
@@ -215,6 +236,10 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instan
             tight = []
         elif (match := g.find_pattern()) is not None:
             g2, step = _p3_step(g, match.u, match.out)
+            # no candidate: minsurp >= 2 here, so the vertices next to the
+            # step can prove it for g2 (module docstring)
+            if not candidates and recertify_minsurp_two(g2, g.neighborhood(step.removed)):
+                tight = []
         elif candidates:
             # every certificate has an edge inside N(I): every cover
             # contains N(I), so force it; deletion shape and lift

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -10,7 +11,9 @@ from vcbranch.lp import (
     _LPEngine,
     blockers,
     certify_minsurp_two,
+    _dominated_by_root_only,
     _engine,
+    _strongly_two_connected,
     find_blocker,
     is_blocker,
     _lp_core,
@@ -568,3 +571,63 @@ def test_low_entries_equal_the_table():
             assert low_entries(g, bound) == low, (seed, bound)
             seen[bound, "entries" if low else "empty"] += 1
     assert min(seen.values()) >= 30, seen
+
+
+def _root_dominates_alone(succ) -> bool:
+    """Brute force: everything is reachable from 0, and no x != 0 cuts
+    another vertex off 0."""
+    def reached(cut):
+        seen = {0}
+        stack = [0]
+        while stack:
+            for v in succ[stack.pop()]:
+                if v != cut and v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        return len(seen)
+
+    n = len(succ)
+    return reached(-1) == n and all(reached(x) == n - 1 for x in range(1, n))
+
+
+def test_dominator_test_equals_brute_force():
+    """_dominated_by_root_only, forward and on the reverse digraph, equals
+    the brute-force dominator test, and _strongly_two_connected equals
+    "strongly connected, and still so with any one vertex removed", on
+    random digraphs and on one digraph per way to fail."""
+    two_triangles = [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]
+    fixed = {
+        "unreachable vertex": [[1], [0], [0]],
+        "forward dominator": [[1], [2, 3], [0], [0]],  # 1 dominates 2 and 3
+        "reverse dominator": [[2, 3], [0], [1], [1]],  # 1 post-dominates 2 and 3
+        # both ways around two triangles that share 0: 0 is the only
+        # dominator from 0 in both directions, but D - 0 falls apart
+        "split of D - 0": [[v for a, b in two_triangles for u, v in ((a, b), (b, a)) if u == x]
+                           for x in range(5)],
+        "accepted": [[v for v in range(4) if v != u] for u in range(4)],
+    }
+    rng = random.Random(7)
+    digraphs = list(fixed.values())
+    digraphs += [[[v for v in range(n) if v != u and rng.random() < p] for u in range(n)]
+                 for n, p in ((rng.randint(2, 9), rng.choice((0.25, 0.4, 0.6)))
+                              for _ in range(600))]
+    verdicts = []
+    for succ in digraphs:
+        pred = [[u for u in range(len(succ)) if v in succ[u]] for v in range(len(succ))]
+        forward, backward = _dominated_by_root_only(succ, pred), _dominated_by_root_only(pred, succ)
+        assert forward == _root_dominates_alone(succ), succ
+        assert backward == _root_dominates_alone(pred), succ
+        both = _strongly_two_connected(succ, pred)
+        assert both == (_strongly_connected(succ)
+                        and all(_strongly_connected(succ, v) for v in range(len(succ)))), succ
+        verdicts.append((forward, backward, both))
+    assert dict(zip(fixed, verdicts)) == {
+        "unreachable vertex": (False, True, False),
+        "forward dominator": (False, True, False),
+        "reverse dominator": (True, False, False),
+        "split of D - 0": (True, True, False),
+        "accepted": (True, True, True),
+    }
+    seen = collections.Counter(verdicts)
+    assert seen[False, False, False] >= 20 and seen[True, True, True] >= 20, seen
+    assert min(seen[False, True, False], seen[True, False, False], seen[True, True, False]) >= 5, seen

@@ -13,6 +13,7 @@ from vcbranch.lp import (
     minsurp_full,
     tight_vertices,
 )
+from vcbranch import reduce
 from vcbranch.reduce import ReductionTrace, _p1_step, _p2_step, _p3_step, lift_cover, simplify
 from vcbranch.cli import circulant, gnp, hypercube, random_regular
 
@@ -410,3 +411,35 @@ def test_p2_and_surplus0_p1_steps_decide_the_next_tight_set():
                 assert tight_vertices(_cold(ga)) == expected
                 p1_kept += bool(expected)
     assert p2 >= 150 and table_p2 >= 5 and p1 >= 150 and p1_kept >= 50
+
+
+def test_p3_steps_recertify_minsurp_two_from_the_vertices_next_to_them(monkeypatch):
+    """After a P3 step on a graph of minsurp >= 2, simplify checks minsurp
+    >= 2 of the next graph on the vertices next to the step only (N(S) - S,
+    S the deleted vertices), and every verdict equals the table's."""
+    calls = []
+    recertify = reduce.recertify_minsurp_two
+
+    def recorded(g, near):
+        verdict = recertify(g, near)
+        calls.append((g, verdict))
+        return verdict
+
+    monkeypatch.setattr(reduce, "recertify_minsurp_two", recorded)
+    regular = [random_regular(n, d, seed) for seed in range(10) for d in (4, 5, 6)
+               for n in (16, 20, 24)]
+    # minus 0-3 neighbours of one vertex: the P3 chains of a branch child
+    graphs = [g.delete_vertices(sorted(g.neighbors(0))[:cut]) for g in regular for cut in range(4)]
+    graphs += [gnp(n, 0.3, seed) for seed in range(12) for n in (14, 20)]
+    seen = {True: 0, False: 0}
+    for seed, g in enumerate(graphs):
+        g = shuffled_ids(g, seed)
+        calls.clear()
+        expected = [ga for gb, _, step, ga, _ in _steps_with_snapshots(g, g.n)
+                    if step.kind == "P3" and minsurp_full(_cold(gb))[0] >= 2]
+        assert [ga for ga, _ in calls] == expected, seed
+        for ga, verdict in calls:
+            if ga.n:
+                assert verdict == (minsurp_full(_cold(ga))[0] >= 2), seed
+                seen[verdict] += 1
+    assert seen[True] >= 200 and seen[False] >= 50, seen
