@@ -628,7 +628,7 @@ def shadow(g: Graph, x: Iterable[int]):
 
 def shadow_minus(g: Graph, x: Iterable[int]):
     """min{0, shadow(x)} via a single LP; +infinity sentinel when empty."""
-    xs = frozenset(x)
+    xs = frozenset(g._check_vertices(x))
     if len(xs) >= g.n:
         return INFINITE_SURPLUS
     return _msm_zeroset(g, xs)[0]

@@ -1,12 +1,13 @@
 """Degree-stratified decision solvers, base-solver stand-ins, dovetailing.
 
-Level L simplifies, folds small side components (each solved exactly by
-the MaxIS stand-in), and branches on a vertex of degree >= L via the
-selector (levels 4-6) or a plain split on a max-degree vertex (level 7,
-which also absorbs the degree >= 8 top rule).
-When the max degree falls below the level it delegates: level 4 dovetails
-the LP-guided and the bounded-degree base solver, levels 5-7 dovetail the
-next-lower level against the bounded-degree solver.
+Levels 3-7 run in one generator.  Level L simplifies, folds small side
+components (each solved exactly by the MaxIS stand-in), and branches on a
+vertex of degree >= L via the selector (levels 4-6) or a plain split on the
+lowest max-degree vertex (level 7, which also absorbs the degree >= 8 top
+rule).  When the max degree falls below L >= 4 it delegates: it dovetails
+level L - 1 against the bounded-degree MaxIS stand-in.  Level 3 never
+delegates: it is the stand-in for the above-guarantee solver, the same
+plain split with mu pruning, booked as its own rule and never audited.
 
 Solvers are written as generators yielding once per branch node, so
 dovetailing is deterministic node-quantum alternation and a global node
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Generator, Optional
 
 from .graph import Graph
-from .lp import Instance, SurplusCert, lp_weight2
+from .lp import Instance, SurplusCert
 from .reduce import (
     ReductionStep,
     ReductionTrace,
@@ -141,24 +142,27 @@ class _NoReuse(_SearchCache):
 # node preprocessing: simplify + fold small side components
 # ---------------------------------------------------------------------------
 
-def _preprocess(inst: Instance, presimplified: bool,
+def _preprocess(inst: Instance, depth: int,
                 cache: _SearchCache) -> tuple[Instance, ReductionTrace]:
-    """Simplify and fold inst once per graph; later visits shift k by dk."""
-    tag = ("preprocess", presimplified)
-    hit = cache.get(inst.graph, tag)
+    """Simplify and fold inst once per graph; later visits shift k by dk.
+    One tag serves every depth: the root's graph reaches a deeper call only
+    when preprocessing left it as it was."""
+    hit = cache.get(inst.graph, "preprocess")
     if hit is None:
-        out, trace = _simplify_and_fold(inst, presimplified)
+        out, trace = _simplify_and_fold(inst, depth)
         hit = (out.graph, trace, inst.k - out.k, out.lambda2)
-        cache.put(inst.graph, tag, hit)
+        cache.put(inst.graph, "preprocess", hit)
         if out.graph is not inst.graph:
             inst.graph._lp = None  # spent: later visits replay the result
     g, trace, dk, lambda2 = hit
     return Instance(g, inst.k - dk, lambda2=lambda2), trace
 
 
-def _simplify_and_fold(inst: Instance, presimplified: bool
-                       ) -> tuple[Instance, ReductionTrace]:
-    if presimplified:
+def _simplify_and_fold(inst: Instance, depth: int) -> tuple[Instance, ReductionTrace]:
+    """Only a run's root (depth 0) is simplified here: every deeper graph is
+    a child that make_child simplified, or a graph that a higher level
+    preprocessed before it delegated."""
+    if depth:
         trace = ReductionTrace(final_graph=inst.graph)
     else:
         inst, trace = simplify(inst)
@@ -245,40 +249,6 @@ def _component_cover(g: Graph) -> frozenset[int]:
         best, k = cover, len(cover) - 1
 
 
-def _base_agvc_gen(inst: Instance, cfg: SolverConfig, stats: SolveStats,
-                   depth: int, cache: Optional[_SearchCache] = None,
-                   presimplified: bool = False) -> SolveGen:
-    if cache is None:
-        cache = _NoReuse()
-    inst, trace = _preprocess(inst, presimplified, cache)
-    if inst.k < 0 or inst.mu2 < 0:
-        return False, None
-    g = inst.graph
-    if g.n == 0:
-        return True, lift_cover(trace, ())
-    _account(stats, cfg, depth)
-    stats.rule_counts["base-agvc-split"] += 1
-    yield
-    branches = cache.get(g, "agvc")
-    if branches is None:
-        # simplified: the all-half solution is optimal, every vertex is support
-        maxdeg = g.max_degree()
-        u = min(v for v in g.vertices() if g.degree(v) == maxdeg)
-        nbrs = frozenset(g.neighbors(u))
-        branches = []
-        for include, delete, dk in ((frozenset({u}), {u}, 1), (nbrs, nbrs | {u}, maxdeg)):
-            child = g.delete_vertices(delete)
-            branches.append((include, child, dk, lp_weight2(child)))
-        cache.put(g, "agvc", branches)
-        g._lp = None  # spent: later visits replay the branches
-    for include, child, dk, lambda2 in branches:
-        ok, sub = yield from _base_agvc_gen(Instance(child, inst.k - dk, lambda2=lambda2),
-                                            cfg, stats, depth + 1, cache)
-        if ok:
-            return True, lift_cover(trace, include | sub)
-    return False, None
-
-
 def _dovetail_gen(first: SolveGen, second: SolveGen, quantum: int) -> SolveGen:
     """Deterministic fair interleaving; first definitive answer wins."""
     gens = [first, second]
@@ -313,22 +283,17 @@ def _predicted_exponents(inst: Instance, level: int) -> tuple[float, float]:
 
 
 def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: SolveStats,
-                     depth: int, cache: _SearchCache,
-                     presimplified: bool = False) -> SolveGen:
-    inst, trace = _preprocess(inst, presimplified, cache)
+                     depth: int, cache: _SearchCache) -> SolveGen:
+    inst, trace = _preprocess(inst, depth, cache)
     if inst.k < 0 or inst.mu2 < 0:
         return False, None
     g = inst.graph
     if g.n == 0:
         return True, lift_cover(trace, ())
 
-    if g.max_degree() < level:
+    if level > 3 and g.max_degree() < level:
         own_cost, maxis_cost = _predicted_exponents(inst, level)
-        if level == 4:
-            own = _base_agvc_gen(inst, cfg, stats, depth + 1, cache, presimplified=True)
-        else:
-            own = _solve_level_gen(inst, level - 1, cfg, stats, depth + 1, cache,
-                                   presimplified=True)
+        own = _solve_level_gen(inst, level - 1, cfg, stats, depth + 1, cache)
         other = _base_maxis_gen(inst, cfg, stats, depth + 1)
         if own_cost <= maxis_cost:
             result = yield from _dovetail_gen(own, other, DOVETAIL_QUANTUM)
@@ -340,33 +305,37 @@ def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: Solve
         return True, lift_cover(trace, cover)
 
     _account(stats, cfg, depth)
+    if level == 3:
+        # booked before the yield: a dovetail may close the generator there
+        stats.rule_counts["base-agvc-split"] += 1
     yield
     decision = cache.get(g, level)
     if decision is None:
-        if level <= 6:
+        if 3 < level <= 6:
             decision = select_branch(inst, stats.selector)
         else:
             maxdeg = g.max_degree()
             u = min(v for v in g.vertices() if g.degree(v) == maxdeg)
+            # level 3 books neither the claim nor the case
             decision = split_vertex(inst, u, claimed=((0.0, 1), (0.0, min(maxdeg, 7))),
                                     case="branch7/top-split")
         cache.put(g, level, decision)
         g._lp = None  # spent: later visits replay the decision
-    elif level <= 6:
+    elif 3 < level <= 6:
         stats.selector.note(decision.case)
-    stats.rule_counts[decision.rule] += 1
-    if cfg.audit:
-        record = make_audit_record(
-            SIMPLE_LEVEL_PARAMS[level], stats.nodes, decision.case or decision.rule,
-            decision.claimed, decision.realized())
-        stats.audit_records.append(record)
-        if record.violation:
-            stats.audit_violations += 1
+    if level > 3:
+        stats.rule_counts[decision.rule] += 1
+        if cfg.audit:
+            record = make_audit_record(
+                SIMPLE_LEVEL_PARAMS[level], stats.nodes, decision.case or decision.rule,
+                decision.claimed, decision.realized())
+            stats.audit_records.append(record)
+            if record.violation:
+                stats.audit_violations += 1
 
     for child in decision.children:
         sub_inst = Instance(child.inst.graph, inst.k - child.dk, lambda2=child.inst.lambda2)
-        ok, sub = yield from _solve_level_gen(sub_inst, level, cfg, stats, depth + 1,
-                                              cache, presimplified=True)
+        ok, sub = yield from _solve_level_gen(sub_inst, level, cfg, stats, depth + 1, cache)
         if ok:
             return True, lift_cover(trace, child.include | lift_cover(child.trace, sub))
     return False, None
@@ -415,9 +384,10 @@ def base_maxis(inst: Instance, cfg: Optional[SolverConfig] = None) -> SolveResul
 
 
 def base_agvc(inst: Instance, cfg: Optional[SolverConfig] = None) -> SolveResult:
-    """Exact decision via LP-guided branching; mu < 0 rejects immediately."""
+    """Exact decision by the above-guarantee stand-in (level 3): max-degree
+    splits on simplified graphs; mu < 0 rejects immediately."""
     stats = SolveStats()
-    return _run(inst, _base_agvc_gen(inst, cfg or SolverConfig(), stats, 0),
+    return _run(inst, _solve_level_gen(inst, 3, cfg or SolverConfig(), stats, 0, _NoReuse()),
                 stats, time.perf_counter())
 
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from vcbranch.graph import Graph, complete, cycle, star
+from vcbranch.graph import Graph, complete, cycle, path, star
 from vcbranch.lp import (
     Instance,
     _LPEngine,
@@ -90,6 +90,11 @@ def test_shadow():
     assert shadow(cycle(5), [4, 0, 1]) == exhaustive_minsurp(
         cycle(5).delete_vertices([4, 0, 1])) == 0
     assert shadow(complete(2), [0, 1]) == math.inf
+    # ids outside the graph are an error, not an emptied or ignored mask
+    for g, x in ((path(3), [7, 8, 9]), (cycle(6), [7])):
+        for query in (shadow, shadow_minus):
+            with pytest.raises(ValueError, match=r"unknown vertices \[7"):
+                query(g, x)
 
 
 def test_shadow_monotone_bound():

@@ -65,9 +65,10 @@ def test_base_agvc():
 
 
 def _dovetail(inst):
-    """The base-agvc and base-maxis stand-ins interleaved as the levels run them."""
+    """The base-agvc (level 3) and base-maxis stand-ins interleaved as the
+    levels run them."""
     cfg, stats = SolverConfig(), SolveStats()
-    gen = solver._dovetail_gen(solver._base_agvc_gen(inst, cfg, stats, 0),
+    gen = solver._dovetail_gen(solver._solve_level_gen(inst, 3, cfg, stats, 0, solver._NoReuse()),
                                solver._base_maxis_gen(inst, cfg, stats, 0),
                                solver.DOVETAIL_QUANTUM)
     feasible, cover = solver._drive(gen)
@@ -111,8 +112,15 @@ def test_budget_exhausted_books_wall_time(run):
 
 def test_dovetail_turns(monkeypatch):
     """With a one-node quantum the dovetailed solvers take turns inside
-    every small solve; the answers still match the oracle."""
+    every small solve; the answers still match the oracle.  The pinned rule
+    counts include nodes that a dovetail closed at their yield, so each
+    solver must book its rule before it yields."""
     monkeypatch.setattr(solver, "DOVETAIL_QUANTUM", 1)
+    pinned = {
+        (4, 3, 20, 1): {"base-agvc-split": 2, "base-maxis-split": 2},
+        (5, 3, 16, 2): {"base-agvc-split": 2, "base-maxis-split": 4},
+        (5, 3, 20, 1): {"base-agvc-split": 2, "base-maxis-split": 4},
+    }
     both = 0
     for level in (4, 5):
         for d in (3, 4):
@@ -122,6 +130,8 @@ def test_dovetail_turns(monkeypatch):
                 assert opt == brute_force_vc(g)[0], (level, d, n, seed)
                 assert is_cover(g, cover) and len(cover) == opt
                 rules = stats.rule_counts
+                if (level, d, n, seed) in pinned:
+                    assert rules == pinned[level, d, n, seed], (level, d, n, seed)
                 both += rules["base-maxis-split"] > 0 and len(rules) >= 2
     assert both >= 8, both
 
@@ -150,8 +160,8 @@ def test_component_folding_of_a_shuffled_union(monkeypatch):
     folded, lambdas = [], []
     real = solver._simplify_and_fold
 
-    def recording(inst, presimplified):
-        out, trace = real(inst, presimplified)
+    def recording(inst, depth):
+        out, trace = real(inst, depth)
         folded.extend(set(s.removed) for s in trace.steps if s.kind == "ComponentSolve")
         lambdas.append((out.lambda2, lp_weight2(out.graph)))
         return out, trace
@@ -290,8 +300,8 @@ def test_solver_binds_no_oracle():
 
 def test_level4_hands_base_agvc_a_preprocessed_graph(monkeypatch):
     """Within one decision run simplify never receives a graph that it was
-    given or returned before: level 4 tells base-agvc that its graph is
-    already simplified."""
+    given or returned before: level 3 (base-agvc) only folds the graph that
+    level 4 preprocessed."""
     seen, repeats = {}, []
     real = reduce.simplify
 
