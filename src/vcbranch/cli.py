@@ -43,7 +43,8 @@ def parse_graph(text: str, fmt: str = "pace") -> Graph:
     if fmt not in ("pace", "dimacs"):
         raise ValueError(f"unknown format {fmt!r}")
     n = m = None
-    edges: list[tuple[int, int]] = []
+    adj: dict[int, set[int]] = {}
+    edges = 0  # edge lines
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -61,6 +62,7 @@ def parse_graph(text: str, fmt: str = "pace") -> Graph:
                 raise ParseError("non-integer header fields", lineno) from None
             if n < 0 or m < 0:
                 raise ParseError("negative header fields", lineno)
+            adj = {v: set() for v in range(n)}
             continue
         if n is None:
             raise ParseError("edge line before problem line", lineno)
@@ -78,15 +80,17 @@ def parse_graph(text: str, fmt: str = "pace") -> Graph:
             raise ParseError(f"endpoint out of range 1..{n}", lineno)
         if u == v:
             raise ParseError("self-loop", lineno)
-        edges.append((u - 1, v - 1))
+        adj[u - 1].add(v - 1)  # duplicates tolerated; the sets dedupe
+        adj[v - 1].add(u - 1)
+        edges += 1
     if n is None:
         raise ParseError("missing problem line", len(text.splitlines()) or 1)
-    if len(edges) != m:
-        raise ParseError(f"expected {m} edge lines, found {len(edges)}",
+    if edges != m:
+        raise ParseError(f"expected {m} edge lines, found {edges}",
                          len(text.splitlines()) or 1)
-    g = Graph(vertices=range(n))
-    for u, v in edges:  # duplicates tolerated; adjacency dedupes
-        g.add_edge(u, v)
+    g = Graph()
+    g._adj = adj
+    g._next_id = n
     return g
 
 

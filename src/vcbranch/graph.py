@@ -30,6 +30,14 @@ class Graph:
     graph derived from another (copy, deletion, or adding to a graph whose
     LP engine is built) keeps that engine as a one-shot hint: vcbranch.lp
     builds the derived graph's engine from it and then drops it.
+
+    The private edits _delete, _add_adjacent and _join change a graph in
+    place, and its LP engine with it when that is built.  Only a reduction
+    run edits, and only the graph that its first step derived: no caller
+    holds that graph until the run returns it.  An engine handed out as a
+    hint is frozen, so an edit then keeps it as this graph's own hint
+    instead (the edits only delete vertices and add edges, so it stays a
+    valid one).
     """
 
     __slots__ = ("_adj", "_next_id", "_lp", "_lp_hint")
@@ -37,7 +45,7 @@ class Graph:
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
         self._adj: dict[int, set[int]] = {}
         self._next_id = 0
-        self._lp = None  # LP engine (vcbranch.lp); built on demand, cleared on mutation
+        self._lp = None  # LP engine (vcbranch.lp); built on demand, dropped by add_vertex
         self._lp_hint = None  # an ancestor's LP engine, until this graph builds its own
         for v in vertices:
             self.add_vertex(v)
@@ -73,7 +81,12 @@ class Graph:
         g = Graph()
         g._adj = adj
         g._next_id = self._next_id
-        g._lp_hint = self._lp if self._lp is not None else self._lp_hint
+        lp = self._lp
+        if lp is not None:
+            lp.frozen = True
+            g._lp_hint = lp
+        else:
+            g._lp_hint = self._lp_hint
         return g
 
     # -- queries -----------------------------------------------------------
@@ -172,6 +185,60 @@ class Graph:
             for v in b:
                 g.add_edge(u, v)
         return g
+
+    # -- in-place edits (a reduction run's own graph) -----------------------
+
+    def _editable_lp(self):
+        """The LP engine that an in-place edit updates too, or None; a
+        frozen engine becomes this graph's hint."""
+        lp = self._lp
+        if lp is not None and lp.frozen:
+            self._lp_hint, self._lp = lp, None
+            return None
+        return lp
+
+    def _delete(self, s: Iterable[int]) -> None:
+        """Delete a vertex set in place.  Once the engine's deleted slots
+        would outnumber its live ones, it becomes this graph's hint: the
+        next LP query renumbers it into a compact engine."""
+        s = self._check_vertices(s)
+        adj = self._adj
+        for v in s:
+            for w in adj.pop(v):
+                if w not in s:
+                    adj[w].discard(v)
+        lp = self._editable_lp()
+        if lp is not None:
+            if 2 * (lp.live - len(s)) < len(lp.verts):
+                self._lp_hint, self._lp = lp, None
+            else:
+                lp.delete(s)
+
+    def _add_adjacent(self, nbrs: Iterable[int]) -> int:
+        """Add a fresh vertex adjacent to nbrs in place, and return it."""
+        nbrs = self._check_vertices(nbrs)
+        y = self._next_id
+        self._next_id = y + 1
+        adj = self._adj
+        adj[y] = nbrs
+        for v in nbrs:
+            adj[v].add(y)
+        lp = self._editable_lp()
+        if lp is not None:
+            lp.add_vertex(y, nbrs)
+        return y
+
+    def _join(self, a: Iterable[int], b: Iterable[int]) -> None:
+        """Add every edge between the disjoint vertex sets a and b in place."""
+        b = self._check_vertices(b)
+        adj = self._adj
+        new = [(u, v) for u in self._check_vertices(a) for v in b - adj[u]]
+        for u, v in new:
+            adj[u].add(v)
+            adj[v].add(u)
+        lp = self._editable_lp()
+        if lp is not None and new:
+            lp.add_edges(new)
 
     # -- structure ----------------------------------------------------------
 

@@ -14,6 +14,7 @@ this module touches floating point.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -24,6 +25,8 @@ INFINITE_SURPLUS = math.inf
 _EMPTY: frozenset[int] = frozenset()
 
 _Log = list[tuple[int, int, int, int]]  # (u, old match_l[u], w, old match_r[w]) per flip
+
+_DELETED = 1 << 62  # the stamp of a deleted engine slot: above every query mark
 
 
 @dataclass(frozen=True)
@@ -60,30 +63,40 @@ class SurplusCert:
 # the excluded vertices, augment (Kuhn, 1955) in the view the stamps leave,
 # read the answer off the live arrays, and undo the augmenting-path flips
 # from a log.  A derived graph's engine starts from its parent's matching
-# (Iwata, Oka and Yoshida, SODA 2014).  The Koenig zero-set (left vertices
-# that some maximum matching leaves exposed, minus their right neighbours)
-# and the matching size do not depend on which maximum matching is found,
-# so warm-started and derived answers equal from-scratch ones.
+# (Iwata, Oka and Yoshida, SODA 2014), and a reduction run's in-place edits
+# repair its graph's engine the same way.  The Koenig zero-set (left
+# vertices that some maximum matching leaves exposed, minus their right
+# neighbours) and the matching size do not depend on which maximum
+# matching is found, so warm-started, derived and edited answers equal
+# from-scratch ones.
 # ---------------------------------------------------------------------------
 
 class _LPEngine:
     """Double cover of one graph and a maximum matching of it.
 
-    Between queries match_l and match_r hold a matching of the whole double
-    cover (-1 for an exposed vertex).  A query stamps its masked indices
-    with a fresh mark in _stamp; a vertex is masked, on both sides, iff its
-    stamp equals _mark.  The masked view's matching is the stored one
-    without the pairs that touch a masked vertex: searches skip stamped
-    right vertices and treat a right vertex whose partner is stamped as
-    free.  Augmenting-path flips write only unmasked entries, so the
-    unmasked entries always form a matching of the view; masked entries go
-    stale and are never read.  Each query undoes its flips before it
+    Between queries match_l and match_r hold a maximum matching of the
+    whole double cover (-1 for an exposed vertex).  A query stamps its
+    masked indices with a fresh mark in _stamp; a vertex is masked, on both
+    sides, iff its stamp is >= _mark.  The masked view's matching is the
+    stored one without the pairs that touch a masked vertex: searches skip
+    stamped right vertices and treat a right vertex whose partner is
+    stamped as free.  Augmenting-path flips write only unmasked entries, so
+    the unmasked entries always form a matching of the view; masked entries
+    go stale and are never read.  Each query undoes its flips before it
     returns; only the cached certify_minsurp_two verdict, the stamps and the
     search's scratch arrays change.
+
+    The graph that owns the engine may edit both in place (delete,
+    add_vertex, add_edges; see Graph._delete).  A deleted vertex keeps its
+    slot, stamped _DELETED, which is above every mark, so every query masks
+    it; it leaves index, its neighbours' rows and the matching.  Slots stay
+    in ascending id order: a new vertex has an id above every slot's.  live
+    counts the slots that are not deleted.  An engine handed to a derived
+    graph as its hint is frozen: no in-place edit touches it again.
     """
 
-    __slots__ = ("verts", "index", "adj", "match_l", "match_r", "exposed",
-                 "certified", "_seen", "_prev", "_epoch", "_stamp", "_mark")
+    __slots__ = ("verts", "index", "adj", "match_l", "match_r", "exposed", "live",
+                 "certified", "frozen", "_seen", "_prev", "_epoch", "_stamp", "_mark")
 
     def __init__(self, adj_map: dict[int, set[int]], parent: Optional["_LPEngine"] = None):
         """Build the engine of the graph adj_map, starting from the matching
@@ -120,13 +133,82 @@ class _LPEngine:
                     for v, row in zip(verts, rows)]
         self.match_l = match_l
         self.match_r = match_r
+        self.live = n
         self.certified: Optional[bool] = None
+        self.frozen = False
         self._seen = [0] * n
         self._prev = [0] * n
         self._epoch = 0
-        self._stamp = [-1] * n  # no stamp equals the build's mark 0
+        self._stamp = [-1] * n  # below the build's mark 0
         self._mark = 0
         self.exposed = self._augment([u for u, w in enumerate(match_l) if w < 0], None)
+
+    # -- in-place edits, mirrored from the owning graph's ----------------
+
+    def delete(self, vertices: Iterable[int]) -> None:
+        """Delete these vertices: stamp their slots _DELETED, drop them from
+        their neighbours' rows and unmatch their pairs, then augment from
+        every left vertex left exposed (the freed ones and the old exposed
+        ones, which may now reach a freed right vertex)."""
+        index, adj, stamp = self.index, self.adj, self._stamp
+        match_l, match_r = self.match_l, self.match_r
+        gone = [index.pop(v) for v in vertices]
+        for i in gone:
+            stamp[i] = _DELETED
+        freed = []
+        for i in gone:
+            for w in adj[i]:
+                if stamp[w] != _DELETED:
+                    adj[w].remove(i)
+            adj[i] = []
+            w, u = match_l[i], match_r[i]
+            if w >= 0:
+                match_r[w] = -1
+            if u >= 0:
+                match_l[u] = -1
+                if stamp[u] != _DELETED:
+                    freed.append(u)
+            match_l[i] = match_r[i] = -1
+        self.live -= len(gone)
+        self.certified = None
+        self._settle([u for u in self.exposed if stamp[u] != _DELETED] + freed)
+
+    def add_vertex(self, y: int, nbrs: Iterable[int]) -> None:
+        """Add vertex y, with an id above every slot's, adjacent to nbrs;
+        its right copy is free, so every exposed left vertex is retried."""
+        index, adj = self.index, self.adj
+        j = len(adj)
+        row = sorted(index[v] for v in nbrs)
+        for w in row:
+            adj[w].append(j)  # j is the highest slot: rows stay sorted
+        adj.append(row)
+        self.verts.append(y)
+        index[y] = j
+        for arr, value in ((self.match_l, -1), (self.match_r, -1), (self._seen, 0),
+                           (self._prev, 0), (self._stamp, -1)):
+            arr.append(value)
+        self.live += 1
+        self.certified = None
+        self._settle(self.exposed + [j])
+
+    def add_edges(self, edges: Iterable[tuple[int, int]]) -> None:
+        """Add these edges, new to the graph, and retry the exposed left
+        vertices."""
+        index, adj = self.index, self.adj
+        for a, b in edges:
+            i, j = index[a], index[b]
+            insort(adj[i], j)
+            insort(adj[j], i)
+        self.certified = None
+        self._settle(self.exposed)
+
+    def _settle(self, roots: list[int]) -> None:
+        """Augment from roots, all the exposed left vertices, with no mask
+        and keep the flips: a fresh mark leaves only deleted slots masked."""
+        if roots:
+            self._mark += 1
+            roots = self._augment(roots, None)
+        self.exposed = roots
 
     def _roots(self, closed: list[int]) -> list[int]:
         """Stamp the engine indices closed as this query's mask and return
@@ -137,11 +219,11 @@ class _LPEngine:
         stamp = self._stamp
         for v in closed:
             stamp[v] = mark
-        roots = [u for u in self.exposed if stamp[u] != mark]
+        roots = [u for u in self.exposed if stamp[u] < mark]
         match_r = self.match_r
         for v in closed:
             u = match_r[v]
-            if u >= 0 and stamp[u] != mark:
+            if u >= 0 and stamp[u] < mark:
                 roots.append(u)
         return roots
 
@@ -175,11 +257,11 @@ class _LPEngine:
                 for w in adj[u]:
                     if seen[w] != epoch:
                         seen[w] = epoch
-                        if stamp[w] == mark:
+                        if stamp[w] >= mark:
                             continue
                         prev[w] = u
                         nxt = match_r[w]
-                        if nxt < 0 or stamp[nxt] == mark:
+                        if nxt < 0 or stamp[nxt] >= mark:
                             free = w
                             break
                         queue.append(nxt)
@@ -213,7 +295,7 @@ class _LPEngine:
         """Return (weight2, zero_set, n_active) for LPVC(G - excluded)."""
         index = self.index
         closed = [index[v] for v in excluded if v in index]
-        n_active = len(self.verts) - len(closed)
+        n_active = self.live - len(closed)
         roots = self._roots(closed)
         if not closed:  # the stored matching is maximum: nothing to search
             return n_active - len(roots), self._zero_set(roots), n_active
@@ -262,7 +344,7 @@ class _LPEngine:
         stack: list[int] = []
         count = 0
         for root in range(n):
-            if order[root] >= 0 or stamp[root] == mark:
+            if order[root] >= 0 or stamp[root] >= mark:
                 continue
             order[root] = low[root] = count
             count += 1
@@ -271,7 +353,7 @@ class _LPEngine:
             while work:
                 u, arcs = work[-1]
                 for w in arcs:
-                    if stamp[w] == mark:
+                    if stamp[w] >= mark:
                         continue
                     v = match_r[w]
                     if order[v] < 0:
@@ -302,14 +384,14 @@ class _LPEngine:
                         bits = 1 << c
                         for v in members:
                             for w in adj[v]:
-                                if stamp[w] != mark:
+                                if stamp[w] < mark:
                                     d = comp[match_r[w]]
                                     if d != c:
                                         bits |= reach[d]
                         reach.append(bits)
         verts = self.verts
         tight = [verts[x] for x in range(n)
-                 if stamp[x] != mark and not (reach[comp[x]] >> comp[match_r[x]] & 1)]
+                 if stamp[x] < mark and not (reach[comp[x]] >> comp[match_r[x]] & 1)]
         self._undo(log)
         return tight
 
@@ -333,7 +415,7 @@ class _LPEngine:
             seen_l[u] = 1
         for u in queue:
             for w in adj[u]:
-                if not seen_r[w] and stamp[w] != mark:
+                if not seen_r[w] and stamp[w] < mark:
                     seen_r[w] = 1
                     nxt = match_r[w]
                     if not seen_l[nxt]:
@@ -494,11 +576,15 @@ def recertify_minsurp_two(g: Graph, near: Iterable[int]) -> bool:
 def _residual_two_connected(engine: _LPEngine) -> bool:
     """certify_minsurp_two's test on the engine's stored matching."""
     adj = engine.adj
-    if engine.exposed or not adj:
+    if engine.exposed or not engine.live:
         return False
     match_l, match_r = engine.match_l, engine.match_r
-    succ = [[match_r[w] for w in row if w != match_l[u]] for u, row in enumerate(adj)]
-    pred = [[v for v in adj[w] if v != u] for u, w in enumerate(match_l)]
+    slots = [u for u, stamp in enumerate(engine._stamp) if stamp != _DELETED]
+    pos = [-1] * len(adj)  # the digraph numbers the live slots 0, 1, ...
+    for p, u in enumerate(slots):
+        pos[u] = p
+    succ = [[pos[match_r[w]] for w in adj[u] if w != match_l[u]] for u in slots]
+    pred = [[pos[v] for v in adj[match_l[u]] if v != u] for u in slots]
     return _strongly_two_connected(succ, pred)
 
 
@@ -591,7 +677,9 @@ def low_entries(g: Graph, bound: int) -> dict[int, tuple[int, frozenset[int]]]:
     """
     engine = _engine(g)
     table: dict[int, tuple[int, frozenset[int]]] = {}
-    for x, row in zip(engine.verts, engine.adj):
+    for x, row, stamp in zip(engine.verts, engine.adj, engine._stamp):
+        if stamp == _DELETED:
+            continue
         stop = len(row) - 2 - bound
         if stop == -1:
             table[x] = (bound, frozenset((x,)))

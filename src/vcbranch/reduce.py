@@ -14,6 +14,15 @@ k may go negative during simplification; callers treat mu < 0 or k < 0 as
 infeasible.  Every step is logged so covers of the reduced instance can be
 lifted back.
 
+A run's first step derives a new graph (delete_vertices, which hands it
+the input's LP engine as a hint); every later step edits that graph in
+place (Graph._delete, _add_adjacent, _join), and its engine with it once
+that is built, so a step costs about what it touches.  The graph a run
+receives never changes.  The answers simplify reads do not depend on
+which maximum matching the edited engine holds (the Koenig zero-set, the
+weight and the tight set are canonical); a certificate verdict only
+chooses the path to the same step.
+
 simplify decides minsurp <= 0 from one LP solve and the list of tight
 vertices (those 0 in some optimal LP solution), and two steps decide the
 next graph's list without either:
@@ -28,8 +37,8 @@ next graph's list without either:
   matching between I and N(I), so optimal LP solutions of G restrict to
   optimal ones of G - N[I], which extend back with 0 on I and 1 on N(I).
 
-A chain of degree-2 folds therefore runs no LP, and its graphs build no
-LP engine; the next graph that needs one derives it from the last built.
+A chain of degree-2 folds therefore runs no LP and builds no LP engine;
+the next LP query builds one from the last engine built.
 
 A third fact decides the list without the tight pass: when the LP solve
 shows min{0, minsurp} == 0 on a graph of minimum degree >= 3,
@@ -109,56 +118,55 @@ class ReductionTrace:
 # single rules
 # ---------------------------------------------------------------------------
 
-def _p1_step(g: Graph, cert: SurplusCert) -> tuple[Graph, ReductionStep]:
+def _without(g: Graph, s: frozenset[int], own: bool) -> Graph:
+    """g - s: g itself, edited in place, when the run owns it; otherwise a
+    derived graph, so the graph a run receives never changes."""
+    if own:
+        g._delete(s)
+        return g
+    return g.delete_vertices(s)
+
+
+def _p1_step(g: Graph, cert: SurplusCert, own: bool = False) -> tuple[Graph, ReductionStep]:
     indset = cert.indset
     nbrs = g.neighborhood(indset)
-    removed = tuple(sorted(indset | nbrs))
-    g2 = g.delete_vertices(indset | nbrs)
+    removed = indset | nbrs
     step = ReductionStep(
-        kind="P1", removed=removed, dk=len(nbrs),
+        kind="P1", removed=tuple(sorted(removed)), dk=len(nbrs),
         indset=tuple(sorted(indset)), nbrs=tuple(sorted(nbrs)),
     )
-    return g2, step
+    return _without(g, removed, own), step
 
 
-def _p2_step(g: Graph, cert: SurplusCert) -> tuple[Graph, ReductionStep]:
+def _p2_step(g: Graph, cert: SurplusCert, own: bool = False) -> tuple[Graph, ReductionStep]:
     """Fold a surplus-one set I.  N(I) must be independent: with an edge
     inside N(I) every cover contains N(I), and the fold would lose a unit
     of k (a triangle is funnel territory)."""
     indset = cert.indset
     nbrs = g.neighborhood(indset)
     outer = g.neighborhood(nbrs) - indset
-    removed = tuple(sorted(indset | nbrs))
-    g2 = g.delete_vertices(indset | nbrs)  # fresh rows: write them in place
-    y = g2.add_vertex()
-    adj = g2._adj
-    adj[y] = set(outer)
-    for v in outer:
-        adj[v].add(y)
+    removed = indset | nbrs
+    g2 = _without(g, removed, own)
+    y = g2._add_adjacent(outer)
     step = ReductionStep(
-        kind="P2", removed=removed, dk=len(indset), created=y,
+        kind="P2", removed=tuple(sorted(removed)), dk=len(indset), created=y,
         indset=tuple(sorted(indset)), nbrs=tuple(sorted(nbrs)),
     )
     return g2, step
 
 
-def _p3_step(g: Graph, u: int, x: int) -> tuple[Graph, ReductionStep]:
+def _p3_step(g: Graph, u: int, x: int, own: bool = False) -> tuple[Graph, ReductionStep]:
     nu, nx = g.neighbors(u), g.neighbors(x)
     shared = nu & nx
     side_u = nu - nx - {x}
     side_x = nx - nu - {u}
-    removed = tuple(sorted(shared | {u, x}))
-    g2 = g.delete_vertices(shared | {u, x})  # fresh rows: write them in place
-    adj = g2._adj
-    for a in side_u:
-        adj[a] |= side_x
-    for b in side_x:
-        adj[b] |= side_u
     step = ReductionStep(
-        kind="P3", removed=removed, dk=1 + len(shared), funnel=(u, x),
+        kind="P3", removed=tuple(sorted(shared | {u, x})), dk=1 + len(shared), funnel=(u, x),
         shared=tuple(sorted(shared)), side_u=tuple(sorted(side_u)),
         side_x=tuple(sorted(side_x)),
     )
+    g2 = _without(g, shared | {u, x}, own)
+    g2._join(side_u, side_x)
     return g2, step
 
 
@@ -173,19 +181,26 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instan
     """Run the rule policy to its fixpoint.
 
     The result graph (if non-empty) has min degree >= 3, minsurp >= 2 and
-    no funnels.  The optional on_step hook receives
-    (graph_before, k_before, step, graph_after, k_after) per applied rule.
+    no funnels.  The first step derives a new graph; every later step edits
+    that graph, and its LP engine, in place, so inst.graph never changes.
+    The optional on_step hook receives (graph_before, k_before, step,
+    graph_after, k_after) per applied rule; with a hook, graph_after is a
+    copy, which is the next step's graph_before.
     """
     g = inst.graph
     k = inst.k
+    own = False  # whether g is this run's own graph, which steps edit in place
+    before = g  # the hook's graph_before
     trace = ReductionTrace()
 
     def emit(g2: Graph, step: ReductionStep) -> None:
-        nonlocal g, k
+        nonlocal g, k, own, before
         if on_step is not None:
-            on_step(g, k, step, g2, k - step.dk)
+            after = g2.copy()
+            on_step(before, k, step, after, k - step.dk)
+            before = after
         trace.steps.append(step)
-        g, k = g2, k - step.dk
+        g, k, own = g2, k - step.dk, True
 
     # the current graph's tight list once min{0, minsurp} == 0 is known, and
     # None while unknown; see the module docstring for the steps that carry it
@@ -194,8 +209,7 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instan
         if tight is None:
             msm, zero = _msm_zeroset(g, frozenset())
             if msm < 0:
-                g2, step = _p1_step(g, SurplusCert(zero, msm))
-                emit(g2, step)
+                emit(*_p1_step(g, SurplusCert(zero, msm), own))
                 continue
             if g.min_degree() >= 3 and certify_minsurp_two(g):
                 tight = []  # minsurp >= 2: nothing is tight, folds or forces
@@ -203,8 +217,7 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instan
                 tight = tight_vertices(g)
         if tight:
             cert = _vertex_entry(g, tight[0], frozenset())[1]
-            g2, step = _p1_step(g, SurplusCert(cert, 0))
-            emit(g2, step)
+            emit(*_p1_step(g, SurplusCert(cert, 0), own))
             tight = [x for x in tight if x in g]  # minus step.removed
             continue
         # minsurp >= 1 now, and a degree-2 vertex makes it exactly 1
@@ -218,13 +231,11 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instan
                 if (fold is None or x < fold) and not g.has_edge(*nbrs):
                     fold = x
         if fold is not None:
-            g2, step = _p2_step(g, SurplusCert(frozenset({fold}), 1))
-            emit(g2, step)  # tight stays []
+            emit(*_p2_step(g, SurplusCert(frozenset({fold}), 1), own))  # tight stays []
             continue
         tight = None  # P3 and forced P1 steps below decide nothing
         if first2 is not None:  # neighbors adjacent: a triangle, so a funnel
-            g2, step = _p3_step(g, first2, min(g.neighbors(first2)))
-            emit(g2, step)
+            emit(*_p3_step(g, first2, min(g.neighbors(first2)), own))
             continue
         # minimum degree 3 and minsurp >= 1 now; the entries with v_x == 1
         # are needed only where the certificate cannot rule out minsurp 1
@@ -232,22 +243,25 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instan
         candidates = [(len(c), x, c) for x, (_, c) in sorted(table.items())]
         indep = [t for t in candidates if g.is_independent(g.neighborhood(t[2]))]
         if indep:
-            g2, step = _p2_step(g, SurplusCert(frozenset(min(indep)[2]), 1))
+            emit(*_p2_step(g, SurplusCert(frozenset(min(indep)[2]), 1), own))
             tight = []
         elif (match := g.find_pattern()) is not None:
-            g2, step = _p3_step(g, match.u, match.out)
+            u, x = match.u, match.out
             # no candidate: minsurp >= 2 here, so the vertices next to the
-            # step can prove it for g2 (module docstring)
-            if not candidates and recertify_minsurp_two(g2, g.neighborhood(step.removed)):
+            # step, N(S) - S for S = N[u] & N[x], can prove it for the
+            # next graph (module docstring)
+            near = None if candidates else g.neighborhood(
+                g.neighborhood([u], closed=True) & g.neighborhood([x], closed=True))
+            emit(*_p3_step(g, u, x, own))
+            if near is not None and recertify_minsurp_two(g, near):
                 tight = []
         elif candidates:
             # every certificate has an edge inside N(I): every cover
             # contains N(I), so force it; deletion shape and lift
             # coincide with a P1 step
-            g2, step = _p1_step(g, SurplusCert(frozenset(min(candidates)[2]), 1))
+            emit(*_p1_step(g, SurplusCert(frozenset(min(candidates)[2]), 1), own))
         else:
             break
-        emit(g2, step)
 
     trace.final_graph = g
     # minsurp >= 2 (or no vertex left): the all-half solution is optimal

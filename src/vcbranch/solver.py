@@ -193,21 +193,25 @@ def _simplify_and_fold(inst: Instance, depth: int) -> tuple[Instance, ReductionT
 # ---------------------------------------------------------------------------
 
 def _fold_subquadratic(g: Graph, k: int) -> tuple[Graph, int, ReductionTrace]:
-    """Fold vertices of degree <= 2 via singleton P1/P2 until none remain."""
+    """Fold vertices of degree <= 2 via singleton P1/P2 until none remain.
+    As in simplify, the first step derives a new graph and later steps edit
+    it in place, so the graph passed in never changes."""
     trace = ReductionTrace()
+    own = False
     while True:
         v = min((v for v, nbrs in g._adj.items() if len(nbrs) <= 2), default=None)
         if v is None:
             break
         deg = g.degree(v)
         if deg <= 1:
-            g, step = _p1_step(g, SurplusCert(frozenset({v}), deg - 1))
+            g, step = _p1_step(g, SurplusCert(frozenset({v}), deg - 1), own)
         elif g.has_edge(*sorted(g.neighbors(v))):
-            g, step = _p3_step(g, v, min(g.neighbors(v)))  # triangle: a funnel
+            g, step = _p3_step(g, v, min(g.neighbors(v)), own)  # triangle: a funnel
         else:
-            g, step = _p2_step(g, SurplusCert(frozenset({v}), 1))
+            g, step = _p2_step(g, SurplusCert(frozenset({v}), 1), own)
         trace.steps.append(step)
         k -= step.dk
+        own = True
     trace.final_graph = g
     return g, k, trace
 

@@ -13,6 +13,7 @@ from vcbranch.cli import (
     render_graph,
     run_command,
 )
+from vcbranch.graph import Graph
 from vcbranch.lp import Instance
 from vcbranch.reduce import lift_cover, simplify
 from vcbranch.verify import audit_trace, brute_force_vc
@@ -39,6 +40,20 @@ def test_parse_graph():
     assert parse_graph("p edge 2 1\ne 1 2\n", fmt="dimacs").edges() == [(0, 1)]
     # duplicate edges tolerated and deduplicated
     assert parse_graph("p td 2 2\n1 2\n2 1\n").m == 1
+
+
+def test_parse_graph_equals_add_edge():
+    """The parsed graph equals one built edge by edge, with isolated
+    vertices kept and duplicate edges merged, and its next fresh id is n."""
+    lines = [(1, 4), (4, 2), (2, 1), (4, 1), (6, 7), (7, 6), (6, 7), (2, 9)]
+    text = f"p td 10 {len(lines)}\n" + "".join(f"{u} {v}\n" for u, v in lines)
+    built = Graph(vertices=range(10))
+    for u, v in lines:
+        built.add_edge(u - 1, v - 1)
+    g = parse_graph(text)
+    assert g == built and g.vertices() == list(range(10)) and g.m == 5
+    assert [v for v in g.vertices() if not g.neighbors(v)] == [2, 4, 7, 9]
+    assert g.add_vertex() == built.add_vertex() == 10
 
 
 def test_generate():

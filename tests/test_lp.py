@@ -8,6 +8,7 @@ import pytest
 from vcbranch.graph import Graph, complete, cycle, path, star
 from vcbranch.lp import (
     Instance,
+    _DELETED,
     _LPEngine,
     blockers,
     certify_minsurp_two,
@@ -331,6 +332,93 @@ def test_derived_engine_equals_a_cold_build():
                 accepted += 1
                 assert minsurp_full(g, need_table=True)[0] >= 2, seed
     assert built >= 100 and accepted >= 10, (built, accepted)
+
+
+def _edit_in_place(h: Graph, rng: random.Random) -> str:
+    """One random in-place edit of h, of the kinds a reduction run makes."""
+    verts = h.vertices()
+    kind = rng.choice(("delete", "delete", "add", "join"))
+    if kind == "delete" or len(verts) < 4:
+        h._delete(rng.sample(verts, rng.randint(1, min(3, len(verts)))))
+        return "delete"
+    if kind == "add":
+        h._add_adjacent(rng.sample(verts, rng.randint(0, 4)))
+        return kind
+    side = rng.sample(verts, rng.randint(2, min(5, len(verts))))
+    cut = rng.randint(1, len(side) - 1)
+    h._join(side[:cut], side[cut:])
+    return kind
+
+
+def _assert_engine_equals_cold(h: Graph, rng: random.Random, where) -> None:
+    """h's engine holds a maximum matching of h's double cover, and its
+    queries answer as a cold engine of h does."""
+    engine = _engine(h)
+    cold = _LPEngine(h._adj)
+    live = [u for u, stamp in enumerate(engine._stamp) if stamp != _DELETED]
+    assert engine.live == len(live) == h.n, where
+    assert [engine.verts[u] for u in live] == cold.verts, where
+    index = engine.index
+    assert sorted(index.values()) == live, where
+    for u in live:
+        assert engine.adj[u] == sorted(index[w] for w in h._adj[engine.verts[u]]), where
+    match_l, match_r = engine.match_l, engine.match_r
+    for u, w in enumerate(match_l):
+        assert w == -1 or (match_r[w] == u and w in engine.adj[u]), where
+    for w, u in enumerate(match_r):
+        assert u == -1 or match_l[u] == w, where
+    assert sorted(engine.exposed) == [u for u in live if match_l[u] == -1], where
+    assert len(engine.exposed) == len(cold.exposed), where
+    verts = h.vertices()
+    masks = [frozenset()] + [frozenset(rng.sample(verts, rng.randint(1, min(4, len(verts)))))
+                             for _ in range(3 if verts else 0)]
+    for mask in masks:
+        assert engine.solve(mask) == cold.solve(mask), (where, sorted(mask))
+        assert engine.tight(mask) == cold.tight(mask), (where, sorted(mask))
+    for x in verts:
+        for stop in range(-1, 4):
+            assert engine.deficiency_exceeds(x, stop) == cold.deficiency_exceeds(x, stop), \
+                (where, x, stop)
+
+
+def test_in_place_edits_equal_a_cold_engine():
+    """A reduction run deletes vertices, adds a vertex next to a set and
+    joins two sides in place, and edits the graph's engine with them.  After
+    every edit the engine gives a cold engine's solve (masked and unmasked),
+    tight, deficiency_exceeds and exposed-count answers, and an accepted
+    certificate means minsurp >= 2.  A copy taken before an edit freezes the
+    engine it hands out, so the copy keeps answering for its own graph."""
+    rng = random.Random(53)
+    bases = [gnp(n, c / n, seed) for seed, n in enumerate(range(10, 46, 3)) for c in (2.0, 3.5)]
+    bases += [random_regular(n, d, seed) for seed in range(5)
+              for n, d in [(14 + 2 * seed, 3), (13 + seed, 4), (16 + 2 * seed, 5)]]
+    seen = collections.Counter()
+    for seed, g in enumerate(bases):
+        g = shuffled_ids(g, seed)
+        h = g.delete_vertices([])  # a derived graph, as a run's first step makes
+        _engine(h)
+        for step in range(16):
+            if h.n < 3:
+                break
+            snapshot = h.copy() if rng.random() < 0.15 else None
+            engine = h._lp
+            kind = _edit_in_place(h, rng)
+            if snapshot is not None:
+                seen["frozen"] += 1
+                assert h._lp is None and h._lp_hint is engine
+                _assert_engine_equals_cold(snapshot, rng, (seed, step, "snapshot"))
+            elif h._lp is engine:
+                seen[kind] += 1
+            else:  # compacted: the next query renumbers the engine
+                assert kind == "delete" and h._lp_hint is engine
+                seen["compacted"] += 1
+            seen["exposed"] += bool(_engine(h).exposed)
+            _assert_engine_equals_cold(h, rng, (seed, step, kind))
+            if certify_minsurp_two(h):
+                seen["accepted"] += 1
+                assert minsurp_full(Graph(h.vertices(), h.edges()))[0] >= 2, (seed, step)
+    assert min(seen[k] for k in ("delete", "add", "join", "frozen", "compacted")) >= 10, seen
+    assert seen["accepted"] >= 10 and seen["exposed"] >= 100, seen
 
 
 def test_tight_vertices_equal_the_sweep():

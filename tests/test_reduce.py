@@ -1,10 +1,15 @@
+import math
+from collections import Counter
+
 import pytest
 
 from vcbranch.graph import Graph, complete, cycle, path, star
 from vcbranch.lp import (
     Instance,
     SurplusCert,
+    _DELETED,
     _LPEngine,
+    _engine,
     _msm_zeroset,
     _residual_two_connected,
     find_nonsingleton_minset,
@@ -14,7 +19,10 @@ from vcbranch.lp import (
     tight_vertices,
 )
 from vcbranch import reduce
-from vcbranch.reduce import ReductionTrace, _p1_step, _p2_step, _p3_step, lift_cover, simplify
+from vcbranch.reduce import (
+    ReductionTrace, _p1_step, _p2_step, _p3_step, lift_cover, reduction_gain, simplify,
+)
+from vcbranch.solver import _fold_subquadratic
 from vcbranch.cli import circulant, gnp, hypercube, random_regular
 
 from oracle_utils import exhaustive_vc, is_cover, shuffled_ids
@@ -272,7 +280,7 @@ def _sweep_nonsingleton_minset(g: Graph, table: dict, target: int):
     return None
 
 
-def test_simplify_equals_the_table_policy():
+def test_simplify_equals_the_table_policy(monkeypatch):
     """simplify reads surplus-0 witnesses off the LP matching and skips the
     table when a degree-2 vertex fixes minsurp at 1; its trace and result
     equal those of the policy that builds the full table at every step."""
@@ -286,13 +294,18 @@ def test_simplify_equals_the_table_policy():
                for seed, (n, d, cut) in enumerate([(24, 5, 1), (28, 5, 2), (30, 6, 1), (32, 6, 2)])]
     second_pass_hits = certified_p3 = 0
 
-    def count_certified_p3(gb, kb, step, ga, ka):
-        nonlocal certified_p3
-        certified_p3 += step.kind == "P3" and gb._lp is not None and gb._lp.certified is True
+    p3_step = reduce._p3_step
 
+    def count_certified_p3(g, u, x, own=False):
+        # read before the step: a later step edits g and its engine in place
+        nonlocal certified_p3
+        certified_p3 += g._lp is not None and g._lp.certified is True
+        return p3_step(g, u, x, own)
+
+    monkeypatch.setattr(reduce, "_p3_step", count_certified_p3)
     for seed, g in enumerate(graphs):
         g = shuffled_ids(g, seed)
-        inst, trace = simplify(Instance(g, g.n), count_certified_p3)
+        inst, trace = simplify(Instance(g, g.n))
         ref_inst, ref_trace = _table_policy_simplify(Instance(g, g.n))
         assert trace.serialize() == ref_trace.serialize(), seed
         assert inst.k == ref_inst.k, seed
@@ -354,16 +367,87 @@ def test_simplify_long_cycle_derives_every_engine(monkeypatch):
     assert passes <= 2 and builds <= 3
 
 
+def _k4_ring(blocks: int) -> Graph:
+    """A ring of K4 blocks, each sharing one vertex with the next."""
+    g = Graph()
+    n = 3 * blocks
+    for b in range(blocks):
+        block = [3 * b, 3 * b + 1, 3 * b + 2, (3 * b + 3) % n]
+        for i, u in enumerate(block):
+            for v in block[i + 1:]:
+                g.add_edge(u, v)
+    return g
+
+
+def test_simplify_edits_one_graph_in_place(monkeypatch):
+    """A run derives one graph with delete_vertices and edits it in place
+    from then on.  On a shuffled 5001-cycle every step but the last is a
+    degree-2 fold and no step builds an engine.  On a ring of 300 K4 blocks
+    every step asks the LP engine, which is edited with the graph and
+    renumbered only once its deleted slots outnumber its live ones, so the
+    builds grow like log n, not like the number of steps."""
+    copies = builds = 0
+    delete_vertices, init = Graph.delete_vertices, _LPEngine.__init__
+
+    def counted_copy(self, s):
+        nonlocal copies
+        copies += 1
+        return delete_vertices(self, s)
+
+    def counted_init(self, *args):
+        nonlocal builds
+        builds += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Graph, "delete_vertices", counted_copy)
+    monkeypatch.setattr(_LPEngine, "__init__", counted_init)
+    for g, k, kinds, k_after in [
+            (shuffled_ids(cycle(5001), 11), 2501, {"P2": 2499, "P3": 1}, 0),
+            (shuffled_ids(_k4_ring(300), 3), 900, {"P3": 299, "P1": 1}, 300)]:
+        inst = Instance(g, k)  # builds the input's engine
+        copies = builds = 0
+        out, trace = simplify(inst)
+        assert Counter(step.kind for step in trace.steps) == kinds
+        assert out.graph.n == 0 and out.k == k_after and trace.total_dk == k - k_after
+        assert copies == 1 and builds <= math.log2(g.n), (copies, builds)
+
+
+def test_reduction_runs_leave_their_input_unchanged():
+    """simplify, reduction_gain and the base solver's fold edit only the
+    graph their first step derives: the graph passed in keeps its edges and
+    its engine, which still answers as a cold engine does."""
+    graphs = [gnp(n, c / n, seed) for seed, n in enumerate(range(12, 60, 6)) for c in (2.0, 3.5)]
+    graphs += [random_regular(n, d, seed) for seed in range(3) for n, d in [(20, 3), (24, 5)]]
+    graphs += [cycle(41), _k4_ring(12)]
+    for seed, g in enumerate(graphs):
+        g = shuffled_ids(g, seed)
+        edges = g.edges()
+        engine = _engine(g)
+        verts = g.vertices()
+        runs = [lambda: simplify(Instance(g, g.n)),
+                lambda: reduction_gain(g, verts[:2]),
+                lambda: _fold_subquadratic(g, g.n)]
+        for run in runs:
+            run()
+            assert g.edges() == edges and g._lp is engine and engine.live == len(engine.verts)
+            cold = _LPEngine(g._adj)
+            for mask in [frozenset(), frozenset(verts[1::7]), g.neighborhood([verts[0]], closed=True)]:
+                assert engine.solve(mask) == cold.solve(mask), seed
+                assert engine.tight(mask) == cold.tight(mask), seed
+
+
 def test_simplify_certifies_before_the_tight_pass(monkeypatch):
     """On 6-regular graphs minus a vertex most steps have minsurp >= 2.
     simplify asks the certificate before the tight pass whenever the
     minimum degree is at least 3, so a tight pass runs only on a graph
     whose certificate declines or that has a vertex of degree below 3."""
-    calls: list[_LPEngine] = []
+    calls: list[bool] = []
     tight = _LPEngine.tight
 
     def recorded(self, excluded):
-        calls.append(self)
+        # checked at call time: later steps edit the engine in place
+        degree = min(len(row) for row, stamp in zip(self.adj, self._stamp) if stamp != _DELETED)
+        calls.append(degree < 3 or not _residual_two_connected(self))
         return tight(self, excluded)
 
     monkeypatch.setattr(_LPEngine, "tight", recorded)
@@ -374,8 +458,7 @@ def test_simplify_certifies_before_the_tight_pass(monkeypatch):
             inst, _ = simplify(Instance(g.delete_vertices(cut), n))
             certified += inst.graph.n > 0 and inst.graph._lp.certified is True
     assert certified >= 6
-    for engine in calls:
-        assert min(map(len, engine.adj)) < 3 or not _residual_two_connected(engine)
+    assert all(calls)
 
 
 def _cold(g: Graph) -> Graph:
@@ -422,7 +505,7 @@ def test_p3_steps_recertify_minsurp_two_from_the_vertices_next_to_them(monkeypat
 
     def recorded(g, near):
         verdict = recertify(g, near)
-        calls.append((g, verdict))
+        calls.append((_cold(g), verdict))  # a snapshot: later steps edit g in place
         return verdict
 
     monkeypatch.setattr(reduce, "recertify_minsurp_two", recorded)
