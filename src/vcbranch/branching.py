@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 from .graph import Graph, PreconditionError
 from .lp import (
@@ -92,8 +92,18 @@ class BranchDecision:
         return tuple((c.dmu, c.dk) for c in self.children)
 
 
-def make_child(parent: Instance, include: Iterable[int], delete: Iterable[int]) -> BranchChild:
-    """Delete a vertex set, charge the included part to the cover, simplify."""
+def make_child(parent: Instance, include: Iterable[int], delete: Iterable[int],
+               _low: Optional[Container[int]] = None) -> BranchChild:
+    """Delete a vertex set, charge the included part to the cover, simplify.
+
+    The child's graph is derived once, and simplify edits that graph in
+    place from its first step, so the parent's graph and LP engine never
+    change.  _low, the x with v_x <= 2 in the parent's graph G (the
+    selector's low_entries(G, 2)), vouches that G is simplified: simplify's
+    first scans then look only next to the deleted set D, and for D = {u}
+    it decides minsurp(G - u) >= 2 from N(u) & _low with no LP solve
+    (vcbranch.reduce, fifth fact).
+    """
     include = frozenset(include)
     delete = frozenset(delete)
     g = parent.graph
@@ -103,8 +113,13 @@ def make_child(parent: Instance, include: Iterable[int], delete: Iterable[int]) 
             raise PreconditionError(
                 f"excluded vertex {v} has neighbors outside the included set"
             )
+    near = recheck = None
+    if _low is not None:
+        near = g.neighborhood(delete)
+        if len(delete) == 1:
+            recheck = [y for y in sorted(near) if y in _low]
     child = Instance(g.delete_vertices(delete), parent.k - len(include), lambda2=0)
-    child, trace = simplify(child)
+    child, trace = simplify(child, _own=True, _near=near, _recheck=recheck)
     return BranchChild(
         include=include,
         exclude=exclude,
@@ -124,8 +139,9 @@ def _cap_claim(claim: BranchSeq, children: Sequence[BranchChild]) -> BranchSeq:
 
 
 def _decision(parent: Instance, rule: str, parts: list[tuple[set, set]],
-              claimed: Optional[BranchSeq], case: Optional[str]) -> BranchDecision:
-    children = [make_child(parent, inc, dele) for inc, dele in parts]
+              claimed: Optional[BranchSeq], case: Optional[str],
+              low: Optional[Container[int]]) -> BranchDecision:
+    children = [make_child(parent, inc, dele, low) for inc, dele in parts]
     if claimed is None:
         claimed = tuple((0.0, max(1, len(inc))) for inc, _ in parts)
     if len(claimed) != len(children):
@@ -138,18 +154,21 @@ def _decision(parent: Instance, rule: str, parts: list[tuple[set, set]],
 # ---------------------------------------------------------------------------
 
 def split_vertex(inst: Instance, u: int, claimed: Optional[BranchSeq] = None,
-                 case: Optional[str] = None) -> BranchDecision:
-    """Children <G - u, k - 1> and <G - N[u], k - deg(u)>."""
+                 case: Optional[str] = None,
+                 _low: Optional[Container[int]] = None) -> BranchDecision:
+    """Children <G - u, k - 1> and <G - N[u], k - deg(u)>.  Here and in
+    split_indset and rule_b, _low is make_child's."""
     g = inst.graph
     nbrs = set(g.neighbors(u))
     if not nbrs:
         raise PreconditionError(f"cannot split on isolated vertex {u}")
     parts = [({u}, {u}), (nbrs, nbrs | {u})]
-    return _decision(inst, "split-vertex", parts, claimed, case)
+    return _decision(inst, "split-vertex", parts, claimed, case, _low)
 
 
 def split_indset(inst: Instance, cert: SurplusCert, claimed: Optional[BranchSeq] = None,
-                 case: Optional[str] = None, _trusted: bool = False) -> BranchDecision:
+                 case: Optional[str] = None, _trusted: bool = False,
+                 _low: Optional[Container[int]] = None) -> BranchDecision:
     """Children <G - I, k - |I|> and <G - N[I], k - |N(I)|> for a critical I."""
     g = inst.graph
     indset = cert.indset
@@ -163,11 +182,12 @@ def split_indset(inst: Instance, cert: SurplusCert, claimed: Optional[BranchSeq]
     if not nbrs:
         raise PreconditionError("indset with empty neighborhood: P1 applies instead")
     parts = [(set(indset), set(indset)), (nbrs, nbrs | indset)]
-    return _decision(inst, "split-indset", parts, claimed, case)
+    return _decision(inst, "split-indset", parts, claimed, case, _low)
 
 
 def rule_b(inst: Instance, x: int, us: Iterable[int], claimed: Optional[BranchSeq] = None,
-           case: Optional[str] = None, _trusted: bool = False) -> BranchDecision:
+           case: Optional[str] = None, _trusted: bool = False,
+           _low: Optional[Container[int]] = None) -> BranchDecision:
     """Blocker rule: <G - (us + x), k - |us| - 1> and <G - N[x], k - deg(x)>."""
     g = inst.graph
     us = sorted(set(us))
@@ -181,7 +201,7 @@ def rule_b(inst: Instance, x: int, us: Iterable[int], claimed: Optional[BranchSe
     both = set(us) | {x}
     nbrs = set(g.neighbors(x))
     parts = [(both, both), (nbrs, nbrs | {x})]
-    return _decision(inst, "rule-B", parts, claimed, case)
+    return _decision(inst, "rule-B", parts, claimed, case, _low)
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +238,21 @@ def _blocked_minset(g: Graph, u: int) -> Optional[frozenset[int]]:
 
 
 class _Selector:
-    def __init__(self, inst: Instance):
+    def __init__(self, inst: Instance, low: Optional[Container[int]] = None):
         self.inst = inst
         self.g = inst.graph
+        self.low = low  # the x with v_x <= 2 when select_branch vouches for it
+
+    # -- the rules on this simplified graph, with low as make_child's _low --
+
+    def split_vertex(self, u: int, claimed: BranchSeq, case: str) -> BranchDecision:
+        return split_vertex(self.inst, u, claimed, case, _low=self.low)
+
+    def split_indset(self, cert: SurplusCert, claimed: BranchSeq, case: str) -> BranchDecision:
+        return split_indset(self.inst, cert, claimed, case, _trusted=True, _low=self.low)
+
+    def rule_b(self, x: int, us: Iterable[int], claimed: BranchSeq, case: str) -> BranchDecision:
+        return rule_b(self.inst, x, us, claimed, case, _trusted=True, _low=self.low)
 
     # -- surplus-two indsets (smallest cases get dedicated rules) ----------
 
@@ -239,30 +271,24 @@ class _Selector:
         cert = SurplusCert(indset, 2)
         if len(indset) >= 4:
             size = len(indset)
-            return split_indset(self.inst, cert, ((1, size), (1, size + 2)),
-                                "surplus2/size4-split", _trusted=True)
+            return self.split_indset(cert, ((1, size), (1, size + 2)), "surplus2/size4-split")
         zs = [z for z in sorted(g.neighborhood(indset))
               if len(g.neighbors(z) & indset) == 2]
         if not zs:
-            return split_indset(self.inst, cert, ((1, 3), (1, 5)),
-                                "surplus2/size3-split-plain", _trusted=True)
+            return self.split_indset(cert, ((1, 3), (1, 5)), "surplus2/size3-split-plain")
         z = zs[0]
         x1, x2 = sorted(g.neighbors(z) & indset)
         (y,) = indset - {x1, x2}
         if g.degree(z) <= 4:
-            return split_indset(self.inst, cert, ((1, 4), (1, 5)),
-                                "surplus2/size3-split", _trusted=True)
+            return self.split_indset(cert, ((1, 4), (1, 5)), "surplus2/size3-split")
         if shadow_minus(g, _closed(g, z)) >= 5 - g.degree(z):
-            return split_vertex(self.inst, z, ((0.5, 4), (2, 5)), "surplus2/size3-splitz")
+            return self.split_vertex(z, ((0.5, 4), (2, 5)), "surplus2/size3-splitz")
         ts = [t for t, _ in blockers(g, z) if t != y]
         if ts:
-            return rule_b(self.inst, ts[0], [z], ((1, 4), (1, 4)),
-                          "surplus2/size3-ruleB", _trusted=True)
+            return self.rule_b(ts[0], [z], ((1, 4), (1, 4)), "surplus2/size3-ruleB")
         if all(is_blocker(g, w, y) is not None for w in (x1, x2, z)):
-            return rule_b(self.inst, y, [x1, x2, z], ((1, 4), (1, 5)),
-                          "surplus2/size3-ruleB-y", _trusted=True)
-        return split_indset(self.inst, cert, ((1, 3), (1, 5)),
-                            "surplus2/size3-split-plain", _trusted=True)
+            return self.rule_b(y, [x1, x2, z], ((1, 4), (1, 5)), "surplus2/size3-ruleB-y")
+        return self.split_indset(cert, ((1, 3), (1, 5)), "surplus2/size3-split-plain")
 
     def _s2_pair(self, indset: frozenset[int]) -> Optional[BranchDecision]:
         g = self.g
@@ -274,18 +300,17 @@ class _Selector:
         z1, z2 = pairs[0]
         if g.degree(z1) <= 4 and g.degree(z2) <= 4:
             if reduction_gain(g, indset) >= 2:
-                return split_indset(self.inst, SurplusCert(indset, 2), ((1, 4), (1, 4)),
-                                    "surplus2/pair-split", _trusted=True)
+                return self.split_indset(SurplusCert(indset, 2), ((1, 4), (1, 4)),
+                                         "surplus2/pair-split")
         high = sorted({z for p in pairs for z in p if g.degree(z) >= 5})
         if not high:
             return None
         z = high[0]
         if shadow_minus(g, _closed(g, z)) >= 0:
-            return split_vertex(self.inst, z, ((0.5, 3), (2, 5)), "surplus2/pair-splitz")
+            return self.split_vertex(z, ((0.5, 3), (2, 5)), "surplus2/pair-splitz")
         ts = [t for t, _ in blockers(g, z) if t not in indset]
         if ts:
-            return rule_b(self.inst, ts[0], [z], ((1, 4), (1, 4)),
-                          "surplus2/pair-ruleB", _trusted=True)
+            return self.rule_b(ts[0], [z], ((1, 4), (1, 4)), "surplus2/pair-ruleB")
         return None
 
     # -- blocker machinery ---------------------------------------------------
@@ -300,8 +325,7 @@ class _Selector:
                 d = self.surplus_two(jzero | {x})
                 if d is not None:
                     return d
-        return rule_b(self.inst, x, [u], ((1, 2), (1.5, 5)),
-                      "branch4-3prep/ruleB", _trusted=True)
+        return self.rule_b(x, [u], ((1, 2), (1.5, 5)), "branch4-3prep/ruleB")
 
     def deg5_with_3nbr(self, w0: int, z0: int) -> BranchDecision:
         """A vertex of degree >= 5 with a 3-neighbor is present."""
@@ -315,7 +339,7 @@ class _Selector:
         for w in universe:
             sm = shadow_minus(g, _closed(g, w))
             if sm >= 5 - g.degree(w):
-                return split_vertex(self.inst, w, ((0.5, 2), (2, 5)), "branch55/split")
+                return self.split_vertex(w, ((0.5, 2), (2, 5)), "branch55/split")
             blocked[w] = _blocked_minset(g, w)
         for w in universe:
             for x in sorted(blocked[w]):
@@ -326,13 +350,11 @@ class _Selector:
         for w in universe:
             for x in sorted(blocked[w]):
                 if reduction_gain(g, {w, x}) >= 2:
-                    return rule_b(self.inst, x, [w], ((1, 4), (1, 4)),
-                                  "branch55/ruleB-R2", _trusted=True)
+                    return self.rule_b(x, [w], ((1, 4), (1, 4)), "branch55/ruleB-R2")
         for w in universe:
             if len(blocked[w]) >= 2:
                 x = min(blocked[w])
-                return rule_b(self.inst, x, [w], ((1, 3), (1, 5)),
-                              "branch55/ruleB-nonsingleton", _trusted=True)
+                return self.rule_b(x, [w], ((1, 3), (1, 5)), "branch55/ruleB-nonsingleton")
         # every blocked w in universe is blocked by singleton 3-vertices;
         # look for one linked to two of them
         links: dict[int, list[int]] = {}
@@ -342,11 +364,9 @@ class _Selector:
         for x in sorted(links):
             if len(links[x]) >= 2:
                 u1, u2 = sorted(links[x])[:2]
-                return rule_b(self.inst, x, [u1, u2], ((1, 4), (1, 5)),
-                              "branch55/ruleB-pigeonhole", _trusted=True)
+                return self.rule_b(x, [u1, u2], ((1, 4), (1, 5)), "branch55/ruleB-pigeonhole")
         x = min(blocked[w0])
-        return rule_b(self.inst, x, [w0], ((1, 3), (1, 4)),
-                      "fallback/branch55-ruleB", _trusted=True)
+        return self.rule_b(x, [w0], ((1, 3), (1, 4)), "fallback/branch55-ruleB")
 
     def blocked_low(self, u: int) -> Optional[BranchDecision]:
         """deg(u) in {4, 5} and shad(N[u]) <= 4 - deg(u)."""
@@ -365,10 +385,8 @@ class _Selector:
         if high:
             return self.deg5_with_3nbr(high[0], x)
         if len(iset) >= 2:
-            return rule_b(self.inst, x, [u], ((1, 3), (1, 5)),
-                          "branch4-3/ruleB-nonsingleton", _trusted=True)
-        return rule_b(self.inst, x, [u], ((1, 4), (1, 4)),
-                      "branch4-3/ruleB-singleton", _trusted=True)
+            return self.rule_b(x, [u], ((1, 3), (1, 5)), "branch4-3/ruleB-nonsingleton")
+        return self.rule_b(x, [u], ((1, 4), (1, 4)), "branch4-3/ruleB-singleton")
 
     def blocked_high(self, u: int) -> Optional[BranchDecision]:
         """deg(u) >= 6 and shad(N[u]) <= 5 - deg(u)."""
@@ -407,7 +425,7 @@ class _Selector:
             claim = ((1, 2 + len(z_side)), (1, 3))
         else:
             claim = ((1, 2 + len(z_side)), (1, 3 + len(y_side)))
-        return rule_b(self.inst, x, [u], claim, "branch6-1/ruleB", _trusted=True)
+        return self.rule_b(x, [u], claim, "branch6-1/ruleB")
 
 
 def select_branch(inst: Instance, stats: Optional[SelectorStats] = None) -> BranchDecision:
@@ -432,7 +450,7 @@ def select_branch(inst: Instance, stats: Optional[SelectorStats] = None) -> Bran
     # only the entries with v_x == 2 are read: minsurp is 2 iff one exists
     table = low_entries(g, 2)
 
-    sel = _Selector(inst)
+    sel = _Selector(inst, table)
     decision: Optional[BranchDecision] = None
 
     indset = find_nonsingleton_minset(g, table, 2)
@@ -445,21 +463,20 @@ def select_branch(inst: Instance, stats: Optional[SelectorStats] = None) -> Bran
         if r == 4 or r == 5:
             if sm >= 0:
                 seq: BranchSeq = ((0.5, 1), (1.5, 4)) if r == 4 else ((0.5, 1), (2, 5))
-                decision = split_vertex(inst, u, seq, f"thm5.1/r{r}-split")
+                decision = sel.split_vertex(u, seq, f"thm5.1/r{r}-split")
             else:
                 decision = sel.blocked_low(u)
         else:
             if sm >= 6 - r:
-                decision = split_vertex(inst, u, ((0.5, 1), (2.5, r)), "thm5.1/r6-split")
+                decision = sel.split_vertex(u, ((0.5, 1), (2.5, r)), "thm5.1/r6-split")
             else:
                 decision = sel.blocked_high(u)
         if decision is None:
             fb = find_blocker(g, u)
             if fb is not None:
-                decision = rule_b(inst, fb[0], [u], ((1, 2), (1, 3)),
-                                  "fallback/ruleB", _trusted=True)
+                decision = sel.rule_b(fb[0], [u], ((1, 2), (1, 3)), "fallback/ruleB")
             else:
-                decision = split_vertex(inst, u, ((0.5, 1), (0.5, r)), "fallback/split")
+                decision = sel.split_vertex(u, ((0.5, 1), (0.5, r)), "fallback/split")
 
     if stats is not None:
         stats.note(decision.case)

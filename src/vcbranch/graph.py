@@ -33,8 +33,9 @@ class Graph:
 
     The private edits _delete, _add_adjacent and _join change a graph in
     place, and its LP engine with it when that is built.  Only a reduction
-    run edits, and only the graph that its first step derived: no caller
-    holds that graph until the run returns it.  An engine handed out as a
+    run edits, and only the graph that its first step derived, or that
+    make_child derived and handed to it: no caller holds that graph until
+    the run returns it.  An engine handed out as a
     hint is frozen, so an edit then keeps it as this graph's own hint
     instead (the edits only delete vertices and add edges, so it stays a
     valid one).
@@ -260,7 +261,7 @@ class Graph:
             comps.append(sorted(comp))
         return comps
 
-    def find_pattern(self) -> Optional[PatternMatch]:
+    def find_pattern(self, _among: Optional[Iterable[int]] = None) -> Optional[PatternMatch]:
         """The lowest kite if there is one, otherwise the lowest funnel;
         "lowest" orders by (u, out-neighbor).
 
@@ -274,10 +275,12 @@ class Graph:
         is a clique iff every edge missing from N(u) touches x, i.e. iff
         d - 1 - inner[x] equals the number of missing edges.  Only x may
         have inner[x] < d - 2, so a second such neighbor ends the check.
+        With _among, only those vertices are tried as u: the caller vouches
+        that no pattern has its u elsewhere (see vcbranch.reduce).
         """
         adj = self._adj
         funnel = None
-        for u in sorted(adj):
+        for u in sorted(adj if _among is None else _among):
             nbrs = adj[u]
             d = len(nbrs)
             if d < 2 or (funnel is not None and d != 3):

@@ -555,17 +555,19 @@ def certify_minsurp_two(g: Graph) -> bool:
 
 
 def recertify_minsurp_two(g: Graph, near: Iterable[int]) -> bool:
-    """True only if minsurp(G) >= 2, given that G arose from a graph of
-    minsurp >= 2 by deleting a set S and adding edges between survivors,
-    and near = N(S) - S in that graph; False means "not certified".
+    """True only if minsurp(G) >= 2, given that near meets every set of
+    surplus <= 1 in G; False means "not certified".
 
-    A set of surplus <= 1 in G then holds a vertex of near (see
-    vcbranch.reduce), so minsurp(G) >= 2 iff every x in near has
-    v_x = deg(x) - 1 - d_x >= 2, which one capped check d_x <= deg(x) - 3
-    on the stored matching decides (a negative stop fails at once).  The
-    caller vouches for the precondition.  A decline needs none: it finds
-    an x with v_x <= 1, so minsurp(G) <= 1 and certify_minsurp_two would
-    decline too.  Either verdict is cached as certify_minsurp_two's.
+    Such a set I holds an x in near with v_x <= surp(I) <= 1 (v_x is the
+    least surplus of an independent set through x), so minsurp(G) >= 2 iff
+    every x in near has v_x = deg(x) - 1 - d_x >= 2, which one capped check
+    d_x <= deg(x) - 3 on the stored matching decides (a negative stop fails
+    at once).  vcbranch.reduce proves the precondition for two near sets:
+    N(S) - S after a funnel step deleted S from a graph of minsurp >= 2,
+    and N(u) & T for G - u, with G simplified and T its x with v_x <= 2.
+    The caller vouches for it.  A decline needs none: it finds an x with
+    v_x <= 1, so minsurp(G) <= 1 and certify_minsurp_two would decline
+    too.  Either verdict is cached as certify_minsurp_two's.
     """
     engine = _engine(g)
     adj = g._adj

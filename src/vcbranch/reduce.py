@@ -18,10 +18,12 @@ A run's first step derives a new graph (delete_vertices, which hands it
 the input's LP engine as a hint); every later step edits that graph in
 place (Graph._delete, _add_adjacent, _join), and its engine with it once
 that is built, so a step costs about what it touches.  The graph a run
-receives never changes.  The answers simplify reads do not depend on
-which maximum matching the edited engine holds (the Koenig zero-set, the
-weight and the tight set are canonical); a certificate verdict only
-chooses the path to the same step.
+receives never changes, except in a branch child's run: make_child hands
+over the graph it derived, and the run edits it from its first step.
+The answers simplify reads do not depend on which maximum matching the
+edited engine holds (the Koenig zero-set, the weight and the tight set
+are canonical); a certificate verdict only chooses the path to the same
+step.
 
 simplify decides minsurp <= 0 from one LP solve and the list of tight
 vertices (those 0 in some optimal LP solution), and two steps decide the
@@ -63,6 +65,26 @@ no LP solve, tight pass or residual digraph.  A decline shows some
 v'_x <= 1, so the certificate would decline too: its verdict is False
 without the residual digraph, and the LP solve and tight pass run as
 before.
+
+A fifth fact serves a branch child: the run receives G - D, where G is
+simplified and make_child deleted D, and near = N(D) - D in G.  A
+vertex w outside N(D) keeps N(w) and every edge inside N(w), so it keeps
+degree >= 3 and is the u of no kite or funnel, as in G.  Until the first
+step, therefore, every vertex of degree <= 2 and every pattern of G - D
+has its u in near, and the degree-2 scan and find_pattern look only
+there.  For D = {u}, let T hold the x with v_x <= 2 in G (the selector's
+low_entries(G, 2)).  An independent set I of G - u has surp(I) in G - u
+equal to its surplus in G minus 1 if I meets N(u), and equal to it
+otherwise.  So a set of surplus <= 1 in G - u meets N(u) and has surplus
+<= 2 in G; v_y is the least surplus of an independent set through y, so
+each y of it in N(u) is in T.  Hence minsurp(G - u) >= 2 iff every y in
+N(u) & T has v_y >= 2 in G - u, and the run starts with
+recertify_minsurp_two(G - u, N(u) & T).  Either way minsurp(G - u) >= 1,
+so the tight list starts empty, with no LP solve; the cached verdict
+spares the residual digraph.  In fact no y in N(u) & T passes (a set
+through y of surplus <= 2 in G loses u from its neighbourhood), so the
+check accepts exactly when the list is empty, and a decline costs one
+capped check.
 
 The result graph has minsurp >= 2, so its LP optimum is all-half
 (2*lambda - n = min{0, minsurp} = 0) and simplify returns lambda2 = n
@@ -177,7 +199,25 @@ def _p3_step(g: Graph, u: int, x: int, own: bool = False) -> tuple[Graph, Reduct
 StepHook = Callable[[Graph, int, ReductionStep, Graph, int], None]
 
 
-def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instance, ReductionTrace]:
+def _degree_two(g: Graph, among: Optional[Iterable[int]] = None
+                ) -> tuple[Optional[int], Optional[int]]:
+    """(the lowest degree-2 vertex with non-adjacent neighbors, the lowest
+    degree-2 vertex), None where there is none; with among, only those
+    vertices are looked at."""
+    fold = first2 = None
+    adj = g._adj
+    for x, nbrs in adj.items() if among is None else ((x, adj[x]) for x in among):
+        if len(nbrs) == 2:
+            if first2 is None or x < first2:
+                first2 = x
+            if (fold is None or x < fold) and not g.has_edge(*nbrs):
+                fold = x
+    return fold, first2
+
+
+def simplify(inst: Instance, on_step: Optional[StepHook] = None, *, _own: bool = False,
+             _near: Optional[frozenset[int]] = None,
+             _recheck: Optional[Iterable[int]] = None) -> tuple[Instance, ReductionTrace]:
     """Run the rule policy to its fixpoint.
 
     The result graph (if non-empty) has min degree >= 3, minsurp >= 2 and
@@ -186,25 +226,36 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instan
     The optional on_step hook receives (graph_before, k_before, step,
     graph_after, k_after) per applied rule; with a hook, graph_after is a
     copy, which is the next step's graph_before.
+
+    The private arguments serve vcbranch.branching.make_child, which vouches
+    for them.  _own: no caller holds inst.graph, so the first step edits it
+    in place too.  _near: inst.graph is G - D for a simplified G, and _near
+    is N(D) - D in G.  _recheck: the vertices y in N(u) with v_y <= 2 in G,
+    when D = {u}.  See the module docstring's fifth fact.
     """
     g = inst.graph
     k = inst.k
-    own = False  # whether g is this run's own graph, which steps edit in place
-    before = g  # the hook's graph_before
+    own = _own  # whether g is this run's own graph, which steps edit in place
+    before = g.copy() if own and on_step is not None else g  # the hook's graph_before
+    scope = _near  # the vertices the scans look at before the first step; None: all
     trace = ReductionTrace()
 
     def emit(g2: Graph, step: ReductionStep) -> None:
-        nonlocal g, k, own, before
+        nonlocal g, k, own, before, scope
         if on_step is not None:
             after = g2.copy()
             on_step(before, k, step, after, k - step.dk)
             before = after
         trace.steps.append(step)
-        g, k, own = g2, k - step.dk, True
+        g, k, own, scope = g2, k - step.dk, True, None
 
     # the current graph's tight list once min{0, minsurp} == 0 is known, and
     # None while unknown; see the module docstring for the steps that carry it
     tight: Optional[list[int]] = None
+    if _recheck is not None and g.n:
+        # minsurp >= 1, so nothing is tight; the verdict says whether it is 2
+        recertify_minsurp_two(g, _recheck)
+        tight = []
     while g.n:
         if tight is None:
             msm, zero = _msm_zeroset(g, frozenset())
@@ -221,15 +272,7 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instan
             tight = [x for x in tight if x in g]  # minus step.removed
             continue
         # minsurp >= 1 now, and a degree-2 vertex makes it exactly 1
-        # the lowest degree-2 vertex with non-adjacent neighbors, else the
-        # lowest degree-2 vertex
-        fold = first2 = None
-        for x, nbrs in g._adj.items():
-            if len(nbrs) == 2:
-                if first2 is None or x < first2:
-                    first2 = x
-                if (fold is None or x < fold) and not g.has_edge(*nbrs):
-                    fold = x
+        fold, first2 = _degree_two(g, scope)
         if fold is not None:
             emit(*_p2_step(g, SurplusCert(frozenset({fold}), 1), own))  # tight stays []
             continue
@@ -245,7 +288,7 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None) -> tuple[Instan
         if indep:
             emit(*_p2_step(g, SurplusCert(frozenset(min(indep)[2]), 1), own))
             tight = []
-        elif (match := g.find_pattern()) is not None:
+        elif (match := g.find_pattern(_among=scope)) is not None:
             u, x = match.u, match.out
             # no candidate: minsurp >= 2 here, so the vertices next to the
             # step, N(S) - S for S = N[u] & N[x], can prove it for the

@@ -169,20 +169,19 @@ def _simplify_and_fold(inst: Instance, depth: int) -> tuple[Instance, ReductionT
     g, k = inst.graph, inst.k
     comps = g.components()
     if len(comps) > 1:
-        folded = False
+        folded = []
         for comp in comps:
             if len(comp) <= COMPONENT_THRESHOLD:
-                keep = set(comp)
-                cover = _component_cover(
-                    g.delete_vertices([v for v in g.vertices() if v not in keep]))
-                g = g.delete_vertices(comp)
+                # a component is closed under adjacency: its rows are its graph
+                cover = _component_cover(g._derive({v: set(g._adj[v]) for v in comp}))
                 k -= len(cover)
                 trace.steps.append(ReductionStep(
                     kind="ComponentSolve", removed=tuple(comp), dk=len(cover),
                     comp_cover=tuple(sorted(cover))))
-                folded = True
+                folded += comp
         if folded:
             # the components left are simplified: all-half is LP-optimal
+            g = g.delete_vertices(folded)
             trace.final_graph = g
             inst = Instance(g, k, lambda2=g.n)
     return inst, trace

@@ -2,14 +2,15 @@ import pytest
 
 from vcbranch.graph import Graph, PreconditionError, complete, cycle
 from vcbranch.lp import (
-    Instance, SurplusCert, certify_minsurp_two, minsurp, minsurp_full, shadow,
-    shadow_minus,
+    Instance, SurplusCert, _engine, certify_minsurp_two, low_entries, minsurp, minsurp_full,
+    shadow, shadow_minus,
 )
 from vcbranch.branching import (
     MeasureParams,
     SIMPLE_LEVEL_PARAMS,
     _blocked_minset,
     dominates,
+    make_child,
     rule_b,
     select_branch,
     split_indset,
@@ -19,7 +20,7 @@ from vcbranch.branching import (
 from vcbranch.reduce import simplify
 from vcbranch.cli import circulant, gnp, random_regular
 
-from oracle_utils import exhaustive_vc
+from oracle_utils import exhaustive_vc, shuffled_ids
 
 
 P4 = SIMPLE_LEVEL_PARAMS[4]
@@ -374,6 +375,43 @@ def test_children_carry_independent_copies():
     d = split_vertex(inst, 0)
     d.children[0].inst.graph.add_vertex(99)
     assert 99 not in g and 99 not in d.children[1].inst.graph
+
+
+def test_make_child_owns_its_graph_and_equals_a_separate_simplify():
+    """make_child derives G - D once and simplify edits it in place: the
+    parent keeps its edges and its LP engine, matching and verdict, and the
+    child (graph, k, lambda and trace) equals simplify of G - D derived from
+    a cold copy.  With the selector's table (D = {u} and D = N[u] on a
+    simplified G) the child's first scans look only next to D and G - u is
+    certified from N(u) & T; without it every scan runs in full."""
+    graphs = [inst.graph for inst in _simplified_instances()]
+    graphs += [simplify(Instance(shuffled_ids(random_regular(n, d, seed), seed), n))[0].graph
+               for seed in range(6) for d in (4, 5, 6) for n in (14, 18)]
+    stepped = declined = 0
+    for seed, g in enumerate(graphs):
+        inst = Instance(g, g.n, lambda2=g.n)
+        engine = _engine(g)
+        certified = certify_minsurp_two(g)
+        low = low_entries(g, 2)
+        state = (g.edges(), engine.match_l[:], engine.match_r[:], engine.exposed[:], engine.live)
+        for u in g.vertices():
+            nbrs = set(g.neighbors(u))
+            declined += bool(nbrs & low.keys())
+            for include, delete in [({u}, {u}), (nbrs, nbrs | {u})]:
+                for table in (low, None):
+                    child = make_child(inst, include, delete, table)
+                    assert (g.edges(), engine.match_l, engine.match_r, engine.exposed,
+                            engine.live) == state, (seed, u)
+                    assert g._lp is engine and engine.certified is certified, (seed, u)
+                    cold = Graph(vertices=g.vertices(), edges=g.edges())
+                    ref, trace = simplify(Instance(cold.delete_vertices(delete),
+                                                   g.n - len(include), lambda2=0))
+                    assert child.inst.graph == ref.graph, (seed, u, sorted(delete))
+                    assert (child.inst.k, child.inst.lambda2) == (ref.k, ref.lambda2)
+                    assert child.trace.steps == trace.steps, (seed, u, sorted(delete))
+                    assert child.inst.graph._lp is not engine
+                    stepped += bool(trace.steps)
+    assert stepped >= 100 and declined >= 20, (stepped, declined)
 
 
 def test_selector_makes_few_masked_solves(monkeypatch):

@@ -22,12 +22,14 @@ from vcbranch.lp import (
     lp_basic_solution,
     minsurp,
     minsurp_full,
+    recertify_minsurp_two,
     shadow,
     shadow_minus,
     tight_vertices,
     zero_surplus_cert,
 )
 from vcbranch.cli import gnp, random_regular
+from vcbranch.reduce import simplify
 
 from oracle_utils import (
     exhaustive_lp_weight2,
@@ -664,6 +666,34 @@ def test_low_entries_equal_the_table():
             assert low_entries(g, bound) == low, (seed, bound)
             seen[bound, "entries" if low else "empty"] += 1
     assert min(seen.values()) >= 30, seen
+
+
+def test_split_child_recertifies_from_the_parent_table():
+    """For a simplified G, a vertex u and T = low_entries(G, 2), the x with
+    v_x <= 2: minsurp(G - u) >= 2 iff every y in N(u) & T has v_y >= 2 in
+    G - u, so recertify_minsurp_two(G - u, N(u) & T) equals the table's
+    verdict, and caches it on G - u's engine.  A y in N(u) & T never has:
+    a set through y of surplus <= 2 in G loses u from its neighborhood, so
+    a non-empty list always declines."""
+    graphs = [random_regular(n, d, seed) for seed in range(6) for d in (4, 5, 6)
+              for n in (14, 18)]
+    graphs += [gnp(n, p, seed) for seed in range(12) for n, p in [(14, 0.35), (18, 0.3)]]
+    seen = collections.Counter()
+    for seed, g in enumerate(graphs):
+        g = simplify(Instance(shuffled_ids(g, seed), g.n))[0].graph
+        if not g.n:
+            continue
+        assert g.min_degree() >= 3 and g.find_pattern() is None and minsurp_full(g)[0] >= 2
+        low = low_entries(g, 2)
+        for u in g.vertices():
+            near = sorted(y for y in g.neighbors(u) if y in low)
+            child = g.delete_vertices([u])
+            verdict = recertify_minsurp_two(child, near)
+            cold = Graph(vertices=child.vertices(), edges=child.edges())
+            assert verdict == (minsurp_full(cold)[0] >= 2), (seed, u)
+            assert verdict == (not near) and certify_minsurp_two(child) is verdict, (seed, u)
+            seen[verdict, "regular" if g.max_degree() == g.min_degree() else "mixed"] += 1
+    assert min(seen.values()) >= 5 and len(seen) == 4, seen
 
 
 def _root_dominates_alone(succ) -> bool:

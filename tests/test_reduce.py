@@ -526,3 +526,32 @@ def test_p3_steps_recertify_minsurp_two_from_the_vertices_next_to_them(monkeypat
                 assert verdict == (minsurp_full(_cold(ga))[0] >= 2), seed
                 seen[verdict] += 1
     assert seen[True] >= 200 and seen[False] >= 50, seen
+
+
+def test_first_scans_of_a_branch_child_look_only_next_to_the_deleted_set():
+    """On G - D for a simplified G, every vertex of degree <= 2 and every
+    kite or funnel has its u in near = N(D) - D, for D = {u} and D = N[u]:
+    the degree-2 scan and find_pattern restricted to near equal the full
+    scans of G - D."""
+    graphs = [random_regular(n, d, seed) for seed in range(6) for d in (4, 5, 6)
+              for n in (14, 20)]
+    graphs += [gnp(n, p, seed) for seed in range(12) for n, p in [(14, 0.35), (20, 0.3)]]
+    seen = Counter()
+    for seed, g in enumerate(graphs):
+        g = simplify(Instance(shuffled_ids(g, seed), g.n))[0].graph
+        if not g.n:
+            continue
+        assert g.min_degree() >= 3 and g.find_pattern() is None
+        for u in g.vertices():
+            for delete in ({u}, g.neighborhood([u], closed=True)):
+                if len(delete) == g.n:
+                    continue
+                h = g.delete_vertices(delete)
+                near = g.neighborhood(delete)
+                assert reduce._degree_two(h, near) == reduce._degree_two(h), (seed, u)
+                assert h.find_pattern(_among=near) == h.find_pattern(), (seed, u)
+                fold, first2 = reduce._degree_two(h)
+                seen["fold"] += fold is not None
+                seen["triangle"] += first2 is not None and first2 != fold
+                seen[getattr(h.find_pattern(), "kind", None)] += 1
+    assert min(seen[k] for k in ("fold", "triangle", "kite", "funnel")) >= 20, seen

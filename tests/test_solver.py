@@ -174,6 +174,45 @@ def test_component_folding_of_a_shuffled_union(monkeypatch):
     assert (26, 26) in lambdas and all(a == b for a, b in lambdas)
 
 
+def _fold_one_component_at_a_time(inst: Instance):
+    """The component fold with two whole-graph derivations per folded
+    component: the graph minus everything else, then the graph minus it."""
+    g, k, trace = inst.graph, inst.k, reduce.ReductionTrace(final_graph=inst.graph)
+    for comp in g.components():
+        if len(comp) <= solver.COMPONENT_THRESHOLD:
+            cover = solver._component_cover(
+                g.delete_vertices([v for v in g.vertices() if v not in set(comp)]))
+            g = g.delete_vertices(comp)
+            k -= len(cover)
+            trace.steps.append(reduce.ReductionStep(
+                kind="ComponentSolve", removed=tuple(comp), dk=len(cover),
+                comp_cover=tuple(sorted(cover))))
+    trace.final_graph = g
+    return Instance(g, k, lambda2=g.n), trace
+
+
+def test_component_fold_builds_each_part_from_its_own_rows(monkeypatch):
+    """Folding c small side components derives each component's graph from
+    its own rows and the remainder once: at most c + 1 derivations from a
+    graph larger than a component, not 2c whole-graph copies (quadratic in
+    c).  Trace, covers, k and the graph left equal the one-at-a-time fold."""
+    parts = [random_regular(12, 4, seed) for seed in range(30)] + [random_regular(30, 4, 99)]
+    g, _ = _shuffled_union(parts, 7)
+    inst = Instance(g, g.n, lambda2=g.n)
+    expected, expected_trace = _fold_one_component_at_a_time(inst)
+    sources = []
+    derive = Graph._derive
+    monkeypatch.setattr(Graph, "_derive",
+                        lambda self, adj: sources.append(self.n) or derive(self, adj))
+    out, trace = solver._simplify_and_fold(inst, 1)
+    large = [n for n in sources if n > solver.COMPONENT_THRESHOLD]
+    assert len(large) <= len(parts) + 1, len(large)
+    assert len(trace.steps) == len(parts) - 1
+    assert trace.steps == expected_trace.steps
+    assert out.graph == expected.graph and trace.final_graph is out.graph
+    assert (out.k, out.lambda2) == (expected.k, expected.lambda2)
+
+
 def test_level_independence_and_oracle_small():
     for seed in range(40):
         g = gnp(6 + seed % 8, (0.2, 0.35, 0.5)[seed % 3], seed)
