@@ -242,6 +242,7 @@ def _stats_record(stats: SolveStats) -> dict:
         "audit_violations": stats.audit_violations,
         "selector_cases": dict(sorted(stats.selector.cases.items())),
         "selector_fallbacks": stats.selector.fallbacks,
+        "component_nodes": stats.component_nodes,
         "wall_ms": round(stats.wall_time * 1000, 3),
     }
 

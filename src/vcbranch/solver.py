@@ -1,13 +1,14 @@
 """Degree-stratified decision solvers, base-solver stand-ins, dovetailing.
 
 Levels 3-7 run in one generator.  Level L simplifies, folds small side
-components (each solved exactly by the MaxIS stand-in), and branches on a
-vertex of degree >= L via the selector (levels 4-6) or a plain split on the
-lowest max-degree vertex (level 7, which also absorbs the degree >= 8 top
-rule).  When the max degree falls below L >= 4 it delegates: it dovetails
-level L - 1 against the bounded-degree MaxIS stand-in.  Level 3 never
-delegates: it is the stand-in for the above-guarantee solver, the same
-plain split with mu pruning, booked as its own rule and never audited.
+components (each solved exactly by one branch-and-bound pass over the
+MaxIS stand-in's search tree), and branches on a vertex of degree >= L via
+the selector (levels 4-6) or a plain split on the lowest max-degree vertex
+(level 7, which also absorbs the degree >= 8 top rule).  When the max
+degree falls below L >= 4 it delegates: it dovetails level L - 1 against
+the bounded-degree MaxIS stand-in.  Level 3 never delegates: it is the
+stand-in for the above-guarantee solver, the same plain split with mu
+pruning, booked as its own rule and never audited.
 
 Solvers are written as generators yielding once per branch node, so
 dovetailing is deterministic node-quantum alternation and a global node
@@ -66,6 +67,9 @@ class SolveStats:
     audit_violations: int = 0
     selector: SelectorStats = field(default_factory=SelectorStats)
     wall_time: float = 0.0
+    #: branch nodes of the component folds, once per preprocessed graph;
+    #: outside nodes and the budget
+    component_nodes: int = 0
 
 
 @dataclass
@@ -142,14 +146,14 @@ class _NoReuse(_SearchCache):
 # node preprocessing: simplify + fold small side components
 # ---------------------------------------------------------------------------
 
-def _preprocess(inst: Instance, depth: int,
-                cache: _SearchCache) -> tuple[Instance, ReductionTrace]:
+def _preprocess(inst: Instance, depth: int, cache: _SearchCache,
+                stats: SolveStats) -> tuple[Instance, ReductionTrace]:
     """Simplify and fold inst once per graph; later visits shift k by dk.
     One tag serves every depth: the root's graph reaches a deeper call only
     when preprocessing left it as it was."""
     hit = cache.get(inst.graph, "preprocess")
     if hit is None:
-        out, trace = _simplify_and_fold(inst, depth)
+        out, trace = _simplify_and_fold(inst, depth, stats)
         hit = (out.graph, trace, inst.k - out.k, out.lambda2)
         cache.put(inst.graph, "preprocess", hit)
         if out.graph is not inst.graph:
@@ -158,7 +162,8 @@ def _preprocess(inst: Instance, depth: int,
     return Instance(g, inst.k - dk, lambda2=lambda2), trace
 
 
-def _simplify_and_fold(inst: Instance, depth: int) -> tuple[Instance, ReductionTrace]:
+def _simplify_and_fold(inst: Instance, depth: int,
+                       stats: SolveStats) -> tuple[Instance, ReductionTrace]:
     """Only a run's root (depth 0) is simplified here: every deeper graph is
     a child that make_child simplified, or a graph that a higher level
     preprocessed before it delegated."""
@@ -173,7 +178,7 @@ def _simplify_and_fold(inst: Instance, depth: int) -> tuple[Instance, ReductionT
         for comp in comps:
             if len(comp) <= COMPONENT_THRESHOLD:
                 # a component is closed under adjacency: its rows are its graph
-                cover = _component_cover(g._derive({v: set(g._adj[v]) for v in comp}))
+                cover = _component_cover(g._derive({v: set(g._adj[v]) for v in comp}), stats)
                 k -= len(cover)
                 trace.steps.append(ReductionStep(
                     kind="ComponentSolve", removed=tuple(comp), dk=len(cover),
@@ -191,12 +196,13 @@ def _simplify_and_fold(inst: Instance, depth: int) -> tuple[Instance, ReductionT
 # base solvers (correctness-only stand-ins behind the base-solver interface)
 # ---------------------------------------------------------------------------
 
-def _fold_subquadratic(g: Graph, k: int) -> tuple[Graph, int, ReductionTrace]:
+def _fold_subquadratic(g: Graph, k: int, own: bool = False
+                       ) -> tuple[Graph, int, ReductionTrace]:
     """Fold vertices of degree <= 2 via singleton P1/P2 until none remain.
     As in simplify, the first step derives a new graph and later steps edit
-    it in place, so the graph passed in never changes."""
+    it in place, so the graph passed in never changes; with own, no caller
+    holds g, and the first step edits it too."""
     trace = ReductionTrace()
-    own = False
     while True:
         v = min((v for v, nbrs in g._adj.items() if len(nbrs) <= 2), default=None)
         if v is None:
@@ -215,6 +221,12 @@ def _fold_subquadratic(g: Graph, k: int) -> tuple[Graph, int, ReductionTrace]:
     return g, k, trace
 
 
+def _top_vertex(g: Graph) -> int:
+    """The lowest vertex of maximum degree of a non-empty graph."""
+    adj = g._adj
+    return max(adj, key=lambda v: (len(adj[v]), -v))
+
+
 def _base_maxis_gen(inst: Instance, cfg: SolverConfig, stats: SolveStats,
                     depth: int) -> SolveGen:
     g, k, trace = _fold_subquadratic(inst.graph, inst.k)
@@ -225,8 +237,8 @@ def _base_maxis_gen(inst: Instance, cfg: SolverConfig, stats: SolveStats,
     _account(stats, cfg, depth)
     stats.rule_counts["base-maxis-split"] += 1
     yield
-    maxdeg = g.max_degree()
-    u = min(v for v in g.vertices() if g.degree(v) == maxdeg)
+    u = _top_vertex(g)
+    maxdeg = g.degree(u)
     branches = [
         ({u}, {u}, 1),
         (set(g.neighbors(u)), set(g.neighbors(u)) | {u}, maxdeg),
@@ -239,17 +251,65 @@ def _base_maxis_gen(inst: Instance, cfg: SolverConfig, stats: SolveStats,
     return False, None
 
 
-def _component_cover(g: Graph) -> frozenset[int]:
-    """A minimum cover of a small graph: base-maxis decisions from k = n,
-    each asking for one vertex fewer than the last cover found.  Its nodes
-    are booked nowhere and no budget applies."""
-    cfg, stats = SolverConfig(), SolveStats()
-    best, k = None, g.n
-    while True:
-        feasible, cover = _drive(_base_maxis_gen(Instance(g, k, lambda2=0), cfg, stats, 0))
-        if not feasible:
-            return best
-        best, k = cover, len(cover) - 1
+def _component_cover(g: Graph, stats: Optional[SolveStats] = None) -> frozenset[int]:
+    """A minimum cover of a small graph, by one depth-first branch and bound
+    over the MaxIS stand-in's tree: the same fold, the same branch vertex and
+    the same child order ({u}, then N(u)) as _base_maxis_gen.  The bound
+    starts at n and drops to one less than each cover found.  A node whose
+    fold leaves k < 0 under it is pruned, and so is a child whose branch
+    alone passes it: a fold step never raises k, so that child's fold would
+    leave k < 0 too (and N(u), the larger branch, goes second).  Only the
+    last cover found is lifted.  Its branch nodes are booked on
+    stats.component_nodes, outside nodes and the budget.
+
+    The cover equals the one of the restart loop that decides k = n, then
+    k = |C| - 1 for each cover C found, and returns the last C:
+
+    * decision k returns the first leaf, in depth-first order, of size at
+      most k: fold and branch do not depend on k, and pruning at k < 0 cuts
+      exactly the subtrees that hold no such leaf;
+    * every leaf before cover C_i is larger than the bound that found C_i,
+      so it is larger than |C_i| - 1 too, and the next cover lies after C_i;
+    * so one walk that goes on after each leaf with the lowered bound meets
+      the same covers in the same order and ends on the same last cover.
+      Its nodes are a subset of the loop's: the loop walks each prefix again,
+      and its last, infeasible run walks the whole tree.
+
+    Each child graph is derived once and folded in place from its first step;
+    g itself is never edited.  The recursion is at most n <= 24 deep.
+    """
+    bound = g.n  # the size a cover must not exceed to be recorded
+    path: list[tuple[ReductionTrace, frozenset[int]]] = []
+    best: list[tuple[ReductionTrace, frozenset[int]]] = []
+    nodes = 0
+
+    def search(g: Graph, size: int, own: bool) -> None:
+        nonlocal bound, best, nodes
+        g, k, trace = _fold_subquadratic(g, bound - size, own)
+        if k < 0:
+            return
+        if g.n == 0:
+            best = path + [(trace, frozenset())]
+            bound -= k + 1  # one less than this cover's size
+            return
+        nodes += 1
+        size = bound - k
+        u = _top_vertex(g)
+        nbrs = frozenset(g.neighbors(u))
+        for include, delete in ((frozenset({u}), {u}), (nbrs, nbrs | {u})):
+            if size + len(include) > bound:
+                return
+            path.append((trace, include))
+            search(g.delete_vertices(delete), size + len(include), True)
+            path.pop()
+
+    search(g, 0, False)
+    if stats is not None:
+        stats.component_nodes += nodes
+    cover: frozenset[int] = frozenset()
+    for trace, include in reversed(best):
+        cover = lift_cover(trace, include | cover)
+    return cover
 
 
 def _dovetail_gen(first: SolveGen, second: SolveGen, quantum: int) -> SolveGen:
@@ -287,7 +347,7 @@ def _predicted_exponents(inst: Instance, level: int) -> tuple[float, float]:
 
 def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: SolveStats,
                      depth: int, cache: _SearchCache) -> SolveGen:
-    inst, trace = _preprocess(inst, depth, cache)
+    inst, trace = _preprocess(inst, depth, cache, stats)
     if inst.k < 0 or inst.mu2 < 0:
         return False, None
     g = inst.graph
@@ -317,8 +377,8 @@ def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: Solve
         if 3 < level <= 6:
             decision = select_branch(inst, stats.selector)
         else:
-            maxdeg = g.max_degree()
-            u = min(v for v in g.vertices() if g.degree(v) == maxdeg)
+            u = _top_vertex(g)
+            maxdeg = g.degree(u)
             # level 3 books neither the claim nor the case
             decision = split_vertex(inst, u, claimed=((0.0, 1), (0.0, min(maxdeg, 7))),
                                     case="branch7/top-split")

@@ -303,7 +303,7 @@ GOLDEN_SOLVE_KEYS = {
 GOLDEN_STATS_KEYS = {
     "nodes": int, "max_depth": int, "rule_counts": dict, "audit_records": int,
     "audit_violations": int, "selector_cases": dict, "selector_fallbacks": int,
-    "wall_ms": float,
+    "component_nodes": int, "wall_ms": float,
 }
 
 

@@ -20,7 +20,7 @@ from vcbranch.solver import (
 from vcbranch.cli import NAMED_GRAPHS, circulant, gnp, random_regular
 from vcbranch.verify import brute_force_vc
 
-from oracle_utils import exhaustive_vc, is_cover, random_corpus
+from oracle_utils import exhaustive_vc, is_cover, random_corpus, shuffled_ids
 
 
 PETERSEN = NAMED_GRAPHS["petersen"]()
@@ -160,8 +160,8 @@ def test_component_folding_of_a_shuffled_union(monkeypatch):
     folded, lambdas = [], []
     real = solver._simplify_and_fold
 
-    def recording(inst, depth):
-        out, trace = real(inst, depth)
+    def recording(inst, depth, stats):
+        out, trace = real(inst, depth, stats)
         folded.extend(set(s.removed) for s in trace.steps if s.kind == "ComponentSolve")
         lambdas.append((out.lambda2, lp_weight2(out.graph)))
         return out, trace
@@ -204,7 +204,7 @@ def test_component_fold_builds_each_part_from_its_own_rows(monkeypatch):
     derive = Graph._derive
     monkeypatch.setattr(Graph, "_derive",
                         lambda self, adj: sources.append(self.n) or derive(self, adj))
-    out, trace = solver._simplify_and_fold(inst, 1)
+    out, trace = solver._simplify_and_fold(inst, 1, SolveStats())
     large = [n for n in sources if n > solver.COMPONENT_THRESHOLD]
     assert len(large) <= len(parts) + 1, len(large)
     assert len(trace.steps) == len(parts) - 1
@@ -317,6 +317,65 @@ def test_component_cover_is_minimum():
         cover = solver._component_cover(g)
         assert cover <= set(g.vertices()) and is_cover(g, cover)
         assert len(cover) == exhaustive_vc(g)
+
+
+def _restart_loop_cover(g: Graph) -> frozenset[int]:
+    """The component fold as base-maxis decisions: k = n, then one less
+    than each cover found; the last cover found."""
+    best, k = None, g.n
+    while True:
+        result = base_maxis(Instance(g, k, lambda2=0))
+        if not result.feasible:
+            return best
+        best, k = result.cover, len(result.cover) - 1
+
+
+def test_component_cover_equals_the_restart_loop(monkeypatch):
+    """One branch-and-bound pass returns the very cover of the restart loop,
+    folds no more often on any graph and less often in all, picks the same
+    branch vertices and leaves its input graph as it was."""
+    graphs = [g for _, g in random_corpus(40, n_max=16, n_min=4)]
+    regular = [random_regular(n, d, seed) for n in (12, 16, 20, 24) for d in (3, 4, 5)
+               for seed in (1, 2)]
+    graphs += regular + [shuffled_ids(g, 3) for g in regular[::3]]
+    graphs += [Graph(vertices=range(n)) for n in (0, 1, 6)]  # edgeless
+    graphs.append(Graph(edges=[(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (7, 8),
+                               (8, 9), (9, 7), (9, 10), (11, 12), (12, 13), (13, 11)]))
+    folds = []
+    real = solver._fold_subquadratic
+    monkeypatch.setattr(solver, "_fold_subquadratic",
+                        lambda *args: folds.append(1) or real(*args))
+    one_pass = restarts = 0
+    for g in graphs:
+        before = g.copy()
+        folds.clear()
+        expected = _restart_loop_cover(g)
+        loop_folds = len(folds)
+        folds.clear()
+        assert solver._component_cover(g) == expected
+        assert len(folds) <= loop_folds
+        one_pass += len(folds)
+        restarts += loop_folds
+        assert g == before and g.edges() == before.edges()
+        if g.n:
+            top = max(g.degree(v) for v in g.vertices())
+            assert solver._top_vertex(g) == min(v for v in g.vertices() if g.degree(v) == top)
+    assert one_pass < restarts
+
+
+def test_component_nodes_are_booked_once_per_preprocessed_graph():
+    """component_nodes counts the fold's branch nodes apart from nodes: the
+    optimum search books each folded graph once, as one decision run at the
+    optimum does, two runs agree, and a graph without side components
+    books none."""
+    parts = [random_regular(10, 4, 0), random_regular(12, 4, 1), random_regular(26, 4, 2)]
+    g, _ = _shuffled_union(parts, 5)
+    opt, _, stats = solve_optimum(g)
+    assert opt > (Instance(g, 0).lambda2 + 1) // 2  # several decision values k are tried
+    assert stats.component_nodes > 0
+    assert solve_optimum(g)[2].component_nodes == stats.component_nodes
+    assert solve_decision(Instance(g, opt)).stats.component_nodes == stats.component_nodes
+    assert solve_optimum(random_regular(26, 4, 2))[2].component_nodes == 0
 
 
 def test_solver_binds_no_oracle():
