@@ -274,7 +274,9 @@ class Graph:
         One pass: with inner[a] = |N(a) & N(u)| per neighbor a, N(u) - {x}
         is a clique iff every edge missing from N(u) touches x, i.e. iff
         d - 1 - inner[x] equals the number of missing edges.  Only x may
-        have inner[x] < d - 2, so a second such neighbor ends the check.
+        have inner[x] < d - 2, so a second such neighbor ends the check;
+        that rejection does not depend on the order, so the neighbors are
+        counted unsorted and sorted only for a u that survives it.
         With _among, only those vertices are tried as u: the caller vouches
         that no pattern has its u elsewhere (see vcbranch.reduce).
         """
@@ -285,25 +287,25 @@ class Graph:
             d = len(nbrs)
             if d < 2 or (funnel is not None and d != 3):
                 continue
-            ordered = sorted(nbrs)
             inner = []
             short = 0
-            for a in ordered:
+            for a in nbrs:
                 count = len(adj[a] & nbrs)
                 if count < d - 2:
                     short += 1
                     if short == 2:
                         break
-                inner.append(count)
+                inner.append((a, count))
             else:
-                edges = sum(inner) // 2
+                inner.sort()
+                edges = sum(c for _, c in inner) // 2
                 if d == 2 and not edges:
                     continue
                 missing = d * (d - 1) // 2 - edges
-                x = next((x for x, c in zip(ordered, inner) if d - 1 - c == missing), None)
+                x = next((x for x, c in inner if d - 1 - c == missing), None)
                 if x is None:
                     continue
-                rest = tuple(a for a in ordered if a != x)
+                rest = tuple(a for a, _ in inner if a != x)
                 if d == 3 and edges >= 2:
                     a, b = rest
                     return PatternMatch("kite", u, x, rest if a in adj[x] else (b, a))

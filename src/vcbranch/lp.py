@@ -227,30 +227,29 @@ class _LPEngine:
                 roots.append(u)
         return roots
 
-    def _augment(self, roots: list[int], log: Optional[_Log], stop: Optional[int] = None) -> list[int]:
+    def _augment(self, roots: list[int], log: Optional[_Log], wins: int = 0,
+                 fails: int = 0) -> list[int]:
         """One breadth-first augmenting search per root, in order, in the
-        current masked view, and the roots left exposed.
+        current masked view, and the roots it left exposed.
 
         Kuhn: a root with no augmenting path gets none after later
         augmentations either, so one pass yields a maximum matching.  The
         search stamps right vertices with an epoch instead of clearing a
         seen array; after a failed search the epoch is kept, since what it
-        reached cannot lie on a later augmenting path.  With a stop, the
-        pass ends as soon as it is decided whether more than stop roots stay
-        exposed.  log is None only for the build, whose flips are kept.
+        reached cannot lie on a later augmenting path.  The pass ends early
+        after wins augmentations or after fails exposed roots, each counted
+        down only when it happens; zero means no limit (a count that passes
+        zero never reaches it again).  The roots not yet searched are then
+        left out of the result.  log is None only for the build and the
+        in-place edits, whose flips are kept.
         """
         adj = self.adj
         match_l, match_r = self.match_l, self.match_r
         seen, prev = self._seen, self._prev
         stamp, mark = self._stamp, self._mark
-        total = len(roots)
         exposed: list[int] = []
         epoch = self._epoch + 1
-        for k, root in enumerate(roots):
-            # undecided while exposed <= stop < exposed + roots not yet searched
-            if stop is not None and not len(exposed) <= stop < len(exposed) + total - k:
-                exposed += roots[k:]
-                break
+        for root in roots:
             queue = [root]
             free = -1
             for u in queue:
@@ -269,6 +268,9 @@ class _LPEngine:
                     break
             if free < 0:
                 exposed.append(root)
+                fails -= 1
+                if not fails:
+                    break
                 continue
             epoch += 1
             w = free
@@ -282,6 +284,9 @@ class _LPEngine:
                 if u == root:
                     break
                 w = nw
+            wins -= 1
+            if not wins:
+                break
         self._epoch = epoch
         return exposed
 
@@ -307,11 +312,18 @@ class _LPEngine:
 
     def deficiency_exceeds(self, x: int, stop: int) -> bool:
         """Whether a maximum matching of the double cover of G - N[x] leaves
-        more than stop left vertices exposed; the search ends as soon as
-        that is decided."""
+        more than stop left vertices exposed.  A negative stop is exceeded
+        and one at least the number of roots is not, with no search;
+        otherwise the search ends at stop + 1 exposed roots (exceeded) or
+        len(roots) - stop augmentations (not exceeded)."""
+        if stop < 0:
+            return True
         i = self.index[x]
+        roots = self._roots([i, *self.adj[i]])
+        if len(roots) <= stop:
+            return False
         log: _Log = []
-        exceeds = len(self._augment(self._roots([i, *self.adj[i]]), log, stop)) > stop
+        exceeds = len(self._augment(roots, log, len(roots) - stop, stop + 1)) > stop
         self._undo(log)
         return exceeds
 
@@ -324,15 +336,25 @@ class _LPEngine:
         whose right end is taken must be closed under the residual arcs
         u -> match_r[w] (w adjacent to u).  x is 0 in the LP solution of such
         a cover iff x is in S and match_r[x] is not, which some closed S
-        allows iff match_r[x] is not reachable from x.  One Tarjan pass with
-        a reach bitset per strongly connected component answers that for
-        every x at once.
+        allows iff match_r[x] is not reachable from x.
+
+        Most views have no such x: when the residual digraph is strongly
+        connected, every x reaches every vertex, match_r[x] included (the
+        "elementary graph" case of Lovasz and Plummer, Matching Theory,
+        1986).  So _strongly_connected's two searches come first, and if
+        they reach every live vertex the answer is empty.  Otherwise one
+        Tarjan pass with a reach bitset per strongly connected component
+        answers for every x at once.
         """
         index = self.index
+        closed = [index[v] for v in excluded if v in index]
         log: _Log = []
-        if self._augment(self._roots([index[v] for v in excluded if v in index]), log):
+        if self._augment(self._roots(closed), log):
             self._undo(log)
             return None
+        if self._strongly_connected(self.live - len(closed)):
+            self._undo(log)
+            return []
         adj = self.adj
         n = len(adj)
         match_r = self.match_r
@@ -394,6 +416,41 @@ class _LPEngine:
                  if stamp[x] < mark and not (reach[comp[x]] >> comp[match_r[x]] & 1)]
         self._undo(log)
         return tight
+
+    def _strongly_connected(self, n_active: int) -> bool:
+        """Whether the residual digraph of the masked view's perfect
+        matching, on its n_active live vertices, is strongly connected: a
+        forward and a backward search from the lowest live vertex both reach
+        all of them.  Arcs go u -> match_r[w] for unmasked w in N(u), so the
+        predecessors of u are the unmasked vertices of N(match_l[u])."""
+        adj = self.adj
+        match_l, match_r = self.match_l, self.match_r
+        stamp, mark = self._stamp, self._mark
+        n = len(adj)
+        root = next((u for u in range(n) if stamp[u] < mark), -1)
+        if root < 0:
+            return True
+        reached = bytearray(n)
+        reached[root] = 1
+        queue = [root]
+        for u in queue:
+            for w in adj[u]:
+                if stamp[w] < mark:
+                    v = match_r[w]
+                    if not reached[v]:
+                        reached[v] = 1
+                        queue.append(v)
+        if len(queue) < n_active:
+            return False
+        reached = bytearray(n)
+        reached[root] = 1
+        queue = [root]
+        for u in queue:
+            for v in adj[match_l[u]]:
+                if not reached[v] and stamp[v] < mark:
+                    reached[v] = 1
+                    queue.append(v)
+        return len(queue) == n_active
 
     def _zero_set(self, exposed: list[int]) -> frozenset[int]:
         """Koenig: alternating reachability from the exposed left vertices

@@ -228,8 +228,12 @@ def _top_vertex(g: Graph) -> int:
 
 
 def _base_maxis_gen(inst: Instance, cfg: SolverConfig, stats: SolveStats,
-                    depth: int) -> SolveGen:
-    g, k, trace = _fold_subquadratic(inst.graph, inst.k)
+                    depth: int, own: bool = False) -> SolveGen:
+    """The MaxIS stand-in's decision: fold, then branch on the lowest vertex
+    of maximum degree, {u} first, then N(u).  With own, no caller holds
+    inst.graph, and the fold edits it from its first step; the graph a
+    dovetail or the cache passes in is never edited."""
+    g, k, trace = _fold_subquadratic(inst.graph, inst.k, own)
     if k < 0:
         return False, None
     if g.n == 0:
@@ -245,7 +249,7 @@ def _base_maxis_gen(inst: Instance, cfg: SolverConfig, stats: SolveStats,
     ]
     for include, delete, dk in branches:
         child = Instance(g.delete_vertices(delete), k - dk, lambda2=0)
-        ok, sub = yield from _base_maxis_gen(child, cfg, stats, depth + 1)
+        ok, sub = yield from _base_maxis_gen(child, cfg, stats, depth + 1, own=True)
         if ok:
             return True, lift_cover(trace, frozenset(include) | sub)
     return False, None

@@ -110,7 +110,9 @@ def test_find_pattern_equals_the_two_scans():
     """One counting pass finds what a kite scan followed by a funnel scan
     finds, on seeded G(n, p) and regular graphs, graphs with triangles
     through degree-2 vertices, K4/K5 neighbourhoods and isolated vertices,
-    and those graphs with a few vertices deleted."""
+    those graphs with a few vertices deleted, and copies edited in place by
+    alternating _delete and _join steps (their neighbour sets then iterate
+    in edit order, not id order)."""
     graphs = [gnp(n, p, seed) for seed in range(40)
               for n, p in [(6 + seed % 9, 0.3), (8 + seed % 7, 0.5), (12, 0.7)]]
     graphs += [random_regular(n, d, seed) for seed in range(10)
@@ -128,6 +130,7 @@ def test_find_pattern_equals_the_two_scans():
     graphs.append(Graph(vertices=range(4)))
     rng = random.Random(5)
     kinds = set()
+    edited = dict.fromkeys((None, "kite", "funnel"), 0)
     for seed, g in enumerate(graphs):
         g = shuffled_ids(g, seed)
         variants = [g] + [g.delete_vertices(rng.sample(g.vertices(), min(g.n, k)))
@@ -136,7 +139,21 @@ def test_find_pattern_equals_the_two_scans():
             match = h.find_pattern()
             assert match == _two_scan_pattern(h), (seed, h.edges())
             kinds.add(None if match is None else match.kind)
+        h = g.delete_vertices([])
+        for step in range(4):
+            verts = h.vertices()
+            if len(verts) < 3:
+                break
+            if step % 2:
+                side = rng.sample(verts, min(4, len(verts)))
+                h._join(side[:1], side[1:])
+            else:
+                h._delete(rng.sample(verts, 1))
+            match = h.find_pattern()
+            assert match == _two_scan_pattern(h), (seed, step, h.edges())
+            edited[None if match is None else match.kind] += 1
     assert kinds == {None, "kite", "funnel"}
+    assert min(edited.values()) >= 20, edited
 
 
 def test_components():

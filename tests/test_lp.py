@@ -423,23 +423,46 @@ def test_in_place_edits_equal_a_cold_engine():
     assert seen["accepted"] >= 10 and seen["exposed"] >= 100, seen
 
 
-def test_tight_vertices_equal_the_sweep():
+def _union(a: Graph, b: Graph) -> Graph:
+    """The disjoint union of a and b, b's ids moved above a's."""
+    shift = max(a.vertices(), default=-1) + 1
+    return Graph(vertices=a.vertices() + [v + shift for v in b.vertices()],
+                 edges=a.edges() + [(u + shift, v + shift) for u, v in b.edges()])
+
+
+def test_tight_vertices_equal_the_sweep(monkeypatch):
     """Where min{0, minsurp(G - X)} == 0, the residual-graph test names
     exactly the zero entries of the minsurp table, and the certificate is the
     sweep's first surplus-0 one; where it is negative, both return None.
 
     X is empty or N[x] plus a few random vertices; ids are shuffled so that
     the lowest tight vertex is not an artefact of the generator's order.
+    Both paths answer: the two-search shortcut (a strongly connected
+    residual digraph, empty answer) and the Tarjan pass, which also answers
+    empty on disjoint unions of odd cycles and of regular graphs, whose
+    residual digraph is not strongly connected.  The stored matching is
+    unchanged after every query.
     """
+    strong = []
+    connected = _LPEngine._strongly_connected
+    monkeypatch.setattr(_LPEngine, "_strongly_connected",
+                        lambda self, n_active: strong.append(connected(self, n_active))
+                        or strong[-1])
     rng = random.Random(17)
     graphs = [gnp(n, c / n, seed) for seed in range(90)
               for n, c in [(6 + seed % 11, 2.5), (10 + seed % 19, 3.5)]]
     graphs += [random_regular(n, d, seed) for seed in range(16)
                for n, d in [(10 + 2 * seed, 3), (12 + seed, 4), (12 + 2 * seed, 5)]]
     graphs += [cycle(n) for n in range(3, 43)]
+    graphs += [_union(cycle(a), cycle(b)) for a in (3, 5, 7) for b in (3, 5, 9)]
+    graphs += [_union(random_regular(10 + seed, 4, seed), random_regular(12, 3, seed))
+               for seed in range(6)]
     seen = dict.fromkeys(itertools.product((False, True), ("negative", "tight", "tight-free")), 0)
+    paths = collections.Counter()
     for seed, g in enumerate(graphs):
         g = shuffled_ids(g, seed)
+        engine = _engine(g)
+        stored = (engine.match_l[:], engine.match_r[:], engine.exposed[:])
         verts = g.vertices()
         masks = [frozenset()]
         for x in rng.sample(verts, min(4, len(verts))):
@@ -448,11 +471,20 @@ def test_tight_vertices_equal_the_sweep():
         for mask in masks:
             if len(mask) >= g.n:
                 continue
+            strong.clear()
             tight = tight_vertices(g, mask)
+            assert (engine.match_l, engine.match_r, engine.exposed) == stored, (seed, sorted(mask))
+            answered = strong[:]  # [] when the masked view has no perfect matching
+            if answered:
+                path = "shortcut" if answered[0] else "tarjan"
+                paths[path, "empty" if not tight else "tight"] += 1
+                if not answered[0] and not tight and len(g.components()) > 1:
+                    paths["tarjan", "empty", "disconnected"] += 1
             cert = zero_surplus_cert(g, mask)
+            assert (engine.match_l, engine.match_r, engine.exposed) == stored, (seed, sorted(mask))
             if shadow_minus(g, mask) < 0:
                 seen[bool(mask), "negative"] += 1
-                assert tight is None and cert is None, (seed, sorted(mask))
+                assert tight is None and cert is None and not answered, (seed, sorted(mask))
                 continue
             value, first, table = minsurp_full(g, mask, need_table=True)
             assert tight == [y for y in sorted(table) if table[y][0] == 0], (seed, sorted(mask))
@@ -463,6 +495,8 @@ def test_tight_vertices_equal_the_sweep():
                 seen[bool(mask), "tight-free"] += 1
                 assert cert is None, (seed, sorted(mask))
     assert min(seen.values()) >= 50, seen
+    assert min(paths["shortcut", "empty"], paths["tarjan", "tight"]) >= 100, paths
+    assert paths["tarjan", "empty", "disconnected"] >= 10, paths
 
 
 def _residual_digraph(g: Graph):
@@ -601,12 +635,22 @@ def test_deficiency_check_equals_the_masked_solve():
     cover of G - mask) the stored matching is as it was.  A query that
     follows one with a different mask, and an unmasked solve (answered off
     the stored matching with no search), equal a cold engine's first query,
-    on engines with and without exposed vertices."""
+    on engines with and without exposed vertices.  Half the graphs are
+    first edited in place (a vertex deleted, a vertex appended), so their
+    engines hold deleted slots and appended ones; stop runs from -1 (always
+    exceeded) up to 5."""
     rng = random.Random(5)
     seen = dict.fromkeys(range(4), 0)
     tight_seen = {True: 0, False: 0}  # keyed by "tight returned None"
     unmasked_seen = {True: 0, False: 0}  # keyed by "the engine has exposed vertices"
+    edited = 0
     for seed, g in enumerate(_mixed_degree_graphs()):
+        if seed % 2:
+            g = g.delete_vertices([])
+            _engine(g)
+            g._delete(rng.sample(g.vertices(), 1))
+            g._add_adjacent(rng.sample(g.vertices(), 3))
+            edited += g._lp is not None and len(g._lp.verts) > g._lp.live
         engine = _engine(g)
         stored = (engine.match_l[:], engine.match_r[:], engine.exposed[:])
         verts = g.vertices()
@@ -616,7 +660,7 @@ def test_deficiency_check_equals_the_masked_solve():
             assert (engine.match_l, engine.match_r, engine.exposed) == stored, (seed, x)
             deficiency = n_active - weight2
             seen[min(deficiency, 3)] += 1
-            for stop in range(6):
+            for stop in range(-1, 6):
                 assert engine.deficiency_exceeds(x, stop) == (deficiency > stop), (seed, x, stop)
                 assert (engine.match_l, engine.match_r, engine.exposed) == stored, (seed, x)
             for mask in (closed, frozenset(rng.sample(verts, rng.randint(1, len(verts) // 2)))):
@@ -635,6 +679,7 @@ def test_deficiency_check_equals_the_masked_solve():
     assert min(seen.values()) >= 200, seen
     assert min(tight_seen.values()) >= 1000, tight_seen
     assert min(unmasked_seen.values()) >= 400, unmasked_seen
+    assert edited >= 100, edited
 
 
 def test_cold_builds_of_large_sparse_graphs():

@@ -57,6 +57,33 @@ def test_base_maxis():
     assert r.feasible and is_cover(PETERSEN, r.cover)
 
 
+def test_base_maxis_derives_each_child_once(monkeypatch):
+    """The MaxIS stand-in derives each branch child with one
+    delete_vertices call, and the child's fold edits it in place instead of
+    deriving a second copy.  Feasibility, cover and nodes equal those of a
+    run whose folds never edit in place, and the input graph is unchanged."""
+    derived = []
+    delete = Graph.delete_vertices
+    monkeypatch.setattr(Graph, "delete_vertices",
+                        lambda self, s: derived.append(1) or delete(self, s))
+    real = solver._fold_subquadratic
+    cases = [(random_regular(30, 4, 1), 17, False, 24), (random_regular(30, 4, 1), 20, True, 6),
+             (random_regular(40, 3, 2), 22, False, 18)]
+    for g, k, feasible, calls in cases:
+        edges = g.edges()
+        derived.clear()
+        r = base_maxis(Instance(g, k))
+        assert r.feasible is feasible and len(derived) == calls <= 2 * r.stats.nodes, k
+        assert g.edges() == edges
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_fold_subquadratic", lambda g, k, own=False: real(g, k))
+            derived.clear()
+            copied = base_maxis(Instance(g, k))
+        assert len(derived) > calls
+        assert (r.feasible, r.cover, r.stats.nodes) == \
+            (copied.feasible, copied.cover, copied.stats.nodes), k
+
+
 def test_base_agvc():
     r = base_agvc(Instance(cycle(5), 2))  # k < ceil(lambda) = 3
     assert not r.feasible and r.stats.nodes == 0
