@@ -73,6 +73,20 @@ def shuffled_ids(g: Graph, seed: int) -> Graph:
     return Graph(vertices=ids, edges=[(new[u], new[v]) for u, v in g.edges()])
 
 
+def shuffled_union(parts: list[Graph], seed: int) -> tuple[Graph, list[set[int]]]:
+    """The disjoint union of parts with shuffled ids, and each part's ids."""
+    ids = list(range(sum(p.n for p in parts)))
+    random.Random(seed).shuffle(ids)
+    g, owners, start = Graph(vertices=ids), [], 0
+    for part in parts:
+        new = dict(zip(part.vertices(), ids[start:start + part.n]))
+        start += part.n
+        for u, v in part.edges():
+            g.add_edge(new[u], new[v])
+        owners.append(set(new.values()))
+    return g, owners
+
+
 P_CHOICES = (0.1, 0.2, 0.3, 0.4, 0.5)
 
 

@@ -1,6 +1,5 @@
 import ast
 import inspect
-import random
 from collections import Counter
 
 import pytest
@@ -20,7 +19,7 @@ from vcbranch.solver import (
 from vcbranch.cli import NAMED_GRAPHS, circulant, gnp, random_regular
 from vcbranch.verify import brute_force_vc
 
-from oracle_utils import exhaustive_vc, is_cover, random_corpus, shuffled_ids
+from oracle_utils import exhaustive_vc, is_cover, random_corpus, shuffled_ids, shuffled_union
 
 
 PETERSEN = NAMED_GRAPHS["petersen"]()
@@ -163,27 +162,13 @@ def test_dovetail_turns(monkeypatch):
     assert both >= 8, both
 
 
-def _shuffled_union(parts: list[Graph], seed: int) -> tuple[Graph, list[set[int]]]:
-    """The disjoint union of parts with shuffled ids, and each part's ids."""
-    ids = list(range(sum(p.n for p in parts)))
-    random.Random(seed).shuffle(ids)
-    g, owners, start = Graph(vertices=ids), [], 0
-    for part in parts:
-        new = dict(zip(part.vertices(), ids[start:start + part.n]))
-        start += part.n
-        for u, v in part.edges():
-            g.add_edge(new[u], new[v])
-        owners.append(set(new.values()))
-    return g, owners
-
-
 def test_component_folding_of_a_shuffled_union(monkeypatch):
     """simplify leaves three 4-regular components; the two of at most
     COMPONENT_THRESHOLD vertices are solved apart and folded, the LP value
     left is that of the largest, and the ComponentSolve steps are lifted
     back into the optimum cover."""
     parts = [random_regular(10, 4, 0), random_regular(12, 4, 1), random_regular(26, 4, 2)]
-    g, owners = _shuffled_union(parts, 5)
+    g, owners = shuffled_union(parts, 5)
     folded, lambdas = [], []
     real = solver._simplify_and_fold
 
@@ -224,7 +209,7 @@ def test_component_fold_builds_each_part_from_its_own_rows(monkeypatch):
     graph larger than a component, not 2c whole-graph copies (quadratic in
     c).  Trace, covers, k and the graph left equal the one-at-a-time fold."""
     parts = [random_regular(12, 4, seed) for seed in range(30)] + [random_regular(30, 4, 99)]
-    g, _ = _shuffled_union(parts, 7)
+    g, _ = shuffled_union(parts, 7)
     inst = Instance(g, g.n, lambda2=g.n)
     expected, expected_trace = _fold_one_component_at_a_time(inst)
     sources = []
@@ -396,7 +381,7 @@ def test_component_nodes_are_booked_once_per_preprocessed_graph():
     optimum does, two runs agree, and a graph without side components
     books none."""
     parts = [random_regular(10, 4, 0), random_regular(12, 4, 1), random_regular(26, 4, 2)]
-    g, _ = _shuffled_union(parts, 5)
+    g, _ = shuffled_union(parts, 5)
     opt, _, stats = solve_optimum(g)
     assert opt > (Instance(g, 0).lambda2 + 1) // 2  # several decision values k are tried
     assert stats.component_nodes > 0
