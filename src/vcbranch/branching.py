@@ -70,7 +70,6 @@ def dominates(params: MeasureParams, b1: Iterable, b2: Iterable) -> bool:
 @dataclass
 class BranchChild:
     include: frozenset[int]      # forced into the cover
-    exclude: frozenset[int]      # forced out (deleted, neighbors included)
     inst: Instance               # simplified subproblem
     trace: ReductionTrace        # simplification applied after deletion
     dmu2: int                    # realized mu drop vs parent, doubled
@@ -107,8 +106,7 @@ def make_child(parent: Instance, include: Iterable[int], delete: Iterable[int],
     include = frozenset(include)
     delete = frozenset(delete)
     g = parent.graph
-    exclude = delete - include
-    for v in exclude:
+    for v in delete - include:
         if not g.neighbors(v) <= include:
             raise PreconditionError(
                 f"excluded vertex {v} has neighbors outside the included set"
@@ -122,7 +120,6 @@ def make_child(parent: Instance, include: Iterable[int], delete: Iterable[int],
     child, trace = simplify(child, _own=True, _near=near, _recheck=recheck)
     return BranchChild(
         include=include,
-        exclude=exclude,
         inst=child,
         trace=trace,
         dmu2=parent.mu2 - child.mu2,
@@ -157,7 +154,8 @@ def split_vertex(inst: Instance, u: int, claimed: Optional[BranchSeq] = None,
                  case: Optional[str] = None,
                  _low: Optional[Container[int]] = None) -> BranchDecision:
     """Children <G - u, k - 1> and <G - N[u], k - deg(u)>.  Here and in
-    split_indset and rule_b, _low is make_child's."""
+    split_indset and rule_b, _low is make_child's; in the latter two it also
+    vouches for the rule's precondition, which the selector has shown."""
     g = inst.graph
     nbrs = set(g.neighbors(u))
     if not nbrs:
@@ -167,14 +165,14 @@ def split_vertex(inst: Instance, u: int, claimed: Optional[BranchSeq] = None,
 
 
 def split_indset(inst: Instance, cert: SurplusCert, claimed: Optional[BranchSeq] = None,
-                 case: Optional[str] = None, _trusted: bool = False,
+                 case: Optional[str] = None,
                  _low: Optional[Container[int]] = None) -> BranchDecision:
     """Children <G - I, k - |I|> and <G - N[I], k - |N(I)|> for a critical I."""
     g = inst.graph
     indset = cert.indset
     if not cert.verify(g):
         raise PreconditionError("certificate surplus does not match the graph")
-    if len(indset) > 1 and not _trusted:
+    if len(indset) > 1 and _low is None:
         value, _, _ = minsurp_full(g)
         if value != cert.surplus:
             raise PreconditionError("indset is neither a singleton nor a min-set")
@@ -186,7 +184,7 @@ def split_indset(inst: Instance, cert: SurplusCert, claimed: Optional[BranchSeq]
 
 
 def rule_b(inst: Instance, x: int, us: Iterable[int], claimed: Optional[BranchSeq] = None,
-           case: Optional[str] = None, _trusted: bool = False,
+           case: Optional[str] = None,
            _low: Optional[Container[int]] = None) -> BranchDecision:
     """Blocker rule: <G - (us + x), k - |us| - 1> and <G - N[x], k - deg(x)>."""
     g = inst.graph
@@ -196,7 +194,7 @@ def rule_b(inst: Instance, x: int, us: Iterable[int], claimed: Optional[BranchSe
     for u in us:
         if g.has_edge(u, x):
             raise PreconditionError(f"blocker {x} is adjacent to {u}")
-        if not _trusted and is_blocker(g, u, x) is None:
+        if _low is None and is_blocker(g, u, x) is None:
             raise PreconditionError(f"{x} is not a blocker of {u}")
     both = set(us) | {x}
     nbrs = set(g.neighbors(x))
@@ -249,10 +247,10 @@ class _Selector:
         return split_vertex(self.inst, u, claimed, case, _low=self.low)
 
     def split_indset(self, cert: SurplusCert, claimed: BranchSeq, case: str) -> BranchDecision:
-        return split_indset(self.inst, cert, claimed, case, _trusted=True, _low=self.low)
+        return split_indset(self.inst, cert, claimed, case, _low=self.low)
 
     def rule_b(self, x: int, us: Iterable[int], claimed: BranchSeq, case: str) -> BranchDecision:
-        return rule_b(self.inst, x, us, claimed, case, _trusted=True, _low=self.low)
+        return rule_b(self.inst, x, us, claimed, case, _low=self.low)
 
     # -- surplus-two indsets (smallest cases get dedicated rules) ----------
 
@@ -428,7 +426,7 @@ class _Selector:
         return self.rule_b(x, [u], claim, "branch6-1/ruleB")
 
 
-def select_branch(inst: Instance, stats: Optional[SelectorStats] = None) -> BranchDecision:
+def select_branch(inst: Instance) -> BranchDecision:
     """Pick an available branching rule on a simplified graph of maxdeg >= 4.
 
     Dispatch: non-singleton surplus-two min-sets first, then the max-degree
@@ -438,7 +436,8 @@ def select_branch(inst: Instance, stats: Optional[SelectorStats] = None) -> Bran
     g = inst.graph
     if g.n == 0:
         raise PreconditionError("empty instance")
-    r = g.max_degree()
+    u = g.top_vertex()
+    r = g.degree(u)
     if r <= 3:
         raise PreconditionError("maximum degree <= 3: use a base solver")
     if g.min_degree() < 3 or g.find_pattern() is not None:
@@ -458,7 +457,6 @@ def select_branch(inst: Instance, stats: Optional[SelectorStats] = None) -> Bran
         decision = sel.surplus_two(indset)
 
     if decision is None:
-        u = min(v for v in g.vertices() if g.degree(v) == r)
         sm = shadow_minus(g, _closed(g, u))
         if r == 4 or r == 5:
             if sm >= 0:
@@ -477,7 +475,4 @@ def select_branch(inst: Instance, stats: Optional[SelectorStats] = None) -> Bran
                 decision = sel.rule_b(fb[0], [u], ((1, 2), (1, 3)), "fallback/ruleB")
             else:
                 decision = sel.split_vertex(u, ((0.5, 1), (0.5, r)), "fallback/split")
-
-    if stats is not None:
-        stats.note(decision.case)
     return decision

@@ -4,8 +4,9 @@ Graph files use the PACE-style header "p td <n> <m>" with 1-indexed edge
 lines; 'c' lines are comments.  A --format flag admits DIMACS "p edge"
 files with "e u v" edge lines.  Covers are printed in the input file's
 1-based vertex numbers.  Exit codes: 0 success, 1 the decision was
-answered infeasible, 2 usage error, 3 node budget exhausted, 4 internal
-error, 5 the audit found violations.
+answered infeasible, 2 usage or input error (bad arguments, unparsable
+input, an input too large for the oracle), 3 node budget exhausted, 4
+internal error, 5 the audit found violations.
 """
 
 from __future__ import annotations
@@ -32,7 +33,12 @@ from .solver import (
 from .verify import audit_trace, brute_force_vc, evaluate_constraints
 
 
-class ParseError(ValueError):
+class UsageError(ValueError):
+    """An argument or input error: exit 2.  Any other error, a ValueError
+    raised while solving included, is internal: exit 4."""
+
+
+class ParseError(UsageError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
@@ -289,7 +295,7 @@ def _budget(args) -> Optional[int]:
     except ValueError:
         budget = -1
     if budget < 0:
-        raise ValueError(f"{source} must be a non-negative integer, got {raw!r}")
+        raise UsageError(f"{source} must be a non-negative integer, got {raw!r}")
     return budget
 
 
@@ -336,7 +342,7 @@ def run_command(argv: Optional[list[str]] = None, stdout=None) -> int:
         out.emit("error", f"budget exhausted after {exc.stats.nodes} nodes",
                  error="budget", nodes=exc.stats.nodes)
         return 3
-    except (ParseError, ValueError, OSError) as exc:
+    except (UsageError, OSError) as exc:
         out.emit("error", f"error: {exc}", error=str(exc))
         return 2
     except Exception as exc:
@@ -404,7 +410,10 @@ def _cmd_audit(args, out: _Output) -> int:
 
 def _cmd_oracle(args, out: _Output) -> int:
     g = _load_graph(args, out)
-    opt, cover = brute_force_vc(g)
+    try:
+        opt, cover = brute_force_vc(g)
+    except ValueError as exc:  # the oracle's size guard
+        raise UsageError(str(exc)) from None
     cover = _file_numbers(cover)
     out.emit("result", f"optimum {opt} cover={','.join(map(str, cover))}",
              optimum=opt, cover=cover)
@@ -438,15 +447,18 @@ def _cmd_gen(args, out: _Output) -> int:
     flags = _GEN_FLAGS[args.kind]
     missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
     if missing:
-        raise ValueError(f"gen {args.kind} needs {' and '.join(missing)}")
+        raise UsageError(f"gen {args.kind} needs {' and '.join(missing)}")
     params = {flag: getattr(args, flag) for flag in flags}
     if args.kind == "circulant":
         try:
             params["offsets"] = [int(x) for x in args.offsets.split(",")]
         except ValueError:
-            raise ValueError("--offsets must be comma-separated integers, "
+            raise UsageError("--offsets must be comma-separated integers, "
                              f"got {args.offsets!r}") from None
-    g = generate(args.kind, params, args.seed)
+    try:
+        g = generate(args.kind, params, args.seed)
+    except ValueError as exc:  # parameters no graph of the kind has
+        raise UsageError(str(exc)) from None
     out.emit("graph", render_graph(g, args.format).rstrip("\n"),
              n=g.n, m=g.m, graph=render_graph(g, args.format))
     return 0

@@ -123,6 +123,11 @@ class Graph:
     def max_degree(self) -> int:
         return max((len(nb) for nb in self._adj.values()), default=0)
 
+    def top_vertex(self) -> int:
+        """The lowest vertex of maximum degree of a non-empty graph."""
+        adj = self._adj
+        return max(adj, key=lambda v: (len(adj[v]), -v))
+
     def min_degree(self) -> int:
         return min((len(nb) for nb in self._adj.values()), default=0)
 

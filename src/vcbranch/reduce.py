@@ -94,7 +94,7 @@ without a solve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .graph import Graph
 from .lp import (
@@ -196,9 +196,6 @@ def _p3_step(g: Graph, u: int, x: int, own: bool = False) -> tuple[Graph, Reduct
 # fixpoint simplification
 # ---------------------------------------------------------------------------
 
-StepHook = Callable[[Graph, int, ReductionStep, Graph, int], None]
-
-
 def _degree_two(g: Graph, among: Optional[Iterable[int]] = None
                 ) -> tuple[Optional[int], Optional[int]]:
     """(the lowest degree-2 vertex with non-adjacent neighbors, the lowest
@@ -215,7 +212,7 @@ def _degree_two(g: Graph, among: Optional[Iterable[int]] = None
     return fold, first2
 
 
-def simplify(inst: Instance, on_step: Optional[StepHook] = None, *, _own: bool = False,
+def simplify(inst: Instance, *, _own: bool = False,
              _near: Optional[frozenset[int]] = None,
              _recheck: Optional[Iterable[int]] = None) -> tuple[Instance, ReductionTrace]:
     """Run the rule policy to its fixpoint.
@@ -223,9 +220,6 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None, *, _own: bool =
     The result graph (if non-empty) has min degree >= 3, minsurp >= 2 and
     no funnels.  The first step derives a new graph; every later step edits
     that graph, and its LP engine, in place, so inst.graph never changes.
-    The optional on_step hook receives (graph_before, k_before, step,
-    graph_after, k_after) per applied rule; with a hook, graph_after is a
-    copy, which is the next step's graph_before.
 
     The private arguments serve vcbranch.branching.make_child, which vouches
     for them.  _own: no caller holds inst.graph, so the first step edits it
@@ -236,16 +230,11 @@ def simplify(inst: Instance, on_step: Optional[StepHook] = None, *, _own: bool =
     g = inst.graph
     k = inst.k
     own = _own  # whether g is this run's own graph, which steps edit in place
-    before = g.copy() if own and on_step is not None else g  # the hook's graph_before
     scope = _near  # the vertices the scans look at before the first step; None: all
     trace = ReductionTrace()
 
     def emit(g2: Graph, step: ReductionStep) -> None:
-        nonlocal g, k, own, before, scope
-        if on_step is not None:
-            after = g2.copy()
-            on_step(before, k, step, after, k - step.dk)
-            before = after
+        nonlocal g, k, own, scope
         trace.steps.append(step)
         g, k, own, scope = g2, k - step.dk, True, None
 

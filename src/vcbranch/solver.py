@@ -29,7 +29,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Generator, Iterator, Optional
 
 from .graph import Graph
 from .lp import Instance, SurplusCert
@@ -221,99 +221,92 @@ def _fold_subquadratic(g: Graph, k: int, own: bool = False
     return g, k, trace
 
 
-def _top_vertex(g: Graph) -> int:
-    """The lowest vertex of maximum degree of a non-empty graph."""
-    adj = g._adj
-    return max(adj, key=lambda v: (len(adj[v]), -v))
+def _maxis_tree(g: Graph, limit: list[int]
+                ) -> Iterator[tuple[int, Optional[frozenset[int]]]]:
+    """Walk the MaxIS stand-in's search tree depth first.  A node folds its
+    graph (_fold_subquadratic), then branches on its lowest vertex u of
+    maximum degree, {u} first, then N(u).  The walk yields (depth, None) at
+    each branch node and (depth, cover) at each leaf, the cover lifted to g.
+
+    limit[0] is the largest cover size wanted, and the consumer may lower
+    it between yields.  A node whose fold leaves k < 0 under it is pruned,
+    and so is a child whose branch alone passes it: a fold step never raises
+    k, so that child's fold would leave k < 0 too (and N(u), the larger
+    branch, goes second).  Each child graph is derived once and folded in
+    place from its first step; g itself is never edited.  The walk nests
+    one generator per tree level.
+
+    A decision for k takes the first leaf under limit [k]: fold and branch
+    do not depend on k, and the pruning cuts exactly the subtrees that hold
+    no leaf of size at most k.  The component fold lowers the limit to one
+    less than each cover found and keeps the last one.  That cover equals
+    the one of the restart loop that decides k = n, then k = |C| - 1 for
+    each cover C found, and returns the last C:
+
+    * every leaf before cover C_i is larger than the limit that found C_i,
+      so it is larger than |C_i| - 1 too, and the next cover lies after C_i;
+    * so one walk that goes on after each leaf with the lowered limit meets
+      the same covers in the same order and ends on the same last cover.
+      Its nodes are a subset of the loop's: the loop walks each prefix
+      again, and its last, infeasible run walks the whole tree.
+    """
+    path: list[tuple[ReductionTrace, frozenset[int]]] = []
+
+    def walk(g: Graph, size: int, own: bool):
+        g, k, trace = _fold_subquadratic(g, limit[0] - size, own)
+        if k < 0:
+            return
+        if g.n == 0:
+            cover = lift_cover(trace, ())
+            for parent, include in reversed(path):
+                cover = lift_cover(parent, include | cover)
+            yield len(path), cover
+            return
+        size = limit[0] - k  # the cover size of this node, its fold's included
+        yield len(path), None
+        u = g.top_vertex()
+        nbrs = frozenset(g.neighbors(u))
+        for include, delete in ((frozenset({u}), {u}), (nbrs, nbrs | {u})):
+            if size + len(include) > limit[0]:
+                return
+            path.append((trace, include))
+            yield from walk(g.delete_vertices(delete), size + len(include), True)
+            path.pop()
+
+    return walk(g, 0, False)
 
 
 def _base_maxis_gen(inst: Instance, cfg: SolverConfig, stats: SolveStats,
-                    depth: int, own: bool = False) -> SolveGen:
-    """The MaxIS stand-in's decision: fold, then branch on the lowest vertex
-    of maximum degree, {u} first, then N(u).  With own, no caller holds
-    inst.graph, and the fold edits it from its first step; the graph a
-    dovetail or the cache passes in is never edited."""
-    g, k, trace = _fold_subquadratic(inst.graph, inst.k, own)
-    if k < 0:
-        return False, None
-    if g.n == 0:
-        return True, lift_cover(trace, ())
-    _account(stats, cfg, depth)
-    stats.rule_counts["base-maxis-split"] += 1
-    yield
-    u = _top_vertex(g)
-    maxdeg = g.degree(u)
-    branches = [
-        ({u}, {u}, 1),
-        (set(g.neighbors(u)), set(g.neighbors(u)) | {u}, maxdeg),
-    ]
-    for include, delete, dk in branches:
-        child = Instance(g.delete_vertices(delete), k - dk, lambda2=0)
-        ok, sub = yield from _base_maxis_gen(child, cfg, stats, depth + 1, own=True)
-        if ok:
-            return True, lift_cover(trace, frozenset(include) | sub)
+                    depth: int) -> SolveGen:
+    """The MaxIS stand-in's decision: the first leaf of its walk within
+    inst.k.  Each branch node is booked before its yield, where a dovetail
+    may close the generator."""
+    for d, cover in _maxis_tree(inst.graph, [inst.k]):
+        if cover is not None:
+            return True, cover
+        _account(stats, cfg, depth + d)
+        stats.rule_counts["base-maxis-split"] += 1
+        yield
     return False, None
 
 
 def _component_cover(g: Graph, stats: Optional[SolveStats] = None) -> frozenset[int]:
-    """A minimum cover of a small graph, by one depth-first branch and bound
-    over the MaxIS stand-in's tree: the same fold, the same branch vertex and
-    the same child order ({u}, then N(u)) as _base_maxis_gen.  The bound
-    starts at n and drops to one less than each cover found.  A node whose
-    fold leaves k < 0 under it is pruned, and so is a child whose branch
-    alone passes it: a fold step never raises k, so that child's fold would
-    leave k < 0 too (and N(u), the larger branch, goes second).  Only the
-    last cover found is lifted.  Its branch nodes are booked on
-    stats.component_nodes, outside nodes and the budget.
-
-    The cover equals the one of the restart loop that decides k = n, then
-    k = |C| - 1 for each cover C found, and returns the last C:
-
-    * decision k returns the first leaf, in depth-first order, of size at
-      most k: fold and branch do not depend on k, and pruning at k < 0 cuts
-      exactly the subtrees that hold no such leaf;
-    * every leaf before cover C_i is larger than the bound that found C_i,
-      so it is larger than |C_i| - 1 too, and the next cover lies after C_i;
-    * so one walk that goes on after each leaf with the lowered bound meets
-      the same covers in the same order and ends on the same last cover.
-      Its nodes are a subset of the loop's: the loop walks each prefix again,
-      and its last, infeasible run walks the whole tree.
-
-    Each child graph is derived once and folded in place from its first step;
-    g itself is never edited.  The recursion is at most n <= 24 deep.
-    """
-    bound = g.n  # the size a cover must not exceed to be recorded
-    path: list[tuple[ReductionTrace, frozenset[int]]] = []
-    best: list[tuple[ReductionTrace, frozenset[int]]] = []
+    """A minimum cover of a small graph: the last cover of the MaxIS
+    stand-in's walk, with the limit lowered to one less than each cover
+    found (see _maxis_tree).  Its branch nodes are booked on
+    stats.component_nodes, outside nodes and the budget."""
+    limit = [g.n]
+    best: frozenset[int] = frozenset()
     nodes = 0
-
-    def search(g: Graph, size: int, own: bool) -> None:
-        nonlocal bound, best, nodes
-        g, k, trace = _fold_subquadratic(g, bound - size, own)
-        if k < 0:
-            return
-        if g.n == 0:
-            best = path + [(trace, frozenset())]
-            bound -= k + 1  # one less than this cover's size
-            return
-        nodes += 1
-        size = bound - k
-        u = _top_vertex(g)
-        nbrs = frozenset(g.neighbors(u))
-        for include, delete in ((frozenset({u}), {u}), (nbrs, nbrs | {u})):
-            if size + len(include) > bound:
-                return
-            path.append((trace, include))
-            search(g.delete_vertices(delete), size + len(include), True)
-            path.pop()
-
-    search(g, 0, False)
+    for _, cover in _maxis_tree(g, limit):
+        if cover is None:
+            nodes += 1
+        else:
+            best = cover
+            limit[0] = len(cover) - 1
     if stats is not None:
         stats.component_nodes += nodes
-    cover: frozenset[int] = frozenset()
-    for trace, include in reversed(best):
-        cover = lift_cover(trace, include | cover)
-    return cover
+    return best
 
 
 def _dovetail_gen(first: SolveGen, second: SolveGen, quantum: int) -> SolveGen:
@@ -379,16 +372,16 @@ def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: Solve
     decision = cache.get(g, level)
     if decision is None:
         if 3 < level <= 6:
-            decision = select_branch(inst, stats.selector)
+            decision = select_branch(inst)
         else:
-            u = _top_vertex(g)
+            u = g.top_vertex()
             maxdeg = g.degree(u)
             # level 3 books neither the claim nor the case
             decision = split_vertex(inst, u, claimed=((0.0, 1), (0.0, min(maxdeg, 7))),
                                     case="branch7/top-split")
         cache.put(g, level, decision)
         g._lp = None  # spent: later visits replay the decision
-    elif 3 < level <= 6:
+    if 3 < level <= 6:
         stats.selector.note(decision.case)
     if level > 3:
         stats.rule_counts[decision.rule] += 1

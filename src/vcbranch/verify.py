@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .graph import Graph
-from .branching import BranchSeq, MeasureParams, val
+from .branching import SIMPLE_LEVEL_PARAMS, BranchSeq, MeasureParams, val
 
 E = math.exp
 
@@ -39,11 +39,11 @@ MAXIS_WEIGHTS = {
     7: {"w3": 0.65077, "w4": 0.78229, "w5": 0.89060, "w6": 0.96384},
 }
 
+#: the constants the simple solvers measure by (branching.SIMPLE_LEVEL_PARAMS)
 SIMPLE_CONSTANTS = {
-    "a4": 0.71808, "b4": 0.019442,
-    "a5": 0.44849, "b5": 0.085297,
-    "a6": 0.20199, "b6": 0.160637,
-    "rate7": 1.2575,
+    **{f"{name}{level}": getattr(SIMPLE_LEVEL_PARAMS[level], name)
+       for level in (4, 5, 6) for name in "ab"},
+    "rate7": math.exp(SIMPLE_LEVEL_PARAMS[7].b),
 }
 
 ADVANCED_CONSTANTS = {

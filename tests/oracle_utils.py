@@ -11,6 +11,7 @@ import random
 from typing import Iterable
 
 from vcbranch.graph import Graph
+from vcbranch.reduce import ReductionStep, ReductionTrace
 from vcbranch.cli import NAMED_GRAPHS, gnp
 
 
@@ -61,6 +62,28 @@ def exhaustive_minsurp(g: Graph) -> int:
     if best is None:
         raise ValueError("empty graph")
     return best
+
+
+def replay_steps(g: Graph, trace: ReductionTrace
+                 ) -> list[tuple[Graph, ReductionStep, Graph]]:
+    """(graph before, step, graph after) for each step of a simplify trace
+    of g, the graphs rebuilt from g and the step records alone: P1 deletes;
+    P2 deletes, then adds the created vertex next to N(N(I)) - I of the
+    graph before; P3 deletes, then joins side_u to side_x.  The last graph
+    must be the trace's final graph."""
+    out = []
+    for step in trace.steps:
+        after = g.delete_vertices(step.removed)
+        if step.kind == "P2":
+            outer = g.neighborhood(step.nbrs) - set(step.indset)
+            after, y = after.add_vertex_with_edges(outer)
+            assert y == step.created
+        elif step.kind == "P3":
+            after = after.add_biclique(step.side_u, step.side_x)
+        out.append((g, step, after))
+        g = after
+    assert g == trace.final_graph
+    return out
 
 
 def shuffled_ids(g: Graph, seed: int) -> Graph:

@@ -27,6 +27,7 @@ from oracle_utils import (
     is_cover,
     named_corpus,
     random_corpus,
+    replay_steps,
 )
 
 CORPUS = random_corpus(500)
@@ -94,16 +95,13 @@ def test_criterion_4_reduction_safety():
     kites = 0
     corpus = [g for _, g in CORPUS[:250]] + [g for _, g in named_corpus()]
     for g in corpus:
-        records = []
-        inst, trace = simplify(
-            Instance(g, g.n),
-            on_step=lambda gb, kb, step, ga, ka: records.append((gb, step, ga)))
+        inst, trace = simplify(Instance(g, g.n))
         out = inst.graph
         if out.n:
             assert out.min_degree() >= 3
             assert out.find_pattern() is None
             assert minsurp(out).surplus >= 2
-        for gb, step, ga in records:
+        for gb, step, ga in replay_steps(g, trace):
             # feasibility equivalence, exactly: VC(G) = VC(G') + dk
             assert _vc(gb) == _vc(ga) + step.dk
             # mu' <= mu in exact half-integers: 2*dk >= lambda2 - lambda2'

@@ -100,7 +100,7 @@ def test_rule_b():
         rule_b(Instance(unblocked, 9), 6, [0])
 
     # generic k-drop arithmetic: ell blocked vertices give drops (ell+1, deg x)
-    d = rule_b(Instance(g, 4), 5, [0], _trusted=True)
+    d = rule_b(Instance(g, 4), 5, [0])
     assert d.children[0].dk >= 2 and d.children[1].dk >= 3
 
 

@@ -103,6 +103,27 @@ def test_internal_error_exit_code(tmp_path, monkeypatch):
     assert code == 4 and "internal error: RuntimeError: boom" in out
 
 
+def test_precondition_error_while_solving_is_internal(tmp_path, monkeypatch):
+    """A ValueError raised after the input is loaded, here the selector's
+    PreconditionError, exits 4 with the internal record, not 2."""
+    from vcbranch import solver
+    from vcbranch.graph import PreconditionError
+
+    def broken(*args):
+        raise PreconditionError("graph is not simplified")
+
+    path = tmp_path / "c13.gr"
+    path.write_text(render_graph(circulant(13, (1, 2, 3))))
+    monkeypatch.setattr(solver, "select_branch", broken)
+    code, out = run(["solve", str(path), "--k", "9", "--algorithm", "level6", "--json"])
+    assert code == 4
+    assert json.loads(out.splitlines()[-1]) == {
+        "record": "error", "error": "internal", "exception": "PreconditionError",
+        "message": "graph is not simplified"}
+    path.write_text(render_graph(circulant(30, (1,))))
+    assert run(["oracle", str(path)])[0] == 2  # the oracle's size guard: an input error
+
+
 def test_audit_violation_exit_code(tmp_path, monkeypatch):
     import dataclasses
 

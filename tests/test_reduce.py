@@ -25,7 +25,7 @@ from vcbranch.reduce import (
 from vcbranch.solver import _fold_subquadratic
 from vcbranch.cli import circulant, gnp, hypercube, random_regular
 
-from oracle_utils import exhaustive_vc, is_cover, shuffled_ids
+from oracle_utils import exhaustive_vc, is_cover, replay_steps, shuffled_ids
 
 
 def test_apply_p1():
@@ -129,16 +129,14 @@ def test_simplify_postconditions_random():
 
 
 def _steps_with_snapshots(g, k):
-    snaps = []
-    simplify(Instance(g, k),
-             on_step=lambda gb, kb, step, ga, ka: snaps.append((gb, kb, step, ga, ka)))
-    return snaps
+    """(graph before, step, graph after) for each step simplify takes on g."""
+    return replay_steps(g, simplify(Instance(g, k))[1])
 
 
 def test_rule_safety_and_mu_monotone_random():
     for seed in range(30):
         g = gnp(6 + seed % 7, (0.25, 0.4)[seed % 2], seed)
-        for gb, kb, step, ga, ka in _steps_with_snapshots(g, g.n):
+        for gb, step, ga in _steps_with_snapshots(g, g.n):
             # exact feasibility transfer: VC(before) = VC(after) + dk
             assert exhaustive_vc(gb) == exhaustive_vc(ga) + step.dk
             # mu monotone: dk - dlambda >= 0, in doubled integers
@@ -478,7 +476,7 @@ def test_p2_and_surplus0_p1_steps_decide_the_next_tight_set():
     graphs += [shuffled_ids(cycle(n), n) for n in (5, 8, 13, 40, 101)]
     p2 = table_p2 = p1 = p1_kept = 0
     for g in graphs:
-        for gb, _, step, ga, _ in _steps_with_snapshots(g, g.n):
+        for gb, step, ga in _steps_with_snapshots(g, g.n):
             if step.kind == "P2":
                 p2 += 1
                 table_p2 += gb.degree(step.indset[0]) > 2
@@ -518,7 +516,7 @@ def test_p3_steps_recertify_minsurp_two_from_the_vertices_next_to_them(monkeypat
     for seed, g in enumerate(graphs):
         g = shuffled_ids(g, seed)
         calls.clear()
-        expected = [ga for gb, _, step, ga, _ in _steps_with_snapshots(g, g.n)
+        expected = [ga for gb, step, ga in _steps_with_snapshots(g, g.n)
                     if step.kind == "P3" and minsurp_full(_cold(gb))[0] >= 2]
         assert [ga for ga, _ in calls] == expected, seed
         for ga, verdict in calls:

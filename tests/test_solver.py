@@ -59,15 +59,16 @@ def test_base_maxis():
 def test_base_maxis_derives_each_child_once(monkeypatch):
     """The MaxIS stand-in derives each branch child with one
     delete_vertices call, and the child's fold edits it in place instead of
-    deriving a second copy.  Feasibility, cover and nodes equal those of a
-    run whose folds never edit in place, and the input graph is unchanged."""
+    deriving a second copy; a child whose branch alone passes k is not
+    derived.  Feasibility, cover and nodes equal those of a run whose folds
+    never edit in place, and the input graph is unchanged."""
     derived = []
     delete = Graph.delete_vertices
     monkeypatch.setattr(Graph, "delete_vertices",
                         lambda self, s: derived.append(1) or delete(self, s))
     real = solver._fold_subquadratic
-    cases = [(random_regular(30, 4, 1), 17, False, 24), (random_regular(30, 4, 1), 20, True, 6),
-             (random_regular(40, 3, 2), 22, False, 18)]
+    cases = [(random_regular(30, 4, 1), 17, False, 23), (random_regular(30, 4, 1), 20, True, 6),
+             (random_regular(40, 3, 2), 22, False, 16)]
     for g, k, feasible, calls in cases:
         edges = g.edges()
         derived.clear()
@@ -371,7 +372,7 @@ def test_component_cover_equals_the_restart_loop(monkeypatch):
         assert g == before and g.edges() == before.edges()
         if g.n:
             top = max(g.degree(v) for v in g.vertices())
-            assert solver._top_vertex(g) == min(v for v in g.vertices() if g.degree(v) == top)
+            assert g.top_vertex() == min(v for v in g.vertices() if g.degree(v) == top)
     assert one_pass < restarts
 
 
