@@ -7,8 +7,10 @@ case analysis: surplus-two indsets first, then splitting / blocker rules
 keyed on the shadow of the chosen max-degree vertex.  Where a case needs a
 "further simplification worth >= c" guarantee, the selector checks the
 deterministic reduction policy directly (reduction_gain) instead of
-re-verifying the combinatorial argument; children are emitted simplified,
-and claimed drops never exceed the realized ones.
+re-verifying the combinatorial argument.  Children are emitted unsimplified
+and simplified when first read (BranchChild), so a search that rejects a
+child from its LP bound never pays for its reduction run; claimed drops
+never exceed the realized ones.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .lp import (
     find_nonsingleton_minset,
     is_blocker,
     low_entries,
+    lp_weight2,
     minsurp_full,
     shadow_minus,
     tight_vertices,
@@ -67,13 +70,60 @@ def dominates(params: MeasureParams, b1: Iterable, b2: Iterable) -> bool:
     return val(params, b1) <= val(params, b2) + 1e-12
 
 
-@dataclass
 class BranchChild:
-    include: frozenset[int]      # forced into the cover
-    inst: Instance               # simplified subproblem
-    trace: ReductionTrace        # simplification applied after deletion
-    dmu2: int                    # realized mu drop vs parent, doubled
-    dk: int                      # realized k drop vs parent
+    """A branch child <G - D, k - |include|>, simplified on first use.
+
+    make_child derives G - D and reads lambda2_pre = 2*lambda(G - D).  The
+    reduction run (simplify, handed that graph) runs the first time inst,
+    trace, dk or dmu2 is read; its result is kept, so every later read sees
+    the same Graph object, and the unsimplified graph is released.  No
+    reduction step raises k or mu (vcbranch.reduce, sixth fact), so a visit
+    with budget k that finds k - |include| < 0 or 2(k - |include|) <
+    lambda2_pre knows, unforced, that the child fails k < 0 or mu < 0.
+    """
+
+    __slots__ = ("include", "lambda2_pre", "_parent_mu2", "_pre", "_near", "_recheck",
+                 "_done")
+
+    def __init__(self, include: frozenset[int], pre: Instance, parent_mu2: int,
+                 near: Optional[frozenset[int]], recheck: Optional[list[int]]):
+        self.include = include      # forced into the cover
+        self.lambda2_pre = pre.lambda2  # 2*lambda(G - D), before simplification
+        self._parent_mu2 = parent_mu2
+        self._pre = pre             # <G - D, k - |include|>, until forced
+        self._near = near
+        self._recheck = recheck
+        self._done: Optional[tuple[Instance, ReductionTrace, int, int]] = None
+
+    def _force(self) -> tuple[Instance, ReductionTrace, int, int]:
+        done = self._done
+        if done is None:
+            pre = self._pre
+            inst, trace = simplify(pre, _own=True, _near=self._near, _recheck=self._recheck)
+            done = self._done = (inst, trace, pre.k + len(self.include) - inst.k,
+                                 self._parent_mu2 - inst.mu2)
+            self._pre = self._near = self._recheck = None
+        return done
+
+    @property
+    def inst(self) -> Instance:
+        """The simplified subproblem."""
+        return self._force()[0]
+
+    @property
+    def trace(self) -> ReductionTrace:
+        """The simplification applied after the deletion."""
+        return self._force()[1]
+
+    @property
+    def dk(self) -> int:
+        """Realized k drop vs the parent."""
+        return self._force()[2]
+
+    @property
+    def dmu2(self) -> int:
+        """Realized mu drop vs the parent, doubled."""
+        return self._force()[3]
 
     @property
     def dmu(self) -> float:
@@ -84,8 +134,13 @@ class BranchChild:
 class BranchDecision:
     rule: str
     children: list[BranchChild]
-    claimed: BranchSeq
+    claim: BranchSeq  # as the rule states it; claimed caps it by the realized drops
     case: Optional[str] = None
+
+    @property
+    def claimed(self) -> BranchSeq:
+        """The claim, never above the realized drops; forces every child."""
+        return _cap_claim(self.claim, self.children)
 
     def realized(self) -> BranchSeq:
         return tuple((c.dmu, c.dk) for c in self.children)
@@ -93,15 +148,18 @@ class BranchDecision:
 
 def make_child(parent: Instance, include: Iterable[int], delete: Iterable[int],
                _low: Optional[Container[int]] = None) -> BranchChild:
-    """Delete a vertex set, charge the included part to the cover, simplify.
+    """Delete a vertex set and charge the included part to the cover; the
+    child is simplified when first read (BranchChild).
 
     The child's graph is derived once, and simplify edits that graph in
     place from its first step, so the parent's graph and LP engine never
-    change.  _low, the x with v_x <= 2 in the parent's graph G (the
-    selector's low_entries(G, 2)), vouches that G is simplified: simplify's
-    first scans then look only next to the deleted set D, and for D = {u}
-    it decides minsurp(G - u) >= 2 from N(u) & _low with no LP solve
-    (vcbranch.reduce, fifth fact).
+    change.  lambda2_pre is one masked solve on the parent's engine.  _low,
+    the x with v_x <= 2 in the parent's graph G (the selector's
+    low_entries(G, 2)), vouches that G is simplified: simplify's first
+    scans then look only next to the deleted set D, and for D = {u} it
+    decides minsurp(G - u) >= 2 from N(u) & _low with no LP solve
+    (vcbranch.reduce, fifth fact); minsurp(G - u) >= 1 then, so
+    2*lambda(G - u) = n - 1 with no solve either.
     """
     include = frozenset(include)
     delete = frozenset(delete)
@@ -116,15 +174,9 @@ def make_child(parent: Instance, include: Iterable[int], delete: Iterable[int],
         near = g.neighborhood(delete)
         if len(delete) == 1:
             recheck = [y for y in sorted(near) if y in _low]
-    child = Instance(g.delete_vertices(delete), parent.k - len(include), lambda2=0)
-    child, trace = simplify(child, _own=True, _near=near, _recheck=recheck)
-    return BranchChild(
-        include=include,
-        inst=child,
-        trace=trace,
-        dmu2=parent.mu2 - child.mu2,
-        dk=parent.k - child.k,
-    )
+    lambda2 = lp_weight2(g, delete) if recheck is None else g.n - 1
+    pre = Instance(g.delete_vertices(delete), parent.k - len(include), lambda2=lambda2)
+    return BranchChild(include, pre, parent.mu2, near, recheck)
 
 
 def _cap_claim(claim: BranchSeq, children: Sequence[BranchChild]) -> BranchSeq:
@@ -143,7 +195,7 @@ def _decision(parent: Instance, rule: str, parts: list[tuple[set, set]],
         claimed = tuple((0.0, max(1, len(inc))) for inc, _ in parts)
     if len(claimed) != len(children):
         raise ValueError("claimed branch-seq length does not match children")
-    return BranchDecision(rule, children, _cap_claim(claimed, children), case)
+    return BranchDecision(rule, children, claimed, case)
 
 
 # ---------------------------------------------------------------------------

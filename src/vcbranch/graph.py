@@ -34,11 +34,11 @@ class Graph:
     The private edits _delete, _add_adjacent and _join change a graph in
     place, and its LP engine with it when that is built.  Only a reduction
     run edits, and only the graph that its first step derived, or that
-    make_child derived and handed to it: no caller holds that graph until
-    the run returns it.  An engine handed out as a
-    hint is frozen, so an edit then keeps it as this graph's own hint
-    instead (the edits only delete vertices and add edges, so it stays a
-    valid one).
+    make_child derived for a branch child, which hands it over and drops
+    it when first read: no caller reads that graph until the run returns
+    it.  An engine handed out as a hint is frozen, so an edit then keeps it
+    as this graph's own hint instead (the edits only delete vertices and
+    add edges, so it stays a valid one).
     """
 
     __slots__ = ("_adj", "_next_id", "_lp", "_lp_hint")

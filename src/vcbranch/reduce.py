@@ -18,8 +18,9 @@ A run's first step derives a new graph (delete_vertices, which hands it
 the input's LP engine as a hint); every later step edits that graph in
 place (Graph._delete, _add_adjacent, _join), and its engine with it once
 that is built, so a step costs about what it touches.  The graph a run
-receives never changes, except in a branch child's run: make_child hands
-over the graph it derived, and the run edits it from its first step.
+receives never changes, except in a branch child's run: the child hands
+over the graph make_child derived when it is first read, and the run
+edits it from its first step.
 The answers simplify reads do not depend on which maximum matching the
 edited engine holds (the Koenig zero-set, the weight and the tight set
 are canonical); a certificate verdict only chooses the path to the same
@@ -85,6 +86,30 @@ spares the residual digraph.  In fact no y in N(u) & T passes (a set
 through y of surplus <= 2 in G loses u from its neighbourhood), so the
 check accepts exactly when the list is empty, and a decline costs one
 capped check.
+
+A sixth fact bounds what a run can leave: no step raises k or mu.  Each
+step maps <G, k> to <G', k - dk> with dk >= 0 and lambda(G) <=
+lambda(G') + dk: from an optimal half-integral solution x' of G' it
+builds a fractional cover of G of weight lambda(G') + dk, keeping x' on
+the vertices G and G' share (every edge of G between them is in G'):
+
+* P1 and forced P1 (dk = |N(I)|): put N(I) at 1 and I at 0;
+* P2 (dk = |I|, |N(I)| = |I| + 1): with t = x'(y), put N(I) at t and I
+  at 1 - t; each outer neighbour w of N(I) is adjacent to y in G', so
+  x'(w) + t >= 1, and the cost is |I| + t in place of y's t;
+* P3 (dk = 1 + |A|): put A at 1; with alpha = min x'(B_u), put u at
+  1 - alpha and x at alpha (B_x is joined to all of B_u in G', so every
+  vertex of B_x has x' >= 1 - alpha); if B_u is empty, put u at 0 and x
+  at 1;
+* ComponentSolve (dk = |C|, C an optimal cover of the component):
+  |C| >= lambda(comp), and lambda adds up over components.
+
+So k' = k - dk <= k and mu' = k - dk - lambda(G') <= k - lambda(G) = mu.
+This makes a branch search's early rejection exact: a child <G - D,
+k - |include|> whose k - |include| is negative, or whose
+2(k - |include|) is below 2*lambda(G - D), leaves simplify and the
+component fold with k < 0 or mu < 0, so the solver would answer it False
+before booking a node, and it may do so without simplifying it.
 
 The result graph has minsurp >= 2, so its LP optimum is all-half
 (2*lambda - n = min{0, minsurp} = 0) and simplify returns lambda2 = n
@@ -221,8 +246,8 @@ def simplify(inst: Instance, *, _own: bool = False,
     no funnels.  The first step derives a new graph; every later step edits
     that graph, and its LP engine, in place, so inst.graph never changes.
 
-    The private arguments serve vcbranch.branching.make_child, which vouches
-    for them.  _own: no caller holds inst.graph, so the first step edits it
+    The private arguments serve vcbranch.branching's branch children; make_child
+    vouches for them.  _own: no caller holds inst.graph, so the first step edits it
     in place too.  _near: inst.graph is G - D for a simplified G, and _near
     is N(D) - D in G.  _recheck: the vertices y in N(u) with v_y <= 2 in G,
     when D = {u}.  See the module docstring's fifth fact.

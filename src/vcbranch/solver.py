@@ -165,8 +165,8 @@ def _preprocess(inst: Instance, depth: int, cache: _SearchCache,
 def _simplify_and_fold(inst: Instance, depth: int,
                        stats: SolveStats) -> tuple[Instance, ReductionTrace]:
     """Only a run's root (depth 0) is simplified here: every deeper graph is
-    a child that make_child simplified, or a graph that a higher level
-    preprocessed before it delegated."""
+    a branch child, simplified when the visit read it, or a graph that a
+    higher level preprocessed before it delegated."""
     if depth:
         trace = ReductionTrace(final_graph=inst.graph)
     else:
@@ -221,12 +221,17 @@ def _fold_subquadratic(g: Graph, k: int, own: bool = False
     return g, k, trace
 
 
-def _maxis_tree(g: Graph, limit: list[int]
-                ) -> Iterator[tuple[int, Optional[frozenset[int]]]]:
+#: a leaf of the MaxIS stand-in's walk: (cover size, path), the path
+#: holding each node's (fold trace, include of the branch taken below it)
+_Leaf = tuple[int, list[tuple[ReductionTrace, frozenset[int]]]]
+
+
+def _maxis_tree(g: Graph, limit: list[int]) -> Iterator[tuple[int, Optional[_Leaf]]]:
     """Walk the MaxIS stand-in's search tree depth first.  A node folds its
     graph (_fold_subquadratic), then branches on its lowest vertex u of
     maximum degree, {u} first, then N(u).  The walk yields (depth, None) at
-    each branch node and (depth, cover) at each leaf, the cover lifted to g.
+    each branch node and (depth, leaf) at each leaf; _lift_leaf turns a
+    leaf into its cover of g, so a consumer lifts only the cover it keeps.
 
     limit[0] is the largest cover size wanted, and the consumer may lower
     it between yields.  A node whose fold leaves k < 0 under it is pruned,
@@ -257,10 +262,7 @@ def _maxis_tree(g: Graph, limit: list[int]
         if k < 0:
             return
         if g.n == 0:
-            cover = lift_cover(trace, ())
-            for parent, include in reversed(path):
-                cover = lift_cover(parent, include | cover)
-            yield len(path), cover
+            yield len(path), (limit[0] - k, [*path, (trace, frozenset())])
             return
         size = limit[0] - k  # the cover size of this node, its fold's included
         yield len(path), None
@@ -276,14 +278,22 @@ def _maxis_tree(g: Graph, limit: list[int]
     return walk(g, 0, False)
 
 
+def _lift_leaf(leaf: _Leaf) -> frozenset[int]:
+    """The cover of the walk's input graph that a leaf stands for."""
+    cover: frozenset[int] = frozenset()
+    for trace, include in reversed(leaf[1]):
+        cover = lift_cover(trace, include | cover)
+    return cover
+
+
 def _base_maxis_gen(inst: Instance, cfg: SolverConfig, stats: SolveStats,
                     depth: int) -> SolveGen:
     """The MaxIS stand-in's decision: the first leaf of its walk within
     inst.k.  Each branch node is booked before its yield, where a dovetail
     may close the generator."""
-    for d, cover in _maxis_tree(inst.graph, [inst.k]):
-        if cover is not None:
-            return True, cover
+    for d, leaf in _maxis_tree(inst.graph, [inst.k]):
+        if leaf is not None:
+            return True, _lift_leaf(leaf)
         _account(stats, cfg, depth + d)
         stats.rule_counts["base-maxis-split"] += 1
         yield
@@ -296,17 +306,17 @@ def _component_cover(g: Graph, stats: Optional[SolveStats] = None) -> frozenset[
     found (see _maxis_tree).  Its branch nodes are booked on
     stats.component_nodes, outside nodes and the budget."""
     limit = [g.n]
-    best: frozenset[int] = frozenset()
+    best: Optional[_Leaf] = None
     nodes = 0
-    for _, cover in _maxis_tree(g, limit):
-        if cover is None:
+    for _, leaf in _maxis_tree(g, limit):
+        if leaf is None:
             nodes += 1
         else:
-            best = cover
-            limit[0] = len(cover) - 1
+            best = leaf
+            limit[0] = leaf[0] - 1
     if stats is not None:
         stats.component_nodes += nodes
-    return best
+    return frozenset() if best is None else _lift_leaf(best)
 
 
 def _dovetail_gen(first: SolveGen, second: SolveGen, quantum: int) -> SolveGen:
@@ -394,6 +404,12 @@ def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: Solve
                 stats.audit_violations += 1
 
     for child in decision.children:
+        # unforced rejection: simplification and the component fold never
+        # raise k or mu (vcbranch.reduce, sixth fact), so this child would
+        # fail the k < 0 or mu < 0 check before booking a node
+        k_pre = inst.k - len(child.include)
+        if k_pre < 0 or 2 * k_pre < child.lambda2_pre:
+            continue
         sub_inst = Instance(child.inst.graph, inst.k - child.dk, lambda2=child.inst.lambda2)
         ok, sub = yield from _solve_level_gen(sub_inst, level, cfg, stats, depth + 1, cache)
         if ok:

@@ -2,8 +2,8 @@ import pytest
 
 from vcbranch.graph import Graph, PreconditionError, complete, cycle
 from vcbranch.lp import (
-    Instance, SurplusCert, _engine, certify_minsurp_two, low_entries, minsurp, minsurp_full,
-    shadow, shadow_minus,
+    Instance, SurplusCert, _engine, certify_minsurp_two, low_entries, lp_weight2, minsurp,
+    minsurp_full, shadow, shadow_minus,
 )
 from vcbranch.branching import (
     MeasureParams,
@@ -437,6 +437,103 @@ def test_selector_makes_few_masked_solves(monkeypatch):
                         lambda engine: certified.append(engine) or certify(engine))
     for seed in range(4):
         inst, _ = simplify(Instance(random_regular(60, 6, seed), 45))
-        select_branch(inst)
+        for child in select_branch(inst).children:
+            child.inst  # children are simplified when first read
     # the list holds every engine, so no id is reused
     assert len(certified) > 4 and len({id(e) for e in certified}) == len(certified)
+
+
+def test_children_are_simplified_when_first_read(monkeypatch):
+    """select_branch makes no child reduction run; reading a child's inst
+    runs it once, and realized() and claimed force every child."""
+    from vcbranch import branching
+
+    runs = []
+    run = branching.simplify
+    monkeypatch.setattr(branching, "simplify",
+                        lambda inst, **kw: runs.append(inst) or run(inst, **kw))
+    for seed in range(4):
+        inst, _ = simplify(Instance(random_regular(40, 6, seed), 40))
+        runs.clear()
+        d = select_branch(inst)
+        assert runs == [], seed
+        first = d.children[0]
+        graph = first.inst.graph
+        assert len(runs) == 1
+        assert first.trace.final_graph is graph and first.inst.graph is graph
+        assert first.dk >= 1 and first.dmu2 >= 0 and len(runs) == 1
+        d.realized()
+        assert len(runs) == len(d.children)
+        runs.clear()
+        d = select_branch(inst)
+        d.claimed
+        assert len(runs) == len(d.children), seed
+
+
+def _children_by_k():
+    """(parent, child, the k range from ceil(lambda) to the optimum + 1) for
+    the selector's and the top split's children on simplified 4/5/6-regular
+    and G(n, p) graphs."""
+    from vcbranch.solver import solve_optimum
+
+    insts = _simplified_instances()
+    for seed in range(6):
+        for g in (random_regular(22, 4 + seed % 3, seed), gnp(22, 0.3, seed)):
+            g = simplify(Instance(g, g.n))[0].graph
+            if g.n and g.max_degree() >= 4:
+                insts.append(Instance(g, solve_optimum(g)[0], lambda2=g.n))
+    for inst in insts:
+        ks = range((inst.lambda2 + 1) // 2, inst.k + 2)
+        for d in (select_branch(inst), split_vertex(inst, inst.graph.top_vertex())):
+            for child in d.children:
+                yield inst, child, ks
+
+
+def test_unforced_rejection_implies_the_forced_child_fails():
+    """No reduction step raises k or mu, so for a visit with budget k the
+    forced child has k' <= k - |include| and mu2' <= 2(k - |include|) -
+    lambda2_pre; whenever the solver rejects a child unforced, the forced
+    child fails k' < 0 or mu2' < 0."""
+    rejected = kept = 0
+    for parent, child, ks in _children_by_k():
+        for k in ks:
+            k_pre = k - len(child.include)
+            bound2 = 2 * k_pre - child.lambda2_pre
+            k_child = k - child.dk
+            mu2_child = 2 * k_child - child.inst.lambda2
+            assert k_child <= k_pre and mu2_child <= bound2, (parent, k)
+            if k_pre < 0 or bound2 < 0:
+                rejected += 1
+                assert k_child < 0 or mu2_child < 0, (parent, k)
+            else:
+                kept += 1
+    assert rejected >= 100 and kept >= 100, (rejected, kept)
+
+
+def test_lambda2_pre_of_the_split_children_equals_a_cold_solve():
+    """make_child reads 2*lambda(G - D) with one masked solve, or, for
+    D = {u} under the selector's table, as n - 1 with none; both equal
+    lp_weight2 of G - D derived from a cold copy."""
+    graphs = [inst.graph for inst in _simplified_instances()]
+    graphs += [simplify(Instance(shuffled_ids(random_regular(n, d, seed), seed), n))[0].graph
+               for seed in range(4) for d in (4, 5, 6) for n in (14, 18)]
+    graphs += [simplify(Instance(gnp(n, 0.35, seed), n))[0].graph
+               for seed in range(8) for n in (14, 18)]
+    checked = 0
+    for seed, g in enumerate(graphs):
+        if g.n == 0:
+            continue
+        inst = Instance(g, g.n, lambda2=g.n)
+        low = low_entries(g, 2)
+        cold = Graph(vertices=g.vertices(), edges=g.edges())
+        for u in g.vertices():
+            if not g.neighbors(u):
+                continue
+            deleted = [{u}, set(g.neighbors(u)) | {u}]
+            for table in (low, None):
+                d = split_vertex(inst, u, _low=table)
+                for child, delete in zip(d.children, deleted):
+                    want = lp_weight2(cold.delete_vertices(delete))
+                    assert child.lambda2_pre == want, (seed, u, sorted(delete), table is None)
+                    checked += 1
+    assert checked >= 1000, checked
