@@ -153,9 +153,11 @@ def make_child(parent: Instance, include: Iterable[int], delete: Iterable[int],
 
     The child's graph is derived once, and simplify edits that graph in
     place from its first step, so the parent's graph and LP engine never
-    change.  lambda2_pre is one masked solve on the parent's engine.  _low,
-    the x with v_x <= 2 in the parent's graph G (the selector's
-    low_entries(G, 2)), vouches that G is simplified: simplify's first
+    change.  lambda2_pre is one masked solve on the parent's engine; for
+    D = N[u] after the selector's shadow_minus(G, N[u]) the engine answers
+    it from the memo of that solve, with no search.  _low, the x with
+    v_x <= 2 in the parent's graph G (the selector's low_entries(G, 2)),
+    vouches that G is simplified: simplify's first
     scans then look only next to the deleted set D, and for D = {u} it
     decides minsurp(G - u) >= 2 from N(u) & _low with no LP solve
     (vcbranch.reduce, fifth fact); minsurp(G - u) >= 1 then, so

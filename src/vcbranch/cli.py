@@ -6,7 +6,11 @@ files with "e u v" edge lines.  Covers are printed in the input file's
 1-based vertex numbers.  Exit codes: 0 success, 1 the decision was
 answered infeasible, 2 usage or input error (bad arguments, unparsable
 input, an input too large for the oracle), 3 node budget exhausted, 4
-internal error, 5 the audit found violations.
+internal error, 5 the audit found violations.  Every fault of the input
+itself is an input error (exit 2) naming its line: bytes that are not
+UTF-8, a malformed header or edge line, a header or edge field that is not
+an ASCII decimal integer ("1 +2" and Arabic-Indic digits are rejected), an
+endpoint out of range, a self-loop, or a wrong edge count.
 """
 
 from __future__ import annotations
@@ -44,6 +48,26 @@ class ParseError(UsageError):
         self.line = line
 
 
+def _decimal(field: str) -> int:
+    """An ASCII decimal integer field; int() alone also takes "+2", "1_0"
+    and non-ASCII digits."""
+    digits = field[1:] if field[:1] == "-" else field
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(field)
+    return int(field)
+
+
+def _decode_input(data: bytes) -> str:
+    """Graph file bytes as text: UTF-8, with universal newlines (as text
+    mode reads them); bytes that are not UTF-8 are an input error at the
+    line that holds the first of them."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError("input is not UTF-8 text", data.count(b"\n", 0, exc.start) + 1) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def parse_graph(text: str, fmt: str = "pace") -> Graph:
     """Parse "p td n m" (pace) or "p edge n m" (dimacs) graph text."""
     if fmt not in ("pace", "dimacs"):
@@ -63,7 +87,7 @@ def parse_graph(text: str, fmt: str = "pace") -> Graph:
             if len(parts) != 4 or parts[1] != want:
                 raise ParseError(f"malformed header (expected 'p {want} <n> <m>')", lineno)
             try:
-                n, m = int(parts[2]), int(parts[3])
+                n, m = _decimal(parts[2]), _decimal(parts[3])
             except ValueError:
                 raise ParseError("non-integer header fields", lineno) from None
             if n < 0 or m < 0:
@@ -79,7 +103,7 @@ def parse_graph(text: str, fmt: str = "pace") -> Graph:
         elif len(parts) != 2:
             raise ParseError("malformed edge line (expected 'u v')", lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _decimal(parts[0]), _decimal(parts[1])
         except ValueError:
             raise ParseError("non-integer edge endpoints", lineno) from None
         if not (1 <= u <= n and 1 <= v <= n):
@@ -269,11 +293,11 @@ class _Output:
 
 def _load_graph(args, out: _Output) -> Graph:
     if args.input == "-":
-        text = sys.stdin.read()
+        text = _decode_input(sys.stdin.buffer.read())
         name = "<stdin>"
     else:
-        with open(args.input) as fh:
-            text = fh.read()
+        with open(args.input, "rb") as fh:
+            text = _decode_input(fh.read())
         name = args.input
     g = parse_graph(text, args.format)
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]

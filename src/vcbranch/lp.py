@@ -83,8 +83,8 @@ class _LPEngine:
     stamped as free.  Augmenting-path flips write only unmasked entries, so
     the unmasked entries always form a matching of the view; masked entries
     go stale and are never read.  Each query undoes its flips before it
-    returns; only the cached certify_minsurp_two verdict, the stamps and the
-    search's scratch arrays change.
+    returns; only the cached certify_minsurp_two verdict, the memo of the
+    last masked solve, the stamps and the search's scratch arrays change.
 
     The graph that owns the engine may edit both in place (delete,
     add_vertex, add_edges; see Graph._delete).  A deleted vertex keeps its
@@ -96,7 +96,8 @@ class _LPEngine:
     """
 
     __slots__ = ("verts", "index", "adj", "match_l", "match_r", "exposed", "live",
-                 "certified", "frozen", "_seen", "_prev", "_epoch", "_stamp", "_mark")
+                 "certified", "frozen", "_memo", "_seen", "_prev", "_epoch", "_stamp",
+                 "_mark")
 
     def __init__(self, adj_map: dict[int, set[int]], parent: Optional["_LPEngine"] = None):
         """Build the engine of the graph adj_map, starting from the matching
@@ -136,6 +137,9 @@ class _LPEngine:
         self.live = n
         self.certified: Optional[bool] = None
         self.frozen = False
+        # (mask, answer) of the last solve; the answer depends only on the
+        # graph and the mask, so only the in-place edits clear it
+        self._memo: Optional[tuple[frozenset[int], tuple[int, frozenset[int], int]]] = None
         self._seen = [0] * n
         self._prev = [0] * n
         self._epoch = 0
@@ -171,6 +175,7 @@ class _LPEngine:
             match_l[i] = match_r[i] = -1
         self.live -= len(gone)
         self.certified = None
+        self._memo = None
         self._settle([u for u in self.exposed if stamp[u] != _DELETED] + freed)
 
     def add_vertex(self, y: int, nbrs: Iterable[int]) -> None:
@@ -189,6 +194,7 @@ class _LPEngine:
             arr.append(value)
         self.live += 1
         self.certified = None
+        self._memo = None
         self._settle(self.exposed + [j])
 
     def add_edges(self, edges: Iterable[tuple[int, int]]) -> None:
@@ -200,6 +206,7 @@ class _LPEngine:
             insort(adj[i], j)
             insort(adj[j], i)
         self.certified = None
+        self._memo = None
         self._settle(self.exposed)
 
     def _settle(self, roots: list[int]) -> None:
@@ -297,17 +304,25 @@ class _LPEngine:
             match_r[w] = old
 
     def solve(self, excluded: frozenset[int]) -> tuple[int, frozenset[int], int]:
-        """Return (weight2, zero_set, n_active) for LPVC(G - excluded)."""
+        """Return (weight2, zero_set, n_active) for LPVC(G - excluded).  A
+        repeat of the last solve's mask is answered from the memo: the
+        selector's shadow_minus(G, N[u]) and the split child's lambda2_pre
+        ask the same engine for the same mask one after the other."""
+        memo = self._memo
+        if memo is not None and memo[0] == excluded:
+            return memo[1]
         index = self.index
         closed = [index[v] for v in excluded if v in index]
         n_active = self.live - len(closed)
         roots = self._roots(closed)
         if not closed:  # the stored matching is maximum: nothing to search
-            return n_active - len(roots), self._zero_set(roots), n_active
-        log: _Log = []
-        exposed = self._augment(roots, log)
-        result = (n_active - len(exposed), self._zero_set(exposed), n_active)
-        self._undo(log)
+            result = (n_active - len(roots), self._zero_set(roots), n_active)
+        else:
+            log: _Log = []
+            exposed = self._augment(roots, log)
+            result = (n_active - len(exposed), self._zero_set(exposed), n_active)
+            self._undo(log)
+        self._memo = (excluded, result)
         return result
 
     def deficiency_exceeds(self, x: int, stop: int) -> bool:
@@ -784,11 +799,37 @@ def shadow_minus(g: Graph, x: Iterable[int]):
 def find_nonsingleton_minset(
     g: Graph, table: dict[int, tuple[int, frozenset[int]]], target: int
 ) -> Optional[frozenset[int]]:
-    """A min-set of size >= 2 with surplus == target, if one exists.
+    """A min-set of size >= 2 with surplus == target, if one exists; table
+    holds every x with v_x <= target (minsurp_full's, or low_entries').
 
-    First pass reads the canonical certificates off the minsurp table; the
-    gap case (zero-set empty because minsurp(G - N[x]) == 0 exactly) asks
-    zero_surplus_cert of G - N[x] for each remaining candidate.
+    The first pass reads the canonical certificates off the table.  The
+    gap case is the list P of the x with v_x == target and certificate
+    {x}: for these minsurp(G - N[x]) >= 0, and the pass asks
+    zero_surplus_cert of G - N[x] for each x in P, ascending.
+
+    When target >= 1 and no entry is below target (so minsurp >= target),
+    P is first peeled to the largest subset in which every x has at least
+    target neighbours w with a neighbour in P outside N[x]; only the
+    survivors are asked.  Let t = target, x in P and J a surplus-0 set of
+    G - N[x].
+      1. I = J + {x} is independent with surp(I) = deg(x) - 1 = t (x's
+         certificate is {x}, so v_x = deg(x) - 1), and |I| >= 2.
+      2. Each y in I has v_y <= surp(I) = t, so v_y = t, and its
+         certificate is {y}, or the first pass would have returned.  So
+         I is inside P.
+      3. For each y in I, with deg(y) = t + 1 as for x in step 1,
+         minsurp >= t and I - y non-empty:
+         |N(y) & N(I - y)| = deg(y) + |N(I - y)| - |N(I)|
+                           >= (t + 1) + (|I| - 1 + t) - (|I| + t) = t,
+         and each w in N(y) & N(I - y) has a neighbour in I - y, which is
+         outside N[y].
+      4. So by induction the peel never removes a member of I: a dropped
+         x has no surplus-0 set in G - N[x], zero_surplus_cert would
+         answer None, and the returned set is unchanged.
+    P holds the vertices of degree t + 1 and the peel looks at distance 2
+    only, so on graphs of maximum degree 3 (t = 2) P is nearly everything
+    and little is peeled; the cubic case needs a stronger local argument
+    (an N_2 locality lemma) that is still open.
     """
     second_pass = []
     for x in sorted(table):
@@ -798,11 +839,40 @@ def find_nonsingleton_minset(
         if len(cert_x) >= 2:
             return cert_x
         second_pass.append(x)
+    if target >= 1 and all(v >= target for v, _ in table.values()):
+        second_pass = _peel(g, second_pass, target)
     for x in second_pass:
         cert = zero_surplus_cert(g, frozenset(g.neighborhood([x], closed=True)))
         if cert is not None:
             return cert | {x}
     return None
+
+
+def _peel(g: Graph, cands: list[int], t: int) -> list[int]:
+    """The largest sublist of cands in which every x has at least t
+    neighbours w with a neighbour in the sublist outside N[x] (see
+    find_nonsingleton_minset).  Dropping x can only unsupport the
+    candidates within distance 2 of it, so only those are checked again."""
+    adj = g._adj
+    alive = set(cands)
+
+    def supported(x: int) -> bool:
+        nx = adj[x]
+        need = t
+        for w in nx:
+            if any(z in alive and z != x and z not in nx for z in adj[w]):
+                need -= 1
+                if not need:
+                    return True
+        return False
+
+    work = cands[:]
+    while work:
+        x = work.pop()
+        if x in alive and not supported(x):
+            alive.discard(x)
+            work.extend(z for w in adj[x] for z in adj[w] if z in alive)
+    return [x for x in cands if x in alive]
 
 
 def is_blocker(g: Graph, u: int, x: int) -> Optional[SurplusCert]:

@@ -443,6 +443,48 @@ def test_selector_makes_few_masked_solves(monkeypatch):
     assert len(certified) > 4 and len({id(e) for e in certified}) == len(certified)
 
 
+def test_split_child_reuses_the_selectors_solve(monkeypatch):
+    """Before a split on u the selector asks shadow_minus(G, N[u]); the
+    N[u] child's lambda2_pre asks the parent's engine for the same mask and
+    is answered from the engine's memo, with no second augmenting search
+    (the G - u child makes no solve under the selector)."""
+    from vcbranch import branching, lp
+
+    searches = 0
+    augment = lp._LPEngine._augment
+
+    def counted_augment(self, *args):
+        nonlocal searches
+        searches += 1
+        return augment(self, *args)
+
+    weights = []  # (mask, searches made inside lp_weight2)
+    weight2 = branching.lp_weight2
+
+    def counted_weight2(g, excluded):
+        before = searches
+        out = weight2(g, excluded)
+        weights.append((excluded, searches - before))
+        return out
+
+    monkeypatch.setattr(lp._LPEngine, "_augment", counted_augment)
+    monkeypatch.setattr(branching, "lp_weight2", counted_weight2)
+    splits = 0
+    for seed in range(8):
+        inst, _ = simplify(Instance(random_regular(40, 6, seed), 40))
+        weights.clear()
+        d = select_branch(inst)
+        if d.rule != "split-vertex":
+            continue
+        splits += 1
+        u_child, nu_child = d.children
+        closed = frozenset(nu_child.include | u_child.include)
+        assert weights == [(closed, 0)], seed
+        cold = Graph(vertices=inst.graph.vertices(), edges=inst.graph.edges())
+        assert nu_child.lambda2_pre == lp_weight2(cold.delete_vertices(closed)), seed
+    assert splits >= 4, splits
+
+
 def test_children_are_simplified_when_first_read(monkeypatch):
     """select_branch makes no child reduction run; reading a child's inst
     runs it once, and realized() and claimed force every child."""

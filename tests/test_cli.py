@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import pytest
 
@@ -83,6 +84,41 @@ def test_solve_exit_codes(tmp_path):
     assert code == 2  # --k required
     code, out = run(["solve", str(path), "--k", "6", "--budget", "0"])
     assert code == 3
+
+
+@pytest.mark.parametrize("data, line, message", [
+    (b"p td 3 2\n1 2\n2 \xff3\n", 3, "input is not UTF-8 text"),
+    (b"c caf\xe9\np td 2 1\n1 2\n", 1, "input is not UTF-8 text"),
+    ("p td 2 1\n1 ٢\n".encode(), 2, "non-integer edge endpoints"),
+    (b"p td 2 1\n1 +2\n", 2, "non-integer edge endpoints"),
+    (b"p td 2 1\n1 2_0\n", 2, "non-integer edge endpoints"),
+    ("p td ٢ 1\n1 2\n".encode(), 1, "non-integer header fields"),
+    (b"p td +2 1\n1 2\n", 1, "non-integer header fields"),
+])
+def test_input_errors_exit_2_with_the_line(tmp_path, monkeypatch, data, line, message):
+    """Bytes that are not UTF-8, and header or edge fields that are not
+    ASCII decimal integers, are input errors: exit 2, naming the line, from
+    a file and from standard input."""
+    path = tmp_path / "bad.gr"
+    path.write_bytes(data)
+    for argv in (["solve", str(path), "--k", "2"], ["optimize", str(path), "--json"],
+                 ["solve", "-", "--k", "2"]):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code, out = run(argv)
+        assert code == 2, (argv, out)
+        assert f"line {line}: {message}" in out, out
+
+
+def test_crlf_input_parses_as_before(tmp_path):
+    """Input is read as bytes and decoded as UTF-8 with universal newlines,
+    so CRLF files solve, and their digest is that of the LF text."""
+    crlf, lf = tmp_path / "crlf.gr", tmp_path / "lf.gr"
+    text = render_graph(NAMED_GRAPHS["petersen"]())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    lf.write_bytes(text.encode())
+    outs = [run(["solve", str(p), "--k", "6"]) for p in (crlf, lf)]
+    assert [code for code, _ in outs] == [0, 0]
+    assert outs[0][1].replace(str(crlf), str(lf)) == outs[1][1]
 
 
 def test_internal_error_exit_code(tmp_path, monkeypatch):

@@ -682,6 +682,37 @@ def test_deficiency_check_equals_the_masked_solve():
     assert edited >= 100, edited
 
 
+def test_solve_memo_is_cleared_by_in_place_edits():
+    """The engine answers a repeated mask from its memo of the last solve;
+    after an in-place delete, add_vertex or add_edges, solve(mask) equals a
+    cold engine's answer, so a stale memo is never read."""
+    rng = random.Random(11)
+    changed = dict.fromkeys(("delete", "add", "join"), 0)
+    for seed, g in enumerate(_mixed_degree_graphs()):
+        h = g.delete_vertices([])
+        engine = _engine(h)
+        for kind in changed:
+            verts = h.vertices()
+            if len(verts) < 4:
+                break
+            mask = frozenset(rng.sample(verts, rng.randint(1, 3)))
+            before = engine.solve(mask)
+            assert engine.solve(mask) is before  # the memo's answer
+            if kind == "delete":
+                h._delete(rng.sample(sorted(set(verts) - mask), 1))
+            elif kind == "add":
+                h._add_adjacent(rng.sample(verts, 3))
+            else:
+                cut = len(verts) // 2
+                h._join(verts[:cut:2], verts[cut::2])
+            if h._lp is not engine:  # handed on as a hint: no longer edited
+                break
+            after = engine.solve(mask)
+            assert after == _LPEngine(h._adj).solve(mask), (seed, kind)
+            changed[kind] += after != before
+    assert min(changed.values()) >= 30, changed
+
+
 def test_cold_builds_of_large_sparse_graphs():
     """Cold engines far larger than any derived chain in the other tests: a
     shuffled 20001-vertex path (one left vertex stays exposed) and a shuffled

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -11,12 +12,15 @@ from vcbranch.lp import (
     _LPEngine,
     _engine,
     _msm_zeroset,
+    _peel,
     _residual_two_connected,
     find_nonsingleton_minset,
+    low_entries,
     lp_weight2,
     minsurp,
     minsurp_full,
     tight_vertices,
+    zero_surplus_cert,
 )
 from vcbranch import reduce
 from vcbranch.reduce import (
@@ -319,6 +323,82 @@ def test_simplify_equals_the_table_policy(monkeypatch):
                                              if v == target):
                     second_pass_hits += 1
     assert second_pass_hits >= 5 and certified_p3 >= 10, (second_pass_hits, certified_p3)
+
+
+def _peel_graphs(monkeypatch) -> list[Graph]:
+    """Mixed-degree graphs: simplified 5- and 6-regular graphs with a few
+    vertices deleted, simplified G(n, p), and the graphs the selector hands
+    find_nonsingleton_minset during level-7 solves (some have a surplus-2
+    pair that only the gap case finds)."""
+    from vcbranch import branching
+    from vcbranch.solver import SolverConfig, solve_optimum
+
+    graphs = []
+    for seed in range(12):
+        rng = random.Random(seed)
+        for n, d in ((24, 5), (26, 5), (30, 6)):
+            g = simplify(Instance(random_regular(n, d, seed), n))[0].graph
+            graphs.append(g.delete_vertices(rng.sample(g.vertices(), 2 + seed % 6)))
+        for n, c in ((30, 4.5), (36, 5.0), (40, 4.0)):
+            graphs.append(simplify(Instance(gnp(n, c / n, seed), n))[0].graph)
+    find = branching.find_nonsingleton_minset
+    monkeypatch.setattr(branching, "find_nonsingleton_minset",
+                        lambda g, table, target: graphs.append(g.delete_vertices([]))
+                        or find(g, table, target))
+    for seed in range(3):
+        for g in (random_regular(30, 6, seed), random_regular(32, 5, seed)):
+            solve_optimum(g, SolverConfig(level=7))
+    return [g for g in graphs if g.n]
+
+
+def test_peel_drops_only_candidates_without_a_surplus_zero_set(monkeypatch):
+    """For minsurp(G) >= t and T = low_entries(G, t) with no non-singleton
+    certificate at v_x == t, every gap-case candidate the peel drops has
+    zero_surplus_cert(G - N[x]) None, and find_nonsingleton_minset equals
+    the sweep, for t = 1 and t = 2."""
+    dropped = {1: 0, 2: 0}
+    found = 0
+    for i, g in enumerate(_peel_graphs(monkeypatch)):
+        value = minsurp_full(g)[0]
+        for t in (1, 2):
+            if value < t:
+                continue
+            table = low_entries(g, t)
+            assert find_nonsingleton_minset(g, table, t) == \
+                _sweep_nonsingleton_minset(g, table, t), (i, t)
+            if any(len(c) >= 2 for v, c in table.values() if v == t):
+                continue
+            cands = [x for x in sorted(table) if table[x][0] == t]
+            kept = _peel(g, cands, t)
+            assert kept == [x for x in cands if x in kept], (i, t)
+            for x in cands:
+                cert = zero_surplus_cert(g, g.neighborhood([x], closed=True))
+                if x not in kept:
+                    assert cert is None, (i, t, x)
+                    dropped[t] += 1
+                else:
+                    found += cert is not None
+    assert dropped[1] >= 5 and dropped[2] >= 100 and found >= 5, (dropped, found)
+
+
+def test_peel_pins_the_gap_case_tight_passes(monkeypatch):
+    """On simplified G(40, 0.1), seed 9, the gap case has 6 candidates and
+    none has a surplus-0 set in G - N[x]; the peel keeps 3, so
+    find_nonsingleton_minset makes exactly 3 masked tight passes."""
+    g = simplify(Instance(gnp(40, 4 / 40, 9), 40))[0].graph
+    table = low_entries(g, 2)
+    assert sorted(v for v, _ in table.values()) == [2] * 6
+    passes = 0
+    tight = _LPEngine.tight
+
+    def counted(self, excluded):
+        nonlocal passes
+        passes += 1
+        return tight(self, excluded)
+
+    monkeypatch.setattr(_LPEngine, "tight", counted)
+    assert find_nonsingleton_minset(g, table, 2) is None
+    assert passes == 3
 
 
 def test_simplify_long_odd_cycle_makes_linear_lp_solves(monkeypatch):
