@@ -9,15 +9,16 @@ keyed on the shadow of the chosen max-degree vertex.  Where a case needs a
 deterministic reduction policy directly (reduction_gain) instead of
 re-verifying the combinatorial argument.  Children are emitted unsimplified
 and simplified when first read (BranchChild), so a search that rejects a
-child from its LP bound never pays for its reduction run; claimed drops
-never exceed the realized ones.
+child from its LP bound never pays for its reduction run.  A decision
+holds the drops its rule claims, as the rule states them; the audit
+compares the realized drops with them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Optional, Sequence
+from typing import Container, Iterable, Optional
 
 from .graph import Graph, PreconditionError
 from .lp import (
@@ -134,13 +135,8 @@ class BranchChild:
 class BranchDecision:
     rule: str
     children: list[BranchChild]
-    claim: BranchSeq  # as the rule states it; claimed caps it by the realized drops
+    claimed: BranchSeq  # as the rule states it
     case: Optional[str] = None
-
-    @property
-    def claimed(self) -> BranchSeq:
-        """The claim, never above the realized drops; forces every child."""
-        return _cap_claim(self.claim, self.children)
 
     def realized(self) -> BranchSeq:
         return tuple((c.dmu, c.dk) for c in self.children)
@@ -179,14 +175,6 @@ def make_child(parent: Instance, include: Iterable[int], delete: Iterable[int],
     lambda2 = lp_weight2(g, delete) if recheck is None else g.n - 1
     pre = Instance(g.delete_vertices(delete), parent.k - len(include), lambda2=lambda2)
     return BranchChild(include, pre, parent.mu2, near, recheck)
-
-
-def _cap_claim(claim: BranchSeq, children: Sequence[BranchChild]) -> BranchSeq:
-    """Never claim more than was realized; keeps realized dominating claimed."""
-    return tuple(
-        (min(dmu, c.dmu2 / 2), min(dk, c.dk))
-        for (dmu, dk), c in zip(claim, children)
-    )
 
 
 def _decision(parent: Instance, rule: str, parts: list[tuple[set, set]],

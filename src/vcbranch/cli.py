@@ -9,8 +9,11 @@ input, an input too large for the oracle), 3 node budget exhausted, 4
 internal error, 5 the audit found violations.  Every fault of the input
 itself is an input error (exit 2) naming its line: bytes that are not
 UTF-8, a malformed header or edge line, a header or edge field that is not
-an ASCII decimal integer ("1 +2" and Arabic-Indic digits are rejected), an
-endpoint out of range, a self-loop, or a wrong edge count.
+an ASCII decimal integer ("1 +2" and Arabic-Indic digits are rejected), a
+header n above MAX_VERTICES (1,000,000), an endpoint out of range, a
+self-loop, or a wrong edge count.  The limit is checked from the header
+alone, before any per-vertex memory is allocated: each vertex costs under
+1 kB (optimize on "p td 200000 0" peaks at 161 MB RSS).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import random
 import sys
 from dataclasses import replace
@@ -35,6 +37,10 @@ from .solver import (
     solve_optimum,
 )
 from .verify import audit_trace, brute_force_vc, evaluate_constraints
+
+
+#: the largest vertex count a graph file's header may declare
+MAX_VERTICES = 1_000_000
 
 
 class UsageError(ValueError):
@@ -92,6 +98,9 @@ def parse_graph(text: str, fmt: str = "pace") -> Graph:
                 raise ParseError("non-integer header fields", lineno) from None
             if n < 0 or m < 0:
                 raise ParseError("negative header fields", lineno)
+            if n > MAX_VERTICES:
+                raise ParseError(f"header declares {n} vertices; the maximum is {MAX_VERTICES}",
+                                 lineno)
             adj = {v: set() for v in range(n)}
             continue
         if n is None:
@@ -306,26 +315,11 @@ def _load_graph(args, out: _Output) -> Graph:
     return g
 
 
-def _budget(args) -> Optional[int]:
-    """The node budget: --budget, else $VC_BRANCH_BUDGET, else none."""
-    if args.budget is not None:
-        source, raw = "--budget", str(args.budget)
-    else:
-        source, raw = "VC_BRANCH_BUDGET", os.environ.get("VC_BRANCH_BUDGET")
-        if not raw:
-            return None
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = -1
-    if budget < 0:
-        raise UsageError(f"{source} must be a non-negative integer, got {raw!r}")
-    return budget
-
-
 def _config(args, out: Optional[_Output] = None) -> SolverConfig:
     level = int(args.algorithm.removeprefix("level"))
-    budget = _budget(args)
+    budget = args.budget
+    if budget is not None and budget < 0:
+        raise UsageError(f"--budget must be a non-negative integer, got '{budget}'")
     if out is not None:
         out.emit("config",
                  f"c config command={args.command} algorithm={args.algorithm} "
@@ -418,15 +412,15 @@ def _cmd_audit(args, out: _Output) -> int:
         out.emit("audit",
                  f"node={rec.node_id} rule={rec.rule} claimed={list(rec.claimed)} "
                  f"realized={list(rec.realized)} val={rec.val_realized:.6f} "
-                 f"violation={rec.violation}",
+                 f"violation={rec.violation} shortfalls={rec.shortfalls}",
                  node=rec.node_id, rule=rec.rule,
                  claimed=[list(p) for p in rec.claimed],
                  realized=[list(p) for p in rec.realized],
                  val_claimed=rec.val_claimed, val_realized=rec.val_realized,
-                 violation=rec.violation)
+                 violation=rec.violation, shortfalls=rec.shortfalls)
     summary = audit_trace(result.stats.audit_records)
     out.emit("summary", summary.render(), total=summary.total,
-             violations=summary.violations,
+             violations=summary.violations, shortfalls=summary.shortfalls,
              per_rule={k: list(v) for k, v in sorted(summary.per_rule.items())})
     code = _emit_solve(out, result, args.k)
     return code if summary.clean else 5
@@ -505,8 +499,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--algorithm", default="level7",
                        choices=("level4", "level5", "level6", "level7"))
         p.add_argument("--budget", type=int, default=None,
-                       help="branch-node budget, a non-negative integer "
-                            "(default: $VC_BRANCH_BUDGET)")
+                       help="branch-node budget, a non-negative integer (default: none)")
 
     p = sub.add_parser("solve", help="decide a cover of size <= k")
     common(p)

@@ -440,15 +440,13 @@ def _run(inst: Instance, gen: SolveGen, stats: SolveStats, started: float) -> So
     return SolveResult(False, None, stats)
 
 
-def solve_decision(inst: Instance, level: Optional[int] = None,
-                   cfg: Optional[SolverConfig] = None) -> SolveResult:
+def solve_decision(inst: Instance, cfg: Optional[SolverConfig] = None) -> SolveResult:
     """Decide whether inst.graph has a vertex cover of size <= inst.k."""
     cfg = cfg or SolverConfig()
-    level = cfg.level if level is None else level
-    if level not in (4, 5, 6, 7):
-        raise ValueError(f"level must be 4..7, got {level}")
+    if cfg.level not in (4, 5, 6, 7):
+        raise ValueError(f"level must be 4..7, got {cfg.level}")
     stats = SolveStats()
-    return _run(inst, _solve_level_gen(inst, level, cfg, stats, 0, _NoReuse()),
+    return _run(inst, _solve_level_gen(inst, cfg.level, cfg, stats, 0, _NoReuse()),
                 stats, time.perf_counter())
 
 

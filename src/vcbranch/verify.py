@@ -487,44 +487,50 @@ class AuditRecord:
     val_claimed: float
     val_realized: float
     violation: bool
+    shortfalls: int  # children whose realized dmu or dk is below the claimed one
 
 
 def make_audit_record(params: MeasureParams, node_id: int, rule: str,
                       claimed: BranchSeq, realized: BranchSeq) -> AuditRecord:
+    """The node's realized drops against its rule's claim: a violation is
+    val(realized) > 1; a shortfall, a child that drops less than claimed."""
     vc = val(params, claimed)
     vr = val(params, realized)
+    shortfalls = sum(rmu < cmu or rk < ck
+                     for (cmu, ck), (rmu, rk) in zip(claimed, realized))
     return AuditRecord(node_id, rule, tuple(claimed), tuple(realized), vc, vr,
-                       violation=vr > min(1.0, vc) + 1e-9)
+                       violation=vr > 1 + 1e-9, shortfalls=shortfalls)
 
 
 @dataclass
 class AuditSummary:
     total: int
     violations: int
-    per_rule: dict[str, tuple[int, int]]  # rule -> (records, violations)
+    shortfalls: int
+    per_rule: dict[str, tuple[int, int, int]]  # rule -> (records, violations, shortfalls)
 
     @property
     def clean(self) -> bool:
         return self.violations == 0
 
     def render(self) -> str:
-        lines = [f"audit: {self.total} records, {self.violations} violations"]
+        lines = [f"audit: {self.total} records, {self.violations} violations, "
+                 f"{self.shortfalls} shortfalls"]
         for rule in sorted(self.per_rule):
-            cnt, bad = self.per_rule[rule]
-            lines.append(f"  {rule:<34} records={cnt:<6} violations={bad}")
+            cnt, bad, short = self.per_rule[rule]
+            lines.append(f"  {rule:<34} records={cnt:<6} violations={bad:<6} "
+                         f"shortfalls={short}")
         return "\n".join(lines)
 
 
 def audit_trace(records: Iterable[AuditRecord]) -> AuditSummary:
-    per_rule: dict[str, tuple[int, int]] = {}
-    total = violations = 0
+    per_rule: dict[str, tuple[int, int, int]] = {}
     for rec in records:
-        total += 1
-        cnt, bad = per_rule.get(rec.rule, (0, 0))
-        per_rule[rec.rule] = (cnt + 1, bad + (1 if rec.violation else 0))
-        if rec.violation:
-            violations += 1
-    return AuditSummary(total, violations, per_rule)
+        cnt, bad, short = per_rule.get(rec.rule, (0, 0, 0))
+        per_rule[rec.rule] = (cnt + 1, bad + rec.violation, short + rec.shortfalls)
+    return AuditSummary(sum(c for c, _, _ in per_rule.values()),
+                        sum(b for _, b, _ in per_rule.values()),
+                        sum(s for _, _, s in per_rule.values()), per_rule)
 
 
 # -- brute-force oracle --------------------------------------------------------

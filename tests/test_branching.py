@@ -343,6 +343,37 @@ def test_size3_split_plain_is_reached():
     assert stats.audit_violations == 0
 
 
+#: the cheapest audited search found for each selector case a live solve
+#: reaches: (case, graph, level)
+_LIVE_CASES = [
+    ("branch4-3/ruleB-nonsingleton", lambda: random_regular(36, 5, 4), 7),
+    ("branch4-3prep/ruleB", lambda: gnp(40, 0.15, 3), 6),
+    ("branch55/split", lambda: random_regular(30, 4, 1), 5),
+    ("surplus2/pair-ruleB", lambda: random_regular(36, 4, 3), 5),
+    ("surplus2/pair-split", lambda: gnp(36, 0.15, 4), 7),
+    ("surplus2/pair-splitz", lambda: random_regular(40, 3, 3), 5),
+    ("surplus2/size3-split", lambda: gnp(40, 0.15, 3), 7),
+    ("surplus2/size3-splitz", lambda: random_regular(36, 4, 7), 6),
+    ("surplus2/size4-split", lambda: random_regular(30, 4, 5), 6),
+    ("thm5.1/r4-split", lambda: random_regular(30, 4, 7), 4),
+    ("thm5.1/r5-split", lambda: random_regular(40, 3, 3), 5),
+    ("thm5.1/r6-split", lambda: gnp(30, 0.15, 1), 6),
+]
+
+
+@pytest.mark.parametrize("case, graph, level", _LIVE_CASES, ids=[c for c, _, _ in _LIVE_CASES])
+def test_selector_case_fires_live_and_audits_clean(case, graph, level):
+    """The case fires, every node's realized drops meet its rule's claim and
+    val(realized) <= 1, and no fallback runs."""
+    from vcbranch.solver import SolverConfig, solve_optimum
+
+    _, _, stats = solve_optimum(graph(), SolverConfig(level=level, audit=True))
+    assert stats.selector.cases.get(case, 0) >= 1
+    assert stats.audit_violations == 0
+    assert sum(rec.shortfalls for rec in stats.audit_records) == 0
+    assert stats.selector.fallbacks == 0
+
+
 def test_blocked_minset_equals_the_sweep():
     """_blocked_minset(g, u) is the min-set the minsurp sweep of G - N[u]
     certifies when shad(N[u]) <= 0 (the LP zero-set below 0, the min-set
@@ -487,7 +518,7 @@ def test_split_child_reuses_the_selectors_solve(monkeypatch):
 
 def test_children_are_simplified_when_first_read(monkeypatch):
     """select_branch makes no child reduction run; reading a child's inst
-    runs it once, and realized() and claimed force every child."""
+    runs it once, and realized() forces every child."""
     from vcbranch import branching
 
     runs = []
@@ -505,10 +536,6 @@ def test_children_are_simplified_when_first_read(monkeypatch):
         assert first.trace.final_graph is graph and first.inst.graph is graph
         assert first.dk >= 1 and first.dmu2 >= 0 and len(runs) == 1
         d.realized()
-        assert len(runs) == len(d.children)
-        runs.clear()
-        d = select_branch(inst)
-        d.claimed
         assert len(runs) == len(d.children), seed
 
 

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from vcbranch.cli import (
+    MAX_VERTICES,
     NAMED_GRAPHS,
     ParseError,
     circulant,
@@ -94,6 +95,11 @@ def test_solve_exit_codes(tmp_path):
     (b"p td 2 1\n1 2_0\n", 2, "non-integer edge endpoints"),
     ("p td ٢ 1\n1 2\n".encode(), 1, "non-integer header fields"),
     (b"p td +2 1\n1 2\n", 1, "non-integer header fields"),
+    # a header above the vertex limit is rejected before any vertex is built
+    (f"c big\np td {MAX_VERTICES + 1} 0\n".encode(), 2,
+     f"header declares {MAX_VERTICES + 1} vertices; the maximum is {MAX_VERTICES}"),
+    (b"p td 99999999999 1\n1 2\n", 1,
+     f"header declares 99999999999 vertices; the maximum is {MAX_VERTICES}"),
 ])
 def test_input_errors_exit_2_with_the_line(tmp_path, monkeypatch, data, line, message):
     """Bytes that are not UTF-8, and header or edge fields that are not
@@ -177,22 +183,57 @@ def test_audit_violation_exit_code(tmp_path, monkeypatch):
     assert run(["audit", str(path)])[0] == 2  # --k required
 
 
-def test_budget_env(tmp_path, monkeypatch):
+def test_audit_fires_on_a_live_shortfall(tmp_path, monkeypatch):
+    """A selector that splits on a lowest-degree vertex while it claims the
+    thm5.1/r6-split drops: live level-6 solves record shortfalls and
+    violations, and vcbranch audit exits 5 on them."""
+    from vcbranch import solver
+    from vcbranch.branching import split_vertex
+    from vcbranch.solver import SolverConfig, solve_optimum
+
+    def lying(inst):
+        g = inst.graph
+        u = min(g.vertices(), key=lambda v: (g.degree(v), v))
+        return split_vertex(inst, u, claimed=((0.5, 1), (2.5, g.max_degree())),
+                            case="thm5.1/r6-split")
+
+    monkeypatch.setattr(solver, "select_branch", lying)
+    violations, opts = 0, []
+    for seed in range(1, 8):
+        opt, _, stats = solve_optimum(gnp(30, 0.25, seed), SolverConfig(level=6, audit=True))
+        assert sum(rec.shortfalls for rec in stats.audit_records) > 0, seed
+        assert all(rec.val_realized > 1 for rec in stats.audit_records if rec.violation)
+        violations += stats.audit_violations
+        opts.append(opt)
+    assert violations > 0
+    path = tmp_path / "g.gr"
+    path.write_text(render_graph(gnp(30, 0.25, 1)))
+    # the decision run at seed 1's optimum records violations
+    code, out = run(["audit", str(path), "--k", str(opts[0]), "--algorithm", "level6",
+                     "--json"])
+    assert code == 5
+    summary = [json.loads(line) for line in out.splitlines()
+               if json.loads(line)["record"] == "summary"][0]
+    assert summary["violations"] > 0 and summary["shortfalls"] > 0
+    assert summary["per_rule"]["thm5.1/r6-split"][2] == summary["shortfalls"]
+
+
+def test_budget_flag(tmp_path, monkeypatch):
+    """--budget is the only way to set the node budget; the environment
+    is not read."""
     path = tmp_path / "c13.gr"
     path.write_text(render_graph(circulant(13, (1, 2, 3))))
+    assert run(["solve", str(path), "--k", "8", "--budget", "1"])[0] == 3
     monkeypatch.setenv("VC_BRANCH_BUDGET", "1")
-    code, out = run(["solve", str(path), "--k", "8"])
-    assert code == 3
-    monkeypatch.delenv("VC_BRANCH_BUDGET")
+    assert run(["solve", str(path), "--k", "8"])[0] == 1  # answered: no budget
 
 
 @pytest.mark.parametrize("argv, env, source, raw", [
     (["--budget", "-3"], None, "--budget", "-3"),
-    ([], "-1", "VC_BRANCH_BUDGET", "-1"),
-    ([], "ten", "VC_BRANCH_BUDGET", "ten"),
-    ([], "2.5", "VC_BRANCH_BUDGET", "2.5"),
+    (["--budget", "-1"], "5", "--budget", "-1"),
 ])
 def test_bad_budget_is_usage_error(tmp_path, monkeypatch, argv, env, source, raw):
+    """env, when set, is a VC_BRANCH_BUDGET value that does not mend a bad --budget."""
     path = tmp_path / "pet.gr"
     path.write_text(render_graph(NAMED_GRAPHS["petersen"]()))
     if env is None:
@@ -263,9 +304,9 @@ def test_audit_command(tmp_path):
     assert code == 0
     rows = [json.loads(line) for line in out.splitlines()]
     summaries = [r for r in rows if r["record"] == "summary"]
-    assert summaries and summaries[0]["violations"] == 0
+    assert summaries and summaries[0]["violations"] == summaries[0]["shortfalls"] == 0
     audits = [r for r in rows if r["record"] == "audit"]
-    assert audits and all(not r["violation"] for r in audits)
+    assert audits and all(not r["violation"] and r["shortfalls"] == 0 for r in audits)
 
 
 def test_reduce_command(tmp_path):

@@ -27,17 +27,17 @@ PETERSEN = NAMED_GRAPHS["petersen"]()
 
 @pytest.mark.parametrize("level", [4, 5, 6, 7])
 def test_solve_decision_petersen(level):
-    r = solve_decision(Instance(PETERSEN, 6), level=level)
+    r = solve_decision(Instance(PETERSEN, 6), cfg=SolverConfig(level=level))
     assert r.feasible and is_cover(PETERSEN, r.cover) and len(r.cover) <= 6
-    assert not solve_decision(Instance(PETERSEN, 5), level=level).feasible
+    assert not solve_decision(Instance(PETERSEN, 5), cfg=SolverConfig(level=level)).feasible
     assert r.stats.nodes >= 1
 
 
 @pytest.mark.parametrize("level", [4, 5, 6, 7])
 def test_solve_decision_circulant(level):
     g = circulant(9, (1, 2))
-    assert solve_decision(Instance(g, 6), level=level).feasible
-    assert not solve_decision(Instance(g, 5), level=level).feasible
+    assert solve_decision(Instance(g, 6), cfg=SolverConfig(level=level)).feasible
+    assert not solve_decision(Instance(g, 5), cfg=SolverConfig(level=level)).feasible
 
 
 def test_solve_optimum_examples():
@@ -127,7 +127,7 @@ def test_budget_exhausted_carries_stats():
 @pytest.mark.parametrize("run", [
     lambda g, cfg: base_maxis(Instance(g, 18), cfg),
     lambda g, cfg: base_agvc(Instance(g, 22), cfg),
-    lambda g, cfg: solve_decision(Instance(g, 22), level=4, cfg=cfg),
+    lambda g, cfg: solve_decision(Instance(g, 22), cfg=cfg),
     lambda g, cfg: solve_optimum(g, cfg),
 ], ids=["base_maxis", "base_agvc", "solve_decision", "solve_optimum"])
 def test_budget_exhausted_books_wall_time(run):
@@ -232,8 +232,8 @@ def test_level_independence_and_oracle_small():
         opt = exhaustive_vc(g)
         answers = set()
         for level in (4, 5, 6, 7):
-            r = solve_decision(Instance(g, opt), level=level)
-            r0 = solve_decision(Instance(g, opt - 1), level=level) if opt else None
+            r = solve_decision(Instance(g, opt), cfg=SolverConfig(level=level))
+            r0 = solve_decision(Instance(g, opt - 1), cfg=SolverConfig(level=level)) if opt else None
             answers.add((r.feasible, r0.feasible if r0 else None))
             assert r.feasible and is_cover(g, r.cover) and len(r.cover) <= opt
             if r0:

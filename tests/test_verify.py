@@ -88,15 +88,20 @@ def test_audit_records():
     p = SIMPLE_LEVEL_PARAMS[4]
     good = make_audit_record(p, 1, "split", ((0.5, 1), (1.5, 4)),
                              ((1.0, 2), (2.0, 5)))
-    assert not good.violation
+    assert not good.violation and good.shortfalls == 0
     bad = make_audit_record(p, 2, "split", ((0.5, 1), (1.5, 4)),
                             ((0.0, 1), (1.5, 4)))
-    assert bad.violation
-    summary = audit_trace([good, bad, good])
-    assert summary.total == 3 and summary.violations == 1
-    assert summary.per_rule["split"] == (3, 1)
+    assert bad.violation and bad.shortfalls == 1
+    # the second child drops less mu than claimed, yet val(realized) <= 1:
+    # a shortfall is counted, and only val(realized) > 1 is a violation
+    short = make_audit_record(p, 3, "split", ((0.5, 1), (1.5, 4)),
+                              ((1.0, 2), (1.0, 4)))
+    assert not short.violation and short.shortfalls == 1
+    summary = audit_trace([good, bad, good, short])
+    assert (summary.total, summary.violations, summary.shortfalls) == (4, 1, 2)
+    assert summary.per_rule["split"] == (4, 1, 2)
     assert audit_trace([]).total == 0
-    assert "violations" in summary.render()
+    assert "violations" in summary.render() and "shortfalls" in summary.render()
 
 
 def test_audit_clean_petersen_run():
