@@ -4,7 +4,9 @@ A branch-seq is a list of (dmu, dk) drop pairs; its value at measure
 constants (a, b) is sum_i exp(-a*dmu_i - b*dk_i) and must stay <= 1 for the
 measure argument to go through.  The selector mirrors the availability
 case analysis: surplus-two indsets first, then splitting / blocker rules
-keyed on the shadow of the chosen max-degree vertex.  Where a case needs a
+keyed on the shadow of the chosen max-degree vertex; on a simplified graph
+every path ends in one of the paper's rules, and fallback/branch55-ruleB is
+the one case not yet shown unreachable.  Where a case needs a
 "further simplification worth >= c" guarantee, the selector checks the
 deterministic reduction policy directly (reduction_gain) instead of
 re-verifying the combinatorial argument.  Children are emitted unsimplified
@@ -27,7 +29,6 @@ from .lp import (
     _msm_zeroset,
     blockers,
     certify_minsurp_two,
-    find_blocker,
     find_nonsingleton_minset,
     is_blocker,
     low_entries,
@@ -278,6 +279,18 @@ def _blocked_minset(g: Graph, u: int) -> Optional[frozenset[int]]:
 
 
 class _Selector:
+    """The case analysis of select_branch on one graph G.
+
+    select_branch calls it only when G has minimum degree >= 3, no funnel
+    and minsurp(G) >= 2; the proofs below that a branch cannot be reached
+    assume exactly these.  Their common step:
+
+    Lemma.  Let I be a non-empty independent set of G - N[u] with surplus
+    s there.  No vertex of I is adjacent to u, so N_G(I) is N_{G-N[u]}(I)
+    plus N(I) & N(u), and |N(I) & N(u)| = surp_G(I) - s >= 2 - s.  For
+    s <= 0 that is at least 2, so some vertex of I has a neighbour in N(u).
+    """
+
     def __init__(self, inst: Instance, low: Optional[Container[int]] = None):
         self.inst = inst
         self.g = inst.graph
@@ -297,14 +310,17 @@ class _Selector:
     # -- surplus-two indsets (smallest cases get dedicated rules) ----------
 
     def surplus_two(self, indset: frozenset[int]) -> Optional[BranchDecision]:
-        g = self.g
-        if g.surplus(indset) != 2:
+        """A rule for a surplus-two indset of at least two vertices.
+
+        No caller passes a singleton: find_nonsingleton_minset returns sets
+        of size >= 2, deg4_blocker passes J + {x} with J non-empty and
+        outside N[x], and blocked_high passes {x, x2} with x2 != x.
+        """
+        if self.g.surplus(indset) != 2:
             return None
         if len(indset) >= 3:
             return self._s2_large(indset)
-        if len(indset) == 2:
-            return self._s2_pair(indset)
-        return None
+        return self._s2_pair(indset)
 
     def _s2_large(self, indset: frozenset[int]) -> Optional[BranchDecision]:
         g = self.g
@@ -331,12 +347,13 @@ class _Selector:
         return self.split_indset(cert, ((1, 3), (1, 5)), "surplus2/size3-split-plain")
 
     def _s2_pair(self, indset: frozenset[int]) -> Optional[BranchDecision]:
+        """I = {a, b} with surplus 2.  pairs is not empty: were N(I) a
+        clique, each a in I would have N(a) inside it, so N(a) would
+        be a clique (deg(a) >= 3) and a a funnel."""
         g = self.g
         a_side = sorted(g.neighborhood(indset))
         pairs = [(z1, z2) for i, z1 in enumerate(a_side) for z2 in a_side[i + 1:]
                  if not g.has_edge(z1, z2)]
-        if not pairs:
-            return None  # N(I) a clique would make a funnel; not simplified
         z1, z2 = pairs[0]
         if g.degree(z1) <= 4 and g.degree(z2) <= 4:
             if reduction_gain(g, indset) >= 2:
@@ -355,26 +372,27 @@ class _Selector:
 
     # -- blocker machinery ---------------------------------------------------
 
-    def deg4_blocker(self, u: int, x: int) -> Optional[BranchDecision]:
-        """Blocker x of u with deg(x) >= 4."""
+    def deg4_blocker(self, u: int, x: int) -> BranchDecision:
+        """Blocker x of u with deg(x) >= 4.  x lies in G - N[u], so u is
+        outside N[x] and G - N[x] is not empty."""
         g = self.g
-        closed_x = _closed(g, x)
-        if len(closed_x) < g.n:
-            smx, jzero = _msm_zeroset(g, closed_x)
-            if smx <= 3 - g.degree(x) and jzero:
-                d = self.surplus_two(jzero | {x})
-                if d is not None:
-                    return d
+        smx, jzero = _msm_zeroset(g, _closed(g, x))
+        if smx <= 3 - g.degree(x) and jzero:
+            d = self.surplus_two(jzero | {x})
+            if d is not None:
+                return d
         return self.rule_b(x, [u], ((1, 2), (1.5, 5)), "branch4-3prep/ruleB")
 
-    def deg5_with_3nbr(self, w0: int, z0: int) -> BranchDecision:
-        """A vertex of degree >= 5 with a 3-neighbor is present."""
+    def deg5_with_3nbr(self, w0: int) -> BranchDecision:
+        """w0 has degree >= 5 and a neighbour of degree 3, so it is in
+        universe.  The callers reach here only past their deg(x) >= 4 exit,
+        so their x has degree 3 (minimum degree 3); blocked_low and
+        blocked_high pass a neighbour of x of degree >= 5, and blocked_high
+        also passes u itself (degree >= 6) when some z in N(u) has degree 3.
+        """
         g = self.g
         universe = [w for w in g.vertices() if g.degree(w) >= 5
                     and any(g.degree(t) == 3 for t in g.neighbors(w))]
-        if w0 not in universe:
-            universe.append(w0)
-            universe.sort()
         blocked: dict[int, frozenset[int]] = {}
         for w in universe:
             sm = shadow_minus(g, _closed(g, w))
@@ -409,47 +427,50 @@ class _Selector:
         return self.rule_b(x, [w0], ((1, 3), (1, 4)), "fallback/branch55-ruleB")
 
     def blocked_low(self, u: int) -> Optional[BranchDecision]:
-        """deg(u) in {4, 5} and shad(N[u]) <= 4 - deg(u)."""
+        """deg(u) in {4, 5} and shad(N[u]) <= 4 - deg(u); None when u is
+        not blocked, which blocked_high's call on its za may find.
+
+        Otherwise iset has surplus <= 0 in G - N[u], so by the lemma some x
+        in it has a neighbour in N(u), and every path ends in a rule.
+        """
         g = self.g
         iset = _blocked_minset(g, u)
         if iset is None:
-            return None  # not blocked after all (reachable via sub-dispatch)
-        options = [(x, sorted(g.neighbors(x) & g.neighbors(u))) for x in sorted(iset)]
-        options = [(x, shared) for x, shared in options if shared]
-        if not options:
-            return None  # impossible on simplified graphs
-        x, shared = options[0]
+            return None
+        x = next(x for x in sorted(iset) if g.neighbors(x) & g.neighbors(u))
+        shared = sorted(g.neighbors(x) & g.neighbors(u))
         if g.degree(x) >= 4:
             return self.deg4_blocker(u, x)
         high = [t for t in shared if g.degree(t) >= 5]
         if high:
-            return self.deg5_with_3nbr(high[0], x)
+            return self.deg5_with_3nbr(high[0])
         if len(iset) >= 2:
             return self.rule_b(x, [u], ((1, 3), (1, 5)), "branch4-3/ruleB-nonsingleton")
         return self.rule_b(x, [u], ((1, 4), (1, 4)), "branch4-3/ruleB-singleton")
 
-    def blocked_high(self, u: int) -> Optional[BranchDecision]:
-        """deg(u) >= 6 and shad(N[u]) <= 5 - deg(u)."""
+    def blocked_high(self, u: int) -> BranchDecision:
+        """deg(u) >= 6 and shad(N[u]) <= 5 - deg(u).
+
+        select_branch calls it only with shad(N[u]) < 6 - deg(u) <= 0, so
+        N[u] != V (shadow_minus would be +infinity) and iset is the LP
+        zero-set of G - N[u], non-empty with negative surplus.  By the lemma
+        some x in it has a neighbour in N(u), and every path ends in a rule.
+        """
         g = self.g
         closed = _closed(g, u)
         iset = _blocked_minset(g, u)
-        if iset is None:
-            return None
         for x in sorted(iset):
             if g.degree(x) >= 4:
                 return self.deg4_blocker(u, x)
-        options = [x for x in sorted(iset) if g.neighbors(x) & g.neighbors(u)]
-        if not options:
-            return None
-        x = options[0]
+        x = next(x for x in sorted(iset) if g.neighbors(x) & g.neighbors(u))
         z_side = sorted(g.neighbors(x) & g.neighbors(u))
         y_side = sorted(g.neighbors(x) - closed)
         for z in z_side:
             if g.degree(z) >= 5:
-                return self.deg5_with_3nbr(z, x)
+                return self.deg5_with_3nbr(z)
         for z in z_side:
             if g.degree(z) == 3:
-                return self.deg5_with_3nbr(u, z)
+                return self.deg5_with_3nbr(u)
         for x2 in sorted(iset):
             if x2 != x and len(g.neighbors(x) & g.neighbors(x2)) >= 2:
                 d = self.surplus_two(frozenset({x, x2}))
@@ -474,6 +495,9 @@ def select_branch(inst: Instance) -> BranchDecision:
     Dispatch: non-singleton surplus-two min-sets first, then the max-degree
     vertex u of degree r: split when shad(N[u]) clears the degree threshold,
     otherwise the blocked-vertex rules.  Ties break to lowest vertex id.
+    The blocked-vertex rules always give a decision: blocked_low runs only
+    with shad(N[u]) < 0, so N[u] != V and u is blocked, and blocked_high
+    shows the same for its own call (see _Selector's lemma).
     """
     g = inst.graph
     if g.n == 0:
@@ -492,29 +516,18 @@ def select_branch(inst: Instance) -> BranchDecision:
     table = low_entries(g, 2)
 
     sel = _Selector(inst, table)
-    decision: Optional[BranchDecision] = None
-
     indset = find_nonsingleton_minset(g, table, 2)
     if indset is not None:
         decision = sel.surplus_two(indset)
+        if decision is not None:
+            return decision
 
-    if decision is None:
-        sm = shadow_minus(g, _closed(g, u))
-        if r == 4 or r == 5:
-            if sm >= 0:
-                seq: BranchSeq = ((0.5, 1), (1.5, 4)) if r == 4 else ((0.5, 1), (2, 5))
-                decision = sel.split_vertex(u, seq, f"thm5.1/r{r}-split")
-            else:
-                decision = sel.blocked_low(u)
-        else:
-            if sm >= 6 - r:
-                decision = sel.split_vertex(u, ((0.5, 1), (2.5, r)), "thm5.1/r6-split")
-            else:
-                decision = sel.blocked_high(u)
-        if decision is None:
-            fb = find_blocker(g, u)
-            if fb is not None:
-                decision = sel.rule_b(fb[0], [u], ((1, 2), (1, 3)), "fallback/ruleB")
-            else:
-                decision = sel.split_vertex(u, ((0.5, 1), (0.5, r)), "fallback/split")
-    return decision
+    sm = shadow_minus(g, _closed(g, u))
+    if r == 4 or r == 5:
+        if sm >= 0:
+            seq: BranchSeq = ((0.5, 1), (1.5, 4)) if r == 4 else ((0.5, 1), (2, 5))
+            return sel.split_vertex(u, seq, f"thm5.1/r{r}-split")
+        return sel.blocked_low(u)
+    if sm >= 6 - r:
+        return sel.split_vertex(u, ((0.5, 1), (2.5, r)), "thm5.1/r6-split")
+    return sel.blocked_high(u)

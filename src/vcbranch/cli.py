@@ -315,16 +315,14 @@ def _load_graph(args, out: _Output) -> Graph:
     return g
 
 
-def _config(args, out: Optional[_Output] = None) -> SolverConfig:
+def _config(args, out: _Output) -> SolverConfig:
     level = int(args.algorithm.removeprefix("level"))
     budget = args.budget
     if budget is not None and budget < 0:
         raise UsageError(f"--budget must be a non-negative integer, got '{budget}'")
-    if out is not None:
-        out.emit("config",
-                 f"c config command={args.command} algorithm={args.algorithm} "
-                 f"budget={budget}",
-                 command=args.command, algorithm=args.algorithm, budget=budget)
+    out.emit("config",
+             f"c config command={args.command} algorithm={args.algorithm} budget={budget}",
+             command=args.command, algorithm=args.algorithm, budget=budget)
     return SolverConfig(level=level, node_budget=budget,
                         audit=getattr(args, "audit_on", False))
 

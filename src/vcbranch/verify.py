@@ -99,9 +99,6 @@ class ConstraintReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.rows)
 
-    def failures(self) -> list[ConstraintRow]:
-        return [r for r in self.rows if not r.passed]
-
     def render(self) -> str:
         lines = [f"constraint report: profile={self.profile}"]
         for r in self.rows:

@@ -9,6 +9,7 @@ from vcbranch.branching import (
     MeasureParams,
     SIMPLE_LEVEL_PARAMS,
     _blocked_minset,
+    _closed,
     dominates,
     make_child,
     rule_b,
@@ -306,7 +307,7 @@ def test_degree5_with_3neighbor_handler():
                      (12, 9)])
     inst, trace = simplify(Instance(g, 8))
     assert not trace.steps
-    d = _Selector(Instance(g, exhaustive_vc(g))).deg5_with_3nbr(0, 1)
+    d = _Selector(Instance(g, exhaustive_vc(g))).deg5_with_3nbr(0)
     assert d.case.startswith("branch55/")
     assert _decision_is_exhaustive_at_opt(g, d)
     assert val(SIMPLE_LEVEL_PARAMS[5], d.claimed) <= 1
@@ -347,11 +348,15 @@ def test_size3_split_plain_is_reached():
 #: reaches: (case, graph, level)
 _LIVE_CASES = [
     ("branch4-3/ruleB-nonsingleton", lambda: random_regular(36, 5, 4), 7),
+    ("branch4-3/ruleB-singleton", lambda: random_regular(44, 4, 892486), 6),
     ("branch4-3prep/ruleB", lambda: gnp(40, 0.15, 3), 6),
+    ("branch55/ruleB-R2", lambda: random_regular(30, 5, 21706), 4),
     ("branch55/split", lambda: random_regular(30, 4, 1), 5),
+    ("branch6-1/ruleB", lambda: random_regular(36, 4, 864810), 5),
     ("surplus2/pair-ruleB", lambda: random_regular(36, 4, 3), 5),
     ("surplus2/pair-split", lambda: gnp(36, 0.15, 4), 7),
     ("surplus2/pair-splitz", lambda: random_regular(40, 3, 3), 5),
+    ("surplus2/size3-ruleB", lambda: random_regular(36, 7, 968410), 6),
     ("surplus2/size3-split", lambda: gnp(40, 0.15, 3), 7),
     ("surplus2/size3-splitz", lambda: random_regular(36, 4, 7), 6),
     ("surplus2/size4-split", lambda: random_regular(30, 4, 5), 6),
@@ -398,6 +403,53 @@ def test_blocked_minset_equals_the_sweep():
                 seen["negative" if value < 0 else "zero"] += 1
                 assert found == cert, (seed, u)
     assert min(seen.values()) >= 100, seen
+
+
+def _simplified_search_graphs(per_root: int):
+    """Simplified graphs of maximum degree >= 4 met by a depth-first walk of
+    select_branch's children, at most per_root from each seeded root."""
+    for n in (30, 36):
+        for d in (4, 5, 6):
+            for seed in range(1, 5):
+                stack = [simplify(Instance(random_regular(n, d, seed), n))[0]]
+                met = 0
+                while stack and met < per_root:
+                    inst = stack.pop()
+                    g = inst.graph
+                    if g.n == 0 or g.degree(g.top_vertex()) < 4:
+                        continue
+                    met += 1
+                    yield inst
+                    stack.extend(c.inst for c in select_branch(inst).children)
+
+
+def test_blocked_sets_reach_into_the_neighbourhood():
+    """_Selector's lemma: on a simplified graph, a min-set I of G - N[u] with
+    surplus s <= 0 has |N(I) & N(u)| >= 2 - s.  So the blocked-vertex rules
+    always find an x in I with a neighbour in N(u) and return a decision
+    wherever select_branch calls them."""
+    from vcbranch.branching import _Selector
+
+    seen = {"blocked": 0, "low": 0, "high": 0}
+    for inst in _simplified_search_graphs(10):
+        g = inst.graph
+        sel = _Selector(inst, low_entries(g, 2))
+        for u in g.vertices():
+            iset = _blocked_minset(g, u)
+            if iset is None:
+                continue
+            seen["blocked"] += 1
+            outside = g.neighborhood(iset) - g.neighbors(u)
+            s = len(outside) - len(iset)
+            assert s <= 0
+            assert len(g.neighborhood(iset) & g.neighbors(u)) >= 2 - s
+            r = g.degree(u)
+            if r < 4 or shadow_minus(g, _closed(g, u)) >= (0 if r <= 5 else 6 - r):
+                continue
+            seen["low" if r <= 5 else "high"] += 1
+            decision = sel.blocked_low(u) if r <= 5 else sel.blocked_high(u)
+            assert decision is not None and decision.case is not None
+    assert min(seen.values()) >= 20, seen
 
 
 def test_children_carry_independent_copies():
