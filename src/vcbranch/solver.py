@@ -10,9 +10,13 @@ the bounded-degree MaxIS stand-in.  Level 3 never delegates: it is the
 stand-in for the above-guarantee solver, the same plain split with mu
 pruning, booked as its own rule and never audited.
 
-Solvers are written as generators yielding once per branch node, so
-dovetailing is deterministic node-quantum alternation and a global node
-budget applies uniformly.
+Every search runs as a stack of generators, one per tree node, stepped by
+one loop (_step): a node yields once after it books itself and yields its
+children's searches instead of calling them, so no search nests a Python
+frame per tree level and no depth is too deep.  The level search, the
+MaxIS stand-in (_maxis_gen, which also solves the small components) and the
+dovetail share this protocol; dovetailing is deterministic node-quantum
+alternation of two stacks, and a global node budget applies uniformly.
 
 Simplification, component folding and branch selection do not depend on
 k: k only shifts by each step's dk.  The ascending optimum search revisits
@@ -29,7 +33,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Generator, Iterator, Optional
+from typing import Generator, Optional
 
 from .graph import Graph
 from .lp import Instance, SurplusCert
@@ -87,7 +91,9 @@ class BudgetExhausted(RuntimeError):
         self.stats = stats
 
 
-SolveGen = Generator[None, None, tuple[bool, Optional[frozenset[int]]]]
+#: one node of a search: it yields None after it books a node, or yields a
+#: subsearch's generator and is sent that subsearch's answer (see _step)
+SolveGen = Generator[Optional[Generator], object, tuple[bool, Optional[frozenset[int]]]]
 
 
 def _account(stats: SolveStats, cfg: SolverConfig, depth: int) -> None:
@@ -98,12 +104,34 @@ def _account(stats: SolveStats, cfg: SolverConfig, depth: int) -> None:
         raise BudgetExhausted(stats)
 
 
-def _drive(gen: SolveGen):
+def _step(stack: list[SolveGen]):
+    """Run the search on stack to its next branch node and return None, or
+    to its answer and return that.  A yielded subsearch is pushed, and a
+    returning one is popped and its answer sent to the generator below, so
+    a search of any depth runs in this one frame."""
+    value = None
     while True:
         try:
-            next(gen)
+            out = stack[-1].send(value)
         except StopIteration as stop:
-            return stop.value
+            stack.pop()
+            if not stack:
+                return stop.value
+            value = stop.value
+            continue
+        if out is None:
+            return None
+        stack.append(out)
+        value = None
+
+
+def _drive(gen: SolveGen):
+    """Step the search of gen to its answer."""
+    stack = [gen]
+    while True:
+        answer = _step(stack)
+        if answer is not None:
+            return answer
 
 
 class _SearchCache:
@@ -221,116 +249,93 @@ def _fold_subquadratic(g: Graph, k: int, own: bool = False
     return g, k, trace
 
 
-#: a leaf of the MaxIS stand-in's walk: (cover size, path), the path
-#: holding each node's (fold trace, include of the branch taken below it)
-_Leaf = tuple[int, list[tuple[ReductionTrace, frozenset[int]]]]
+def _maxis_gen(g: Graph, limit: list[int], stats: SolveStats,
+               cfg: Optional[SolverConfig] = None, depth: int = 0, size: int = 0,
+               own: bool = False) -> SolveGen:
+    """The MaxIS stand-in's search tree below g, depth first.  A node folds
+    its graph (_fold_subquadratic), then branches on its lowest vertex u of
+    maximum degree, {u} first, then N(u).  It returns (True, a cover of g
+    from its subtree, lifted through its own fold) or (False, None).  size
+    is the cover size taken above g, and g is never edited unless own.
 
+    limit[0] is the largest cover size wanted, shared by the whole tree.  A
+    node whose fold leaves k < 0 under it is pruned, and so is a child whose
+    branch alone passes it: a fold step never raises k, so that child's fold
+    would leave k < 0 too (and N(u), the larger branch, goes second).  Each
+    child graph is derived once and folded in place from its first step.
 
-def _maxis_tree(g: Graph, limit: list[int]) -> Iterator[tuple[int, Optional[_Leaf]]]:
-    """Walk the MaxIS stand-in's search tree depth first.  A node folds its
-    graph (_fold_subquadratic), then branches on its lowest vertex u of
-    maximum degree, {u} first, then N(u).  The walk yields (depth, None) at
-    each branch node and (depth, leaf) at each leaf; _lift_leaf turns a
-    leaf into its cover of g, so a consumer lifts only the cover it keeps.
+    With cfg this is the decision for k = limit[0]: each branch node is
+    booked (at depth plus its tree depth) before its yield, where a dovetail
+    may drop the search, and the first leaf answers.  Fold and branch do not
+    depend on k, and the pruning cuts exactly the subtrees that hold no leaf
+    of size at most k.
 
-    limit[0] is the largest cover size wanted, and the consumer may lower
-    it between yields.  A node whose fold leaves k < 0 under it is pruned,
-    and so is a child whose branch alone passes it: a fold step never raises
-    k, so that child's fold would leave k < 0 too (and N(u), the larger
-    branch, goes second).  Each child graph is derived once and folded in
-    place from its first step; g itself is never edited.  The walk nests
-    one generator per tree level.
-
-    A decision for k takes the first leaf under limit [k]: fold and branch
-    do not depend on k, and the pruning cuts exactly the subtrees that hold
-    no leaf of size at most k.  The component fold lowers the limit to one
-    less than each cover found and keeps the last one.  That cover equals
-    the one of the restart loop that decides k = n, then k = |C| - 1 for
-    each cover C found, and returns the last C:
+    Without cfg this is the component fold: nodes are booked on
+    stats.component_nodes, outside nodes and the budget, each leaf lowers
+    the limit to one less than its cover size, and the search goes on; the
+    last cover found is returned.  It equals the cover of the restart loop
+    that decides k = n, then k = |C| - 1 for each cover C found, and
+    returns the last C:
 
     * every leaf before cover C_i is larger than the limit that found C_i,
       so it is larger than |C_i| - 1 too, and the next cover lies after C_i;
-    * so one walk that goes on after each leaf with the lowered limit meets
-      the same covers in the same order and ends on the same last cover.
-      Its nodes are a subset of the loop's: the loop walks each prefix
-      again, and its last, infeasible run walks the whole tree.
+    * so one search that goes on after each leaf with the lowered limit
+      meets the same covers in the same order and ends on the same last
+      cover.  Its nodes are a subset of the loop's: the loop walks each
+      prefix again, and its last, infeasible run walks the whole tree.
     """
-    path: list[tuple[ReductionTrace, frozenset[int]]] = []
-
-    def walk(g: Graph, size: int, own: bool):
-        g, k, trace = _fold_subquadratic(g, limit[0] - size, own)
-        if k < 0:
-            return
-        if g.n == 0:
-            yield len(path), (limit[0] - k, [*path, (trace, frozenset())])
-            return
-        size = limit[0] - k  # the cover size of this node, its fold's included
-        yield len(path), None
-        u = g.top_vertex()
-        nbrs = frozenset(g.neighbors(u))
-        for include, delete in ((frozenset({u}), {u}), (nbrs, nbrs | {u})):
-            if size + len(include) > limit[0]:
-                return
-            path.append((trace, include))
-            yield from walk(g.delete_vertices(delete), size + len(include), True)
-            path.pop()
-
-    return walk(g, 0, False)
-
-
-def _lift_leaf(leaf: _Leaf) -> frozenset[int]:
-    """The cover of the walk's input graph that a leaf stands for."""
-    cover: frozenset[int] = frozenset()
-    for trace, include in reversed(leaf[1]):
-        cover = lift_cover(trace, include | cover)
-    return cover
+    g, k, trace = _fold_subquadratic(g, limit[0] - size, own)
+    if k < 0:
+        return False, None
+    if g.n == 0:
+        if cfg is None:
+            limit[0] -= k + 1  # the leaf's cover size is limit[0] - k
+        return True, lift_cover(trace, ())
+    size = limit[0] - k  # the cover size of this node, its fold's included
+    if cfg is None:
+        stats.component_nodes += 1
+    else:
+        _account(stats, cfg, depth)
+        stats.rule_counts["base-maxis-split"] += 1
+    yield
+    u = g.top_vertex()
+    nbrs = frozenset(g.neighbors(u))
+    best = None
+    for include, delete in ((frozenset({u}), {u}), (nbrs, nbrs | {u})):
+        if size + len(include) > limit[0]:
+            break
+        ok, sub = yield _maxis_gen(g.delete_vertices(delete), limit, stats, cfg, depth + 1,
+                                   size + len(include), True)
+        if ok:
+            best = lift_cover(trace, include | sub)
+            if cfg is not None:
+                break
+    return best is not None, best
 
 
 def _base_maxis_gen(inst: Instance, cfg: SolverConfig, stats: SolveStats,
                     depth: int) -> SolveGen:
-    """The MaxIS stand-in's decision: the first leaf of its walk within
-    inst.k.  Each branch node is booked before its yield, where a dovetail
-    may close the generator."""
-    for d, leaf in _maxis_tree(inst.graph, [inst.k]):
-        if leaf is not None:
-            return True, _lift_leaf(leaf)
-        _account(stats, cfg, depth + d)
-        stats.rule_counts["base-maxis-split"] += 1
-        yield
-    return False, None
+    """The MaxIS stand-in's decision: the first leaf of its tree within inst.k."""
+    return _maxis_gen(inst.graph, [inst.k], stats, cfg, depth)
 
 
 def _component_cover(g: Graph, stats: Optional[SolveStats] = None) -> frozenset[int]:
-    """A minimum cover of a small graph: the last cover of the MaxIS
-    stand-in's walk, with the limit lowered to one less than each cover
-    found (see _maxis_tree).  Its branch nodes are booked on
-    stats.component_nodes, outside nodes and the budget."""
-    limit = [g.n]
-    best: Optional[_Leaf] = None
-    nodes = 0
-    for _, leaf in _maxis_tree(g, limit):
-        if leaf is None:
-            nodes += 1
-        else:
-            best = leaf
-            limit[0] = leaf[0] - 1
-    if stats is not None:
-        stats.component_nodes += nodes
-    return frozenset() if best is None else _lift_leaf(best)
+    """A minimum cover of a small graph: the MaxIS stand-in's component fold
+    (see _maxis_gen).  Its branch nodes are booked on stats.component_nodes."""
+    return _drive(_maxis_gen(g, [g.n], stats or SolveStats()))[1]
 
 
 def _dovetail_gen(first: SolveGen, second: SolveGen, quantum: int) -> SolveGen:
-    """Deterministic fair interleaving; first definitive answer wins."""
-    gens = [first, second]
+    """Deterministic fair interleaving of two searches, each on its own
+    stack, quantum nodes per turn; the first answer wins and the other
+    search is dropped."""
+    stacks = [[first], [second]]
     turn = 0
     while True:
-        gen = gens[turn]
         for _ in range(quantum):
-            try:
-                next(gen)
-            except StopIteration as stop:
-                gens[1 - turn].close()
-                return stop.value
+            answer = _step(stacks[turn])
+            if answer is not None:
+                return answer
             yield
         turn = 1 - turn
 
@@ -365,18 +370,15 @@ def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: Solve
         own_cost, maxis_cost = _predicted_exponents(inst, level)
         own = _solve_level_gen(inst, level - 1, cfg, stats, depth + 1, cache)
         other = _base_maxis_gen(inst, cfg, stats, depth + 1)
-        if own_cost <= maxis_cost:
-            result = yield from _dovetail_gen(own, other, DOVETAIL_QUANTUM)
-        else:
-            result = yield from _dovetail_gen(other, own, DOVETAIL_QUANTUM)
-        feasible, cover = result
+        first, second = (own, other) if own_cost <= maxis_cost else (other, own)
+        feasible, cover = yield _dovetail_gen(first, second, DOVETAIL_QUANTUM)
         if not feasible:
             return False, None
         return True, lift_cover(trace, cover)
 
     _account(stats, cfg, depth)
     if level == 3:
-        # booked before the yield: a dovetail may close the generator there
+        # booked before the yield: a dovetail may drop the search there
         stats.rule_counts["base-agvc-split"] += 1
     yield
     decision = cache.get(g, level)
@@ -411,7 +413,7 @@ def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: Solve
         if k_pre < 0 or 2 * k_pre < child.lambda2_pre:
             continue
         sub_inst = Instance(child.inst.graph, inst.k - child.dk, lambda2=child.inst.lambda2)
-        ok, sub = yield from _solve_level_gen(sub_inst, level, cfg, stats, depth + 1, cache)
+        ok, sub = yield _solve_level_gen(sub_inst, level, cfg, stats, depth + 1, cache)
         if ok:
             return True, lift_cover(trace, child.include | lift_cover(child.trace, sub))
     return False, None

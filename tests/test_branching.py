@@ -1,6 +1,6 @@
 import pytest
 
-from vcbranch.graph import Graph, PreconditionError, complete, cycle
+from vcbranch.graph import Graph, PreconditionError, complete, cycle, star
 from vcbranch.lp import (
     Instance, SurplusCert, _engine, certify_minsurp_two, low_entries, lp_weight2, minsurp,
     minsurp_full, shadow, shadow_minus,
@@ -19,6 +19,7 @@ from vcbranch.branching import (
     val,
 )
 from vcbranch.reduce import simplify
+from vcbranch.verify import combine_rate
 from vcbranch.cli import circulant, gnp, random_regular
 
 from oracle_utils import exhaustive_vc, shuffled_ids
@@ -133,6 +134,42 @@ def test_select_branch_preconditions():
     assert not certify_minsurp_two(g) and minsurp(g).surplus == 1
     with pytest.raises(PreconditionError, match="minsurp < 2"):
         select_branch(Instance(g, g.n))
+
+
+def _with_isolated():
+    """cycle(6) plus the isolated vertex 6."""
+    g = cycle(6)
+    g.add_vertex(6)
+    return g
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: make_child(Instance(cycle(6), 3), [0], [0, 1]),
+     PreconditionError, "excluded vertex 1 has neighbors outside the included set"),
+    (lambda: split_vertex(Instance(_with_isolated(), 4), 6),
+     PreconditionError, "cannot split on isolated vertex 6"),
+    (lambda: split_indset(Instance(cycle(6), 3), SurplusCert(frozenset({0}), 0)),
+     PreconditionError, "certificate surplus does not match the graph"),
+    (lambda: split_indset(Instance(_with_isolated(), 4), SurplusCert(frozenset({6}), -1)),
+     PreconditionError, "indset with empty neighborhood"),
+    (lambda: rule_b(Instance(cycle(6), 3), 0, [0]),
+     PreconditionError, "blocker coincides with a blocked vertex"),
+    (lambda: rule_b(Instance(cycle(6), 3), 1, [0]),
+     PreconditionError, "blocker 1 is adjacent to 0"),
+    (lambda: split_vertex(Instance(cycle(6), 3), 0, claimed=((1, 1),)),
+     ValueError, "claimed branch-seq length does not match children"),
+    (lambda: MeasureParams(-1, 0), ValueError, "measure constants must be non-negative"),
+    (lambda: combine_rate(-1, 0, 0), ValueError, "rates must be non-negative"),
+    (lambda: select_branch(Instance(Graph(), 0)), PreconditionError, "empty instance"),
+    (lambda: select_branch(Instance(star(4), 1)), PreconditionError, "graph is not simplified"),
+], ids=["make_child-exclude", "split_vertex-isolated", "split_indset-surplus",
+        "split_indset-no-neighbours", "rule_b-coincides", "rule_b-adjacent",
+        "claimed-length", "MeasureParams", "combine_rate", "select-empty", "select-star"])
+def test_public_guards_raise(call, error, message):
+    """Each public branching entry point rejects an input that breaks its
+    precondition, with its own message."""
+    with pytest.raises(error, match=message):
+        call()
 
 
 def _simplified_instances(count=40):

@@ -1,5 +1,7 @@
 import io
 import json
+import random
+import re
 import sys
 
 import pytest
@@ -100,19 +102,71 @@ def test_solve_exit_codes(tmp_path):
      f"header declares {MAX_VERTICES + 1} vertices; the maximum is {MAX_VERTICES}"),
     (b"p td 99999999999 1\n1 2\n", 1,
      f"header declares 99999999999 vertices; the maximum is {MAX_VERTICES}"),
+    (b"p td 2 1\np td 2 1\n1 2\n", 2, "duplicate problem line"),
+    (b"p td -1 0\n", 1, "negative header fields"),
+    (b"1 2\np td 2 1\n", 1, "edge line before problem line"),
+    (b"p td 3 1\n1 2 3\n", 2, "malformed edge line (expected 'u v')"),
+    (b"p td 2 1\n1 1\n", 2, "self-loop"),
+    (b"c only\n", 1, "missing problem line"),
+    # a "p edge" header is read with --format dimacs
+    (b"p edge 2 1\n1 2\n", 2, "malformed edge line (expected 'e u v')"),
 ])
 def test_input_errors_exit_2_with_the_line(tmp_path, monkeypatch, data, line, message):
-    """Bytes that are not UTF-8, and header or edge fields that are not
-    ASCII decimal integers, are input errors: exit 2, naming the line, from
-    a file and from standard input."""
+    """Bytes that are not UTF-8, header or edge fields that are not ASCII
+    decimal integers, and lines out of the format's shape or order are
+    input errors: exit 2, naming the line, from a file and from standard
+    input."""
     path = tmp_path / "bad.gr"
     path.write_bytes(data)
-    for argv in (["solve", str(path), "--k", "2"], ["optimize", str(path), "--json"],
-                 ["solve", "-", "--k", "2"]):
+    fmt = ["--format", "dimacs"] if data.startswith(b"p edge") else []
+    for argv in (["solve", str(path), "--k", "2", *fmt], ["optimize", str(path), "--json", *fmt],
+                 ["solve", "-", "--k", "2", *fmt]):
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
         code, out = run(argv)
         assert code == 2, (argv, out)
         assert f"line {line}: {message}" in out, out
+
+
+def _mutate(data: bytes, rng: random.Random) -> bytes:
+    """One byte-level mutation: a deletion, a duplication, a byte flip, a
+    truncation or the header's n and m swapped."""
+    kind = rng.randrange(5)
+    at = rng.randrange(len(data))
+    if kind == 0:
+        return data[:at] + data[at + rng.randint(1, 3):]
+    if kind == 1:
+        return data[:at] + data[at:at + rng.randint(1, 8)] + data[at:]
+    if kind == 2:
+        return data[:at] + bytes([rng.randrange(256)]) + data[at + 1:]
+    if kind == 3:
+        return data[:at + 1]
+    return re.sub(rb"^p (\S+) (\S+) (\S+)", rb"p \1 \3 \2", data, count=1)
+
+
+def test_mutated_inputs_solve_or_exit_2(tmp_path):
+    """Seeded byte-level mutations of the named graphs' PACE and DIMACS
+    files: optimize exits 0 or 2 and never reports an internal error, and
+    every cover it prints is a minimum cover of the mutated input."""
+    rng = random.Random(1)
+    sources = [(render_graph(make(), fmt).encode(), fmt)
+               for make in NAMED_GRAPHS.values() for fmt in ("pace", "dimacs")]
+    path = tmp_path / "fuzz.gr"
+    codes = []
+    for _ in range(600):
+        data, fmt = rng.choice(sources)
+        for _ in range(rng.randint(1, 2)):
+            data = _mutate(data, rng)
+        path.write_bytes(data)
+        code, out = run(["optimize", str(path), "--json", "--format", fmt])
+        codes.append(code)
+        assert code in (0, 2) and "Traceback" not in out, (data, out)
+        if code == 0:
+            g = parse_graph(data.decode("utf-8"), fmt)
+            cover = json.loads(out.splitlines()[-1])["cover"]
+            assert all(u + 1 in cover or v + 1 in cover for u, v in g.edges()), data
+            # isolated vertices never enter a minimum cover
+            assert len(cover) == brute_force_vc(Graph(edges=g.edges()))[0], data
+    assert codes.count(0) >= 10 and codes.count(2) >= 300
 
 
 def test_crlf_input_parses_as_before(tmp_path):

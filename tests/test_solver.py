@@ -1,5 +1,6 @@
 import ast
 import inspect
+import sys
 from collections import Counter
 
 import pytest
@@ -114,6 +115,36 @@ def test_dovetail():
     # deterministic: identical stats across repeat runs
     feasible2, cover2, stats2 = _dovetail(Instance(PETERSEN, 6))
     assert stats2.nodes == stats.nodes and cover2 == cover
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+#: frames a search may use above its caller's, whatever its tree depth
+_DEPTH_MARGIN = 100
+
+
+@pytest.mark.parametrize("run, n, d", [(base_agvc, 600, 6), (base_maxis, 1500, 5)],
+                         ids=["base_agvc", "base_maxis"])
+def test_deep_search_under_a_low_recursion_limit(run, n, d):
+    """Every search runs in a fixed number of frames: with the recursion
+    limit _DEPTH_MARGIN frames above this test's own, a trivially feasible
+    k = n search far deeper than that margin answers.  Such a search takes
+    the first child at every node, so its depth is one less than its
+    nodes: max_depth is booked at each node's true depth."""
+    g = random_regular(n, d, 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + _DEPTH_MARGIN)
+    try:
+        r = run(Instance(g, n))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert r.feasible and is_cover(g, r.cover)
+    assert r.stats.max_depth == r.stats.nodes - 1 > _DEPTH_MARGIN
 
 
 def test_budget_exhausted_carries_stats():
