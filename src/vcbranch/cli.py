@@ -75,17 +75,24 @@ def _decode_input(data: bytes) -> str:
 
 
 def parse_graph(text: str, fmt: str = "pace") -> Graph:
-    """Parse "p td n m" (pace) or "p edge n m" (dimacs) graph text."""
+    """Parse "p td n m" (pace) or "p edge n m" (dimacs) graph text.
+
+    Lines end only at "\n" and fields are separated only by ASCII spaces
+    and tabs, so any other control or non-ASCII character in a header or
+    edge line is an error at that line."""
     if fmt not in ("pace", "dimacs"):
         raise ValueError(f"unknown format {fmt!r}")
     n = m = None
     adj: dict[int, set[int]] = {}
     edges = 0  # edge lines
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text's final newline ends its last line
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip(" \t")
         if not line or line.startswith("c"):
             continue
-        parts = line.split()
+        parts = [f for f in line.replace("\t", " ").split(" ") if f]
         if parts[0] == "p":
             if n is not None:
                 raise ParseError("duplicate problem line", lineno)
@@ -123,10 +130,9 @@ def parse_graph(text: str, fmt: str = "pace") -> Graph:
         adj[v - 1].add(u - 1)
         edges += 1
     if n is None:
-        raise ParseError("missing problem line", len(text.splitlines()) or 1)
+        raise ParseError("missing problem line", len(lines) or 1)
     if edges != m:
-        raise ParseError(f"expected {m} edge lines, found {edges}",
-                         len(text.splitlines()) or 1)
+        raise ParseError(f"expected {m} edge lines, found {edges}", len(lines) or 1)
     g = Graph()
     g._adj = adj
     g._next_id = n

@@ -24,30 +24,24 @@ class PatternMatch(NamedTuple):
 class Graph:
     """Mutable container, but all public operations return fresh graphs.
 
-    Callers that branch hold one copy per subproblem; nothing is shared.
-
-    No operation removes an edge between two vertices that both stay, so a
-    graph derived from another (copy, deletion, or adding to a graph whose
-    LP engine is built) keeps that engine as a one-shot hint: vcbranch.lp
-    builds the derived graph's engine from it and then drops it.
+    Callers that branch hold one copy per subproblem; nothing is shared,
+    the LP engine included: a derived graph builds its own from its own
+    rows when first asked.
 
     The private edits _delete, _add_adjacent and _join change a graph in
     place, and its LP engine with it when that is built.  Only a reduction
     run edits, and only the graph that its first step derived, or that
     make_child derived for a branch child, which hands it over and drops
     it when first read: no caller reads that graph until the run returns
-    it.  An engine handed out as a hint is frozen, so an edit then keeps it
-    as this graph's own hint instead (the edits only delete vertices and
-    add edges, so it stays a valid one).
+    it.
     """
 
-    __slots__ = ("_adj", "_next_id", "_lp", "_lp_hint")
+    __slots__ = ("_adj", "_next_id", "_lp")
 
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
         self._adj: dict[int, set[int]] = {}
         self._next_id = 0
         self._lp = None  # LP engine (vcbranch.lp); built on demand, dropped by add_vertex
-        self._lp_hint = None  # an ancestor's LP engine, until this graph builds its own
         for v in vertices:
             self.add_vertex(v)
         for u, v in edges:
@@ -62,8 +56,7 @@ class Graph:
         if v < 0:
             raise ValueError(f"vertex ids must be non-negative, got {v}")
         self._adj.setdefault(v, set())
-        if self._lp is not None:
-            self._lp_hint, self._lp = self._lp, None
+        self._lp = None
         self._next_id = max(self._next_id, v + 1)
         return v
 
@@ -82,12 +75,6 @@ class Graph:
         g = Graph()
         g._adj = adj
         g._next_id = self._next_id
-        lp = self._lp
-        if lp is not None:
-            lp.frozen = True
-            g._lp_hint = lp
-        else:
-            g._lp_hint = self._lp_hint
         return g
 
     # -- queries -----------------------------------------------------------
@@ -194,29 +181,20 @@ class Graph:
 
     # -- in-place edits (a reduction run's own graph) -----------------------
 
-    def _editable_lp(self):
-        """The LP engine that an in-place edit updates too, or None; a
-        frozen engine becomes this graph's hint."""
-        lp = self._lp
-        if lp is not None and lp.frozen:
-            self._lp_hint, self._lp = lp, None
-            return None
-        return lp
-
     def _delete(self, s: Iterable[int]) -> None:
         """Delete a vertex set in place.  Once the engine's deleted slots
-        would outnumber its live ones, it becomes this graph's hint: the
-        next LP query renumbers it into a compact engine."""
+        would outnumber its live ones, it is dropped: the next LP query
+        builds a compact one."""
         s = self._check_vertices(s)
         adj = self._adj
         for v in s:
             for w in adj.pop(v):
                 if w not in s:
                     adj[w].discard(v)
-        lp = self._editable_lp()
+        lp = self._lp
         if lp is not None:
             if 2 * (lp.live - len(s)) < len(lp.verts):
-                self._lp_hint, self._lp = lp, None
+                self._lp = None
             else:
                 lp.delete(s)
 
@@ -229,7 +207,7 @@ class Graph:
         adj[y] = nbrs
         for v in nbrs:
             adj[v].add(y)
-        lp = self._editable_lp()
+        lp = self._lp
         if lp is not None:
             lp.add_vertex(y, nbrs)
         return y
@@ -242,7 +220,7 @@ class Graph:
         for u, v in new:
             adj[u].add(v)
             adj[v].add(u)
-        lp = self._editable_lp()
+        lp = self._lp
         if lp is not None and new:
             lp.add_edges(new)
 

@@ -62,13 +62,11 @@ class SurplusCert:
 # the full double cover, and every query follows one pattern on it: stamp
 # the excluded vertices, augment (Kuhn, 1955) in the view the stamps leave,
 # read the answer off the live arrays, and undo the augmenting-path flips
-# from a log.  A derived graph's engine starts from its parent's matching
-# (Iwata, Oka and Yoshida, SODA 2014), and a reduction run's in-place edits
-# repair its graph's engine the same way.  The Koenig zero-set (left
-# vertices that some maximum matching leaves exposed, minus their right
-# neighbours) and the matching size do not depend on which maximum
-# matching is found, so warm-started, derived and edited answers equal
-# from-scratch ones.
+# from a log.  A reduction run's in-place edits repair its graph's engine
+# the same way.  The Koenig zero-set (left vertices that some maximum
+# matching leaves exposed, minus their right neighbours) and the matching
+# size do not depend on which maximum matching is found, so edited answers
+# equal from-scratch ones.
 # ---------------------------------------------------------------------------
 
 class _LPEngine:
@@ -91,52 +89,23 @@ class _LPEngine:
     slot, stamped _DELETED, which is above every mark, so every query masks
     it; it leaves index, its neighbours' rows and the matching.  Slots stay
     in ascending id order: a new vertex has an id above every slot's.  live
-    counts the slots that are not deleted.  An engine handed to a derived
-    graph as its hint is frozen: no in-place edit touches it again.
+    counts the slots that are not deleted.
     """
 
     __slots__ = ("verts", "index", "adj", "match_l", "match_r", "exposed", "live",
-                 "certified", "frozen", "_memo", "_seen", "_prev", "_epoch", "_stamp",
-                 "_mark")
+                 "certified", "_memo", "_seen", "_prev", "_epoch", "_stamp", "_mark")
 
-    def __init__(self, adj_map: dict[int, set[int]], parent: Optional["_LPEngine"] = None):
-        """Build the engine of the graph adj_map, starting from the matching
-        of parent's engine if given.  parent must belong to a graph from
-        which adj_map was derived without removing an edge between two
-        surviving vertices: then each parent row, restricted to the
-        survivors, is the new row unless the vertex gained edges, and each
-        matched pair with both ends surviving is still an edge."""
+    def __init__(self, adj_map: dict[int, set[int]]):
+        """Build the engine of the graph adj_map: its rows, then one
+        augmenting pass from the empty matching."""
         self.verts = verts = sorted(adj_map)
         n = len(verts)
         self.index = index = dict(zip(verts, range(n)))
-        match_l = [-1] * n
-        match_r = [-1] * n
-        rows: list[Optional[list[int]]] = [None] * n
-        if parent is not None:
-            # old -> new index, -1 for a deleted vertex; both orders are by
-            # id, so filtering a sorted row keeps it sorted
-            table = [index.get(v, -1) for v in parent.verts]
-            table.append(-1)  # table[-1]: the partner of an exposed vertex
-            renumber = table.__getitem__
-            for v, t, old_row, old_pair in zip(parent.verts, table, parent.adj, parent.match_l):
-                if t < 0:
-                    continue
-                row = [*map(renumber, old_row)]
-                if -1 in row:
-                    row = [w for w in row if w >= 0]
-                if len(row) == len(adj_map[v]):
-                    rows[t] = row
-                w = table[old_pair]
-                if w >= 0:
-                    match_l[t] = w
-                    match_r[w] = t
-        self.adj = [sorted(index[w] for w in adj_map[v]) if row is None else row
-                    for v, row in zip(verts, rows)]
-        self.match_l = match_l
-        self.match_r = match_r
+        self.adj = [sorted(map(index.__getitem__, adj_map[v])) for v in verts]
+        self.match_l = [-1] * n
+        self.match_r = [-1] * n
         self.live = n
         self.certified: Optional[bool] = None
-        self.frozen = False
         # (mask, answer) of the last solve; the answer depends only on the
         # graph and the mask, so only the in-place edits clear it
         self._memo: Optional[tuple[frozenset[int], tuple[int, frozenset[int], int]]] = None
@@ -145,7 +114,7 @@ class _LPEngine:
         self._epoch = 0
         self._stamp = [-1] * n  # below the build's mark 0
         self._mark = 0
-        self.exposed = self._augment([u for u, w in enumerate(match_l) if w < 0], None)
+        self.exposed = self._augment(list(range(n)), None)
 
     # -- in-place edits, mirrored from the owning graph's ----------------
 
@@ -500,8 +469,7 @@ class _LPEngine:
 def _engine(g: Graph) -> _LPEngine:
     engine = g._lp
     if engine is None:
-        engine = g._lp = _LPEngine(g._adj, g._lp_hint)
-        g._lp_hint = None
+        engine = g._lp = _LPEngine(g._adj)
     return engine
 
 
@@ -510,35 +478,25 @@ def _lp_core(g: Graph, excluded: frozenset[int]) -> tuple[int, frozenset[int], i
     return _engine(g).solve(frozenset(excluded))
 
 
-def _theta2_from_cover(g: Graph, excluded: frozenset[int]) -> HalfIntegralSolution:
-    adj_map = g._adj
-    verts = sorted(v for v in adj_map if v not in excluded)
-    n = len(verts)
-    weight2, zero, _ = _lp_core(g, excluded)
-    theta2: dict[int, int] = {}
-    for v in verts:
-        theta2[v] = 1
-    for v in zero:
-        theta2[v] = 0
-    ones = set()
-    for v in zero:
-        for w in adj_map[v]:
-            if w not in excluded:
-                ones.add(w)
-    for v in ones:
-        theta2[v] = 2
-    # remaining half vertices already at 1; weight must come out to 2*lambda
-    assert sum(theta2.values()) == weight2 or n == 0
-    return HalfIntegralSolution(theta2=theta2, weight2=weight2)
-
-
 def lp_basic_solution(g: Graph, excluded: Iterable[int] = ()) -> HalfIntegralSolution:
     """Optimal half-integral solution to LPVC(g - excluded).
 
     The zero-set Z is independent, N(Z) is the one-set, and
     surp(Z) = 2*weight - n = min{0, minsurp}.
     """
-    return _theta2_from_cover(g, frozenset(excluded))
+    excluded = frozenset(excluded)
+    adj_map = g._adj
+    weight2, zero, _ = _lp_core(g, excluded)
+    theta2 = {v: 1 for v in sorted(adj_map) if v not in excluded}
+    for v in zero:
+        theta2[v] = 0
+    for v in zero:
+        for w in adj_map[v]:
+            if w not in excluded:
+                theta2[w] = 2
+    # remaining half vertices already at 1; weight must come out to 2*lambda
+    assert sum(theta2.values()) == weight2 or not theta2
+    return HalfIntegralSolution(theta2=theta2, weight2=weight2)
 
 
 def lp_weight2(g: Graph, excluded: frozenset[int] = _EMPTY) -> int:

@@ -14,8 +14,8 @@ k may go negative during simplification; callers treat mu < 0 or k < 0 as
 infeasible.  Every step is logged so covers of the reduced instance can be
 lifted back.
 
-A run's first step derives a new graph (delete_vertices, which hands it
-the input's LP engine as a hint); every later step edits that graph in
+A run's first step derives a new graph (delete_vertices, which builds
+its own LP engine when first asked); every later step edits that graph in
 place (Graph._delete, _add_adjacent, _join), and its engine with it once
 that is built, so a step costs about what it touches.  The graph a run
 receives never changes, except in a branch child's run: the child hands
@@ -41,7 +41,7 @@ next graph's list without either:
   optimal ones of G - N[I], which extend back with 0 on I and 1 on N(I).
 
 A chain of degree-2 folds therefore runs no LP and builds no LP engine;
-the next LP query builds one from the last engine built.
+the next LP query builds one from the graph's rows.
 
 A third fact decides the list without the tight pass: when the LP solve
 shows min{0, minsurp} == 0 on a graph of minimum degree >= 3,

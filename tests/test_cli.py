@@ -10,6 +10,7 @@ from vcbranch.cli import (
     MAX_VERTICES,
     NAMED_GRAPHS,
     ParseError,
+    _decode_input,
     circulant,
     generate,
     gnp,
@@ -107,6 +108,10 @@ def test_solve_exit_codes(tmp_path):
     (b"1 2\np td 2 1\n", 1, "edge line before problem line"),
     (b"p td 3 1\n1 2 3\n", 2, "malformed edge line (expected 'u v')"),
     (b"p td 2 1\n1 1\n", 2, "self-loop"),
+    # lines end only at "\n", and fields split only at spaces and tabs
+    (b"c a\x0bb\np td 2 1\n1 1\n", 3, "self-loop"),
+    (b"p td 2 1\n1\x1c2\n", 2, "malformed edge line (expected 'u v')"),
+    ("p td 2 1\n1\u00852\n".encode(), 2, "malformed edge line (expected 'u v')"),
     (b"c only\n", 1, "missing problem line"),
     # a "p edge" header is read with --format dimacs
     (b"p edge 2 1\n1 2\n", 2, "malformed edge line (expected 'e u v')"),
@@ -127,9 +132,15 @@ def test_input_errors_exit_2_with_the_line(tmp_path, monkeypatch, data, line, me
         assert f"line {line}: {message}" in out, out
 
 
+# characters that str.splitlines or str.split would take as line breaks or
+# field separators, UTF-8 encoded
+_SEPARATORS = [c.encode() for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"]
+
+
 def _mutate(data: bytes, rng: random.Random) -> bytes:
-    """One byte-level mutation: a deletion, a duplication, a byte flip, a
-    truncation or the header's n and m swapped."""
+    """One byte-level mutation: a deletion, a duplication, a byte flip (a
+    quarter of them to one of _SEPARATORS), a truncation or the header's n
+    and m swapped."""
     kind = rng.randrange(5)
     at = rng.randrange(len(data))
     if kind == 0:
@@ -137,7 +148,8 @@ def _mutate(data: bytes, rng: random.Random) -> bytes:
     if kind == 1:
         return data[:at] + data[at:at + rng.randint(1, 8)] + data[at:]
     if kind == 2:
-        return data[:at] + bytes([rng.randrange(256)]) + data[at + 1:]
+        byte = rng.choice(_SEPARATORS) if rng.random() < 0.25 else bytes([rng.randrange(256)])
+        return data[:at] + byte + data[at + 1:]
     if kind == 3:
         return data[:at + 1]
     return re.sub(rb"^p (\S+) (\S+) (\S+)", rb"p \1 \3 \2", data, count=1)
@@ -161,7 +173,7 @@ def test_mutated_inputs_solve_or_exit_2(tmp_path):
         codes.append(code)
         assert code in (0, 2) and "Traceback" not in out, (data, out)
         if code == 0:
-            g = parse_graph(data.decode("utf-8"), fmt)
+            g = parse_graph(_decode_input(data), fmt)
             cover = json.loads(out.splitlines()[-1])["cover"]
             assert all(u + 1 in cover or v + 1 in cover for u, v in g.edges()), data
             # isolated vertices never enter a minimum cover

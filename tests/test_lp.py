@@ -1,4 +1,5 @@
 import collections
+import gc
 import itertools
 import math
 import random
@@ -28,6 +29,7 @@ from vcbranch.lp import (
     tight_vertices,
     zero_surplus_cert,
 )
+from vcbranch.branching import make_child
 from vcbranch.cli import gnp, random_regular
 from vcbranch.reduce import simplify
 
@@ -221,7 +223,7 @@ def _masks(g: Graph, rng: random.Random) -> list[frozenset[int]]:
 
 
 def test_masked_lp_equals_from_scratch_solve():
-    """Warm-started masked solves equal cold solves of the deleted graph.
+    """Masked solves on a graph's engine equal cold solves of the deleted graph.
 
     The zero-set and weight are canonical (independent of the maximum
     matching found), so the comparison is exact.
@@ -233,14 +235,14 @@ def test_masked_lp_equals_from_scratch_solve():
         [(8, 3), (10, 4), (16, 3), (20, 5), (24, 6)])]
     for g in graphs:
         for mask in _masks(g, rng):
-            warm = _lp_core(g, mask)
+            masked = _lp_core(g, mask)
             sub = g.delete_vertices(mask & set(g.vertices()))
             cold = _lp_core(sub, frozenset())
-            assert warm == cold, (g, sorted(mask))
-            assert _lp_core(g, mask) == warm  # the first query left the stored matching intact
+            assert masked == cold, (g, sorted(mask))
+            assert _lp_core(g, mask) == masked  # the first query left the stored matching intact
             if sub.n <= 8:
-                assert warm[0] == exhaustive_lp_weight2(sub)
-            assert warm[2] == sub.n
+                assert masked[0] == exhaustive_lp_weight2(sub)
+            assert masked[2] == sub.n
 
 
 def test_lp_engine_dropped_on_mutation_and_not_shared():
@@ -268,72 +270,25 @@ def test_lp_engine_dropped_on_mutation_and_not_shared():
         assert child._lp is not g._lp
 
 
-def _derive(h: Graph, rng: random.Random) -> Graph:
-    """One random derivation of h: a new graph, or h itself grown in place."""
-    verts = h.vertices()
-    kind = rng.choice(("copy", "delete", "fold", "biclique", "edge"))
-    if kind == "copy" or len(verts) < 4:
-        return h.copy()
-    if kind == "delete":
-        return h.delete_vertices(rng.sample(verts, rng.randint(1, 3)))
-    if kind == "fold":
-        return h.add_vertex_with_edges(rng.sample(verts, rng.randint(0, 3)))[0]
-    if kind == "biclique":
-        side = rng.sample(verts, rng.randint(2, 4))
-        cut = rng.randint(1, len(side) - 1)
-        return h.add_biclique(side[:cut], side[cut:])
-    # in place; the new id may fall between old ones (shuffled ids are spread out)
-    free = [v for v in range(verts[-1] + 2) if v not in h]
-    u = rng.choice(free + verts)
-    v = rng.choice([w for w in verts if w != u and not h.has_edge(u, w)] or free)
-    h.add_edge(u, v)
-    return h
-
-
-def test_derived_engine_equals_a_cold_build():
-    """Chains of derivations hand each graph its nearest ancestor's engine as
-    a hint.  The engine built from it holds a valid maximum matching, gives
-    the cold engine's solve and tight answers on random masks, and is never
-    shared; the hint is gone once it is built."""
-    rng = random.Random(29)
-    bases = [gnp(n, 3.5 / n, seed) for seed, n in enumerate(range(12, 40, 3))]
-    bases += [random_regular(n, d, seed) for seed in range(4)
-              for n, d in [(14 + 2 * seed, 3), (13 + seed, 4), (14 + 2 * seed, 5)]]
-    bases += [cycle(n) for n in (9, 20, 41)]
-    built = accepted = 0
-    engines: list = []
-    for seed, g in enumerate(bases):
+def test_derived_graphs_hold_no_engine():
+    """A graph from copy, delete_vertices or make_child (before its
+    reduction run) of a graph whose engine is built references no LP engine: it builds its own from its own
+    rows when first asked, so no derived graph keeps its source's engine
+    alive."""
+    derived = 0
+    for seed, g in enumerate([gnp(18, 0.25, 3), random_regular(16, 4, 5), cycle(11)]):
         g = shuffled_ids(g, seed)
-        _engine(g)
-        for _ in range(8):
-            source = g._lp if g._lp is not None else g._lp_hint
-            g = _derive(g, rng)
-            assert g._lp is None and g._lp_hint is source
-            if rng.random() < 0.3:
-                continue  # left unbuilt: its children inherit the same hint
-            engine = _engine(g)
-            assert g._lp_hint is None and all(engine is not e for e in engines)
-            engines.append(engine)
-            built += 1
-            cold = _LPEngine(g._adj)
-            assert engine.verts == cold.verts and engine.adj == cold.adj
-            match_l, match_r = engine.match_l, engine.match_r
-            for u, w in enumerate(match_l):
-                assert w == -1 or (match_r[w] == u and w in engine.adj[u]), seed
-            for w, u in enumerate(match_r):
-                assert u == -1 or match_l[u] == w, seed
-            assert sorted(engine.exposed) == [u for u, w in enumerate(match_l) if w == -1]
-            assert len(engine.exposed) == len(cold.exposed), seed
-            verts = g.vertices()
-            masks = [frozenset()]
-            masks += [frozenset(rng.sample(verts, rng.randint(1, 4))) for _ in range(3)]
-            for mask in masks:
-                assert engine.solve(mask) == cold.solve(mask), (seed, sorted(mask))
-                assert engine.tight(mask) == cold.tight(mask), (seed, sorted(mask))
-            if certify_minsurp_two(g):
-                accepted += 1
-                assert minsurp_full(g, need_table=True)[0] >= 2, seed
-    assert built >= 100 and accepted >= 10, (built, accepted)
+        engine = _engine(g)
+        u = g.vertices()[0]
+        children = [g.copy(), g.delete_vertices([u]),
+                    make_child(Instance(g, g.n), {u}, {u})._pre.graph]
+        for child in children:
+            assert not any(isinstance(r, _LPEngine) for r in gc.get_referents(child)), seed
+            assert _engine(child) is not engine
+            assert _engine(child).solve(frozenset()) == _LPEngine(child._adj).solve(frozenset())
+            derived += 1
+        assert g._lp is engine
+    assert derived == 9
 
 
 def _edit_in_place(h: Graph, rng: random.Random) -> str:
@@ -388,8 +343,10 @@ def test_in_place_edits_equal_a_cold_engine():
     joins two sides in place, and edits the graph's engine with them.  After
     every edit the engine gives a cold engine's solve (masked and unmasked),
     tight, deficiency_exceeds and exposed-count answers, and an accepted
-    certificate means minsurp >= 2.  A copy taken before an edit freezes the
-    engine it hands out, so the copy keeps answering for its own graph."""
+    certificate means minsurp >= 2.  A copy taken before an edit has no
+    engine until it is queried, and then answers for its own graph, while
+    h keeps its engine and edits it in place.  A delete that leaves the
+    deleted slots outnumbering the live ones drops h's engine instead."""
     rng = random.Random(53)
     bases = [gnp(n, c / n, seed) for seed, n in enumerate(range(10, 46, 3)) for c in (2.0, 3.5)]
     bases += [random_regular(n, d, seed) for seed in range(5)
@@ -406,20 +363,21 @@ def test_in_place_edits_equal_a_cold_engine():
             engine = h._lp
             kind = _edit_in_place(h, rng)
             if snapshot is not None:
-                seen["frozen"] += 1
-                assert h._lp is None and h._lp_hint is engine
+                seen["snapshot"] += 1
+                assert snapshot._lp is None
                 _assert_engine_equals_cold(snapshot, rng, (seed, step, "snapshot"))
-            elif h._lp is engine:
+                assert snapshot._lp is not engine
+            if h._lp is engine:
                 seen[kind] += 1
-            else:  # compacted: the next query renumbers the engine
-                assert kind == "delete" and h._lp_hint is engine
+            else:  # compacted: the next query builds a compact engine
+                assert kind == "delete" and h._lp is None
                 seen["compacted"] += 1
             seen["exposed"] += bool(_engine(h).exposed)
             _assert_engine_equals_cold(h, rng, (seed, step, kind))
             if certify_minsurp_two(h):
                 seen["accepted"] += 1
                 assert minsurp_full(Graph(h.vertices(), h.edges()))[0] >= 2, (seed, step)
-    assert min(seen[k] for k in ("delete", "add", "join", "frozen", "compacted")) >= 10, seen
+    assert min(seen[k] for k in ("delete", "add", "join", "snapshot", "compacted")) >= 10, seen
     assert seen["accepted"] >= 10 and seen["exposed"] >= 100, seen
 
 
@@ -705,7 +663,7 @@ def test_solve_memo_is_cleared_by_in_place_edits():
             else:
                 cut = len(verts) // 2
                 h._join(verts[:cut:2], verts[cut::2])
-            if h._lp is not engine:  # handed on as a hint: no longer edited
+            if h._lp is not engine:  # compacted: dropped for a rebuild
                 break
             after = engine.solve(mask)
             assert after == _LPEngine(h._adj).solve(mask), (seed, kind)

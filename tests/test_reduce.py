@@ -462,7 +462,7 @@ def test_simplify_edits_one_graph_in_place(monkeypatch):
     from then on.  On a shuffled 5001-cycle every step but the last is a
     degree-2 fold and no step builds an engine.  On a ring of 300 K4 blocks
     every step asks the LP engine, which is edited with the graph and
-    renumbered only once its deleted slots outnumber its live ones, so the
+    rebuilt only once its deleted slots outnumber its live ones, so the
     builds grow like log n, not like the number of steps."""
     copies = builds = 0
     delete_vertices, init = Graph.delete_vertices, _LPEngine.__init__
@@ -540,7 +540,7 @@ def test_simplify_certifies_before_the_tight_pass(monkeypatch):
 
 
 def _cold(g: Graph) -> Graph:
-    """g with no LP engine and no engine hint."""
+    """g with no LP engine."""
     return Graph(vertices=g.vertices(), edges=g.edges())
 
 
