@@ -42,8 +42,6 @@ from .verify import (
     AuditRecord,
     audit_trace,
     brute_force_vc,
-    combine_rate,
-    evaluate_constraints,
     make_audit_record,
 )
 

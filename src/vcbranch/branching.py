@@ -19,8 +19,7 @@ compares the realized drops with them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Container, Iterable, Optional
+from typing import Container, Iterable, NamedTuple, Optional
 
 from .graph import Graph, PreconditionError
 from .lp import (
@@ -43,14 +42,16 @@ from .reduce import ReductionTrace, reduction_gain, simplify
 BranchSeq = tuple[tuple[float, int], ...]
 
 
-@dataclass(frozen=True)
 class MeasureParams:
-    a: float
-    b: float
+    """The measure's constants: a child's weight is e^{-a*dmu - b*dk}."""
 
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: float, b: float):
+        if a < 0 or b < 0:
             raise ValueError("measure constants must be non-negative")
+        self.a = a
+        self.b = b
 
 
 #: measure constants of the degree-stratified simple solvers; level 7 tracks
@@ -132,8 +133,7 @@ class BranchChild:
         return self.dmu2 / 2
 
 
-@dataclass
-class BranchDecision:
+class BranchDecision(NamedTuple):
     rule: str
     children: list[BranchChild]
     claimed: BranchSeq  # as the rule states it
@@ -249,10 +249,12 @@ def rule_b(inst: Instance, x: int, us: Iterable[int], claimed: Optional[BranchSe
 # the branch selector
 # ---------------------------------------------------------------------------
 
-@dataclass
 class SelectorStats:
-    cases: dict = field(default_factory=dict)
-    fallbacks: int = 0
+    __slots__ = ("cases", "fallbacks")
+
+    def __init__(self):
+        self.cases: dict[str, int] = {}
+        self.fallbacks = 0
 
     def note(self, case: Optional[str]) -> None:
         if case:

@@ -23,7 +23,6 @@ import hashlib
 import json
 import random
 import sys
-from dataclasses import replace
 from typing import Iterable, Optional
 
 from .graph import Graph, complete, cycle, star
@@ -36,7 +35,7 @@ from .solver import (
     solve_decision,
     solve_optimum,
 )
-from .verify import audit_trace, brute_force_vc, evaluate_constraints
+from .verify import audit_trace, brute_force_vc
 
 
 #: the largest vertex count a graph file's header may declare
@@ -392,6 +391,8 @@ def _cmd_optimize(args, out: _Output) -> int:
 
 
 def _cmd_verify_constants(args, out: _Output) -> int:
+    from .constraints import evaluate_constraints  # no solve needs the certifier
+
     profiles = (["simple", "advanced-4", "advanced-5", "advanced-6", "advanced-7"]
                 if args.profile == "all" else [args.profile])
     ok = True
@@ -454,9 +455,9 @@ def _cmd_reduce(args, out: _Output) -> int:
     if args.emit_trace:
         for step in trace.steps:
             # file numbers, as for covers; a created vertex y prints as y + 1 > n
-            line = replace(step, removed=tuple(v + 1 for v in step.removed),
-                           created=None if step.created is None else step.created + 1
-                           ).serialize()
+            line = step._replace(removed=tuple(v + 1 for v in step.removed),
+                                 created=None if step.created is None else step.created + 1
+                                 ).serialize()
             out.emit("trace", line, step=line)
     return 0
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .graph import Graph
 
@@ -29,8 +28,7 @@ _Log = list[tuple[int, int, int, int]]  # (u, old match_l[u], w, old match_r[w])
 _DELETED = 1 << 62  # the stamp of a deleted engine slot: above every query mark
 
 
-@dataclass(frozen=True)
-class HalfIntegralSolution:
+class HalfIntegralSolution(NamedTuple):
     """Optimal half-integral LP solution; theta stored as doubled values."""
 
     theta2: dict[int, int]  # vertex -> 0, 1 or 2
@@ -44,8 +42,7 @@ class HalfIntegralSolution:
         return frozenset(v for v, t in self.theta2.items() if t == 0)
 
 
-@dataclass(frozen=True)
-class SurplusCert:
+class SurplusCert(NamedTuple):
     """An independent set together with its surplus |N(I)| - |I|."""
 
     indset: frozenset[int]

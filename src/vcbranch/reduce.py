@@ -118,8 +118,7 @@ without a solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .graph import Graph
 from .lp import (
@@ -128,8 +127,7 @@ from .lp import (
 )
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     kind: str                      # "P1" | "P2" | "P3" | "ComponentSolve"
     removed: tuple[int, ...]
     dk: int
@@ -148,10 +146,13 @@ class ReductionStep:
         return f"{self.kind} removed={removed} created={created} dk={self.dk}"
 
 
-@dataclass
 class ReductionTrace:
-    steps: list[ReductionStep] = field(default_factory=list)
-    final_graph: Optional[Graph] = None
+    __slots__ = ("steps", "final_graph")
+
+    def __init__(self, steps: Optional[list[ReductionStep]] = None,
+                 final_graph: Optional[Graph] = None):
+        self.steps: list[ReductionStep] = [] if steps is None else steps
+        self.final_graph = final_graph
 
     @property
     def total_dk(self) -> int:

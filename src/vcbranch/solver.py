@@ -32,8 +32,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Generator, NamedTuple, Optional
 
 from .graph import Graph
 from .lp import Instance, SurplusCert
@@ -55,29 +54,30 @@ COMPONENT_THRESHOLD = 24
 DOVETAIL_QUANTUM = 256
 
 
-@dataclass
-class SolverConfig:
+class SolverConfig(NamedTuple):
     level: int = 7
     node_budget: Optional[int] = None
     audit: bool = False
 
 
-@dataclass
 class SolveStats:
-    nodes: int = 0
-    rule_counts: Counter = field(default_factory=Counter)
-    max_depth: int = 0
-    audit_records: list[AuditRecord] = field(default_factory=list)
-    audit_violations: int = 0
-    selector: SelectorStats = field(default_factory=SelectorStats)
-    wall_time: float = 0.0
-    #: branch nodes of the component folds, once per preprocessed graph;
-    #: outside nodes and the budget
-    component_nodes: int = 0
+    __slots__ = ("nodes", "rule_counts", "max_depth", "audit_records", "audit_violations",
+                 "selector", "wall_time", "component_nodes")
+
+    def __init__(self):
+        self.nodes = 0
+        self.rule_counts: Counter = Counter()
+        self.max_depth = 0
+        self.audit_records: list[AuditRecord] = []
+        self.audit_violations = 0
+        self.selector = SelectorStats()
+        self.wall_time = 0.0
+        #: branch nodes of the component folds, once per preprocessed graph;
+        #: outside nodes and the budget
+        self.component_nodes = 0
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     feasible: bool
     cover: Optional[frozenset[int]]
     stats: SolveStats
@@ -442,11 +442,17 @@ def _run(inst: Instance, gen: SolveGen, stats: SolveStats, started: float) -> So
     return SolveResult(False, None, stats)
 
 
-def solve_decision(inst: Instance, cfg: Optional[SolverConfig] = None) -> SolveResult:
-    """Decide whether inst.graph has a vertex cover of size <= inst.k."""
+def _level_config(cfg: Optional[SolverConfig]) -> SolverConfig:
+    """cfg, or the default one, after checking that its level is 4..7."""
     cfg = cfg or SolverConfig()
     if cfg.level not in (4, 5, 6, 7):
         raise ValueError(f"level must be 4..7, got {cfg.level}")
+    return cfg
+
+
+def solve_decision(inst: Instance, cfg: Optional[SolverConfig] = None) -> SolveResult:
+    """Decide whether inst.graph has a vertex cover of size <= inst.k."""
+    cfg = _level_config(cfg)
     stats = SolveStats()
     return _run(inst, _solve_level_gen(inst, cfg.level, cfg, stats, 0, _NoReuse()),
                 stats, time.perf_counter())
@@ -474,7 +480,7 @@ def solve_optimum(g: Graph, cfg: Optional[SolverConfig] = None
     All decision runs share one _SearchCache, so each k re-expands only the
     nodes the previous k did not reach; the cache ends with the call.
     """
-    cfg = cfg or SolverConfig()
+    cfg = _level_config(cfg)
     stats = SolveStats()
     started = time.perf_counter()
     cache = _SearchCache()

@@ -12,12 +12,8 @@ from vcbranch.lp import Instance, lp_basic_solution, minsurp
 from vcbranch.reduce import simplify
 from vcbranch.branching import SIMPLE_LEVEL_PARAMS, val
 from vcbranch.solver import SolverConfig, solve_decision, solve_optimum
-from vcbranch.verify import (
-    MAXIS_RATES,
-    brute_force_vc,
-    combine_rate,
-    evaluate_constraints,
-)
+from vcbranch.verify import MAXIS_RATES, brute_force_vc
+from vcbranch.constraints import combine_rate, evaluate_constraints
 from vcbranch.cli import gnp, random_regular
 
 from oracle_utils import (

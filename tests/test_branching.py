@@ -19,7 +19,7 @@ from vcbranch.branching import (
     val,
 )
 from vcbranch.reduce import simplify
-from vcbranch.verify import combine_rate
+from vcbranch.constraints import combine_rate
 from vcbranch.cli import circulant, gnp, random_regular
 
 from oracle_utils import exhaustive_vc, shuffled_ids

@@ -1,11 +1,15 @@
 import io
 import json
+import os
 import random
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import vcbranch
 from vcbranch.cli import (
     MAX_VERTICES,
     NAMED_GRAPHS,
@@ -232,13 +236,37 @@ def test_precondition_error_while_solving_is_internal(tmp_path, monkeypatch):
     assert run(["oracle", str(path)])[0] == 2  # the oracle's size guard: an input error
 
 
-def test_audit_violation_exit_code(tmp_path, monkeypatch):
-    import dataclasses
+_IMPORT_CHECK = """
+import sys
+import vcbranch, vcbranch.cli
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "vcbranch")
+assert "vcbranch.constraints" not in loaded, loaded
+records = [f"{name}.{attr}" for name in loaded
+           for attr, value in vars(sys.modules[name]).items()
+           if isinstance(value, type) and hasattr(value, "__dataclass_fields__")]
+assert not records, records
+from vcbranch.constraints import evaluate_constraints
+assert evaluate_constraints("simple").passed
+"""
 
+
+def test_import_path_holds_what_a_solve_runs():
+    """A fresh import of vcbranch and its CLI leaves out the certifier
+    (vcbranch.constraints) and builds no dataclass; the certifier still
+    imports on demand."""
+    src = str(Path(vcbranch.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CHECK], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_audit_violation_exit_code(tmp_path, monkeypatch):
     import vcbranch.cli as cli
 
     def dirty(records):
-        return dataclasses.replace(audit_trace(records), violations=1)
+        return audit_trace(records)._replace(violations=1)
 
     path = tmp_path / "c912.gr"
     path.write_text(render_graph(circulant(9, (1, 2))))

@@ -195,6 +195,12 @@ def test_lift_cover():
     assert lift_cover(tr, [0, 2]) == {0, 2}
 
 
+def test_fresh_traces_share_no_steps():
+    a, b = ReductionTrace(), ReductionTrace()
+    a.steps.append(_p3_step(complete(3), 0, 1)[1])
+    assert b.steps == [] and b.final_graph is None
+
+
 def test_lift_cover_rejects_non_cover():
     inst, trace = simplify(Instance(circulant(9, (1, 2)), 6))
     with pytest.raises(ValueError):

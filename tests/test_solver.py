@@ -291,6 +291,32 @@ def test_component_folding():
     assert not solve_decision(Instance(g, opt - 1)).feasible
 
 
+@pytest.mark.parametrize("level", [0, 3, 8, 9])
+@pytest.mark.parametrize("entry", ["solve_decision", "solve_optimum"])
+def test_entry_points_reject_a_level_outside_4_to_7(entry, level):
+    """Both entry points reject a level that no selector covers, before any
+    search: level 9 would ask the rates of a level 8 that has none, and
+    levels below 4 would run the level-3 stand-in and book no rule."""
+    cfg = SolverConfig(level=level)
+    with pytest.raises(ValueError, match=f"level must be 4..7, got {level}"):
+        if entry == "solve_decision":
+            solve_decision(Instance(PETERSEN, 6), cfg=cfg)
+        else:
+            solve_optimum(PETERSEN, cfg)
+
+
+def test_fresh_stats_share_no_container():
+    """Each SolveStats starts from zero with containers of its own."""
+    a, b = SolveStats(), SolveStats()
+    a.rule_counts["split"] += 1
+    a.audit_records.append(None)
+    a.selector.note("fallback/split")
+    assert b.rule_counts == Counter() and b.audit_records == []
+    assert b.selector.cases == {} and b.selector.fallbacks == 0
+    assert (b.nodes, b.max_depth, b.audit_violations, b.wall_time, b.component_nodes) == (
+        0, 0, 0, 0.0, 0)
+
+
 def test_stats_shape():
     r = solve_decision(Instance(PETERSEN, 6), cfg=SolverConfig(audit=True))
     st = r.stats

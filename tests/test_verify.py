@@ -11,11 +11,9 @@ from vcbranch.verify import (
     MAXIS_RATES,
     audit_trace,
     brute_force_vc,
-    combine_rate,
-    evaluate_constraints,
     make_audit_record,
-    triple_point_residual,
 )
+from vcbranch.constraints import combine_rate, evaluate_constraints, triple_point_residual
 from vcbranch.cli import NAMED_GRAPHS, gnp
 
 from oracle_utils import exhaustive_vc, is_cover
