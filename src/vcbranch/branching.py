@@ -9,11 +9,11 @@ every path ends in one of the paper's rules, and fallback/branch55-ruleB is
 the one case not yet shown unreachable.  Where a case needs a
 "further simplification worth >= c" guarantee, the selector checks the
 deterministic reduction policy directly (reduction_gain) instead of
-re-verifying the combinatorial argument.  Children are emitted unsimplified
-and simplified when first read (BranchChild), so a search that rejects a
-child from its LP bound never pays for its reduction run.  A decision
-holds the drops its rule claims, as the rule states them; the audit
-compares the realized drops with them.
+re-verifying the combinatorial argument.  Children are emitted as recipes
+and derived and simplified when first read (BranchChild), so a search that
+rejects a child from its LP bound never pays for its graph or its
+reduction run.  A decision holds the drops its rule claims, as the rule
+states them; the audit compares the realized drops with them.
 """
 
 from __future__ import annotations
@@ -74,38 +74,47 @@ def dominates(params: MeasureParams, b1: Iterable, b2: Iterable) -> bool:
 
 
 class BranchChild:
-    """A branch child <G - D, k - |include|>, simplified on first use.
+    """A branch child <G - D, k - |include|>, derived on first use.
 
-    make_child derives G - D and reads lambda2_pre = 2*lambda(G - D).  The
-    reduction run (simplify, handed that graph) runs the first time inst,
-    trace, dk or dmu2 is read; its result is kept, so every later read sees
-    the same Graph object, and the unsimplified graph is released.  No
-    reduction step raises k or mu (vcbranch.reduce, sixth fact), so a visit
-    with budget k that finds k - |include| < 0 or 2(k - |include|) <
-    lambda2_pre knows, unforced, that the child fails k < 0 or mu < 0.
+    The child keeps a recipe (the parent, D and the selector's table) and
+    lambda2_pre = 2*lambda(G - D), which make_child reads.  The first read
+    of inst, trace, dk or dmu2 derives G - D and runs simplify on it; the
+    result is kept, so every later read sees the same Graph object, and
+    the recipe is dropped.  The parent's graph must not change before that
+    read; node graphs are never edited once made.  No reduction step
+    raises k or mu (vcbranch.reduce, sixth fact), so a visit with budget k
+    that finds k - |include| < 0 or 2(k - |include|) < lambda2_pre knows,
+    unforced and underived, that the child fails k < 0 or mu < 0.
     """
 
-    __slots__ = ("include", "lambda2_pre", "_parent_mu2", "_pre", "_near", "_recheck",
-                 "_done")
+    __slots__ = ("include", "lambda2_pre", "_recipe", "_done")
 
-    def __init__(self, include: frozenset[int], pre: Instance, parent_mu2: int,
-                 near: Optional[frozenset[int]], recheck: Optional[list[int]]):
+    def __init__(self, include: frozenset[int], lambda2_pre: int, parent: Instance,
+                 delete: frozenset[int], low: Optional[Container[int]]):
         self.include = include      # forced into the cover
-        self.lambda2_pre = pre.lambda2  # 2*lambda(G - D), before simplification
-        self._parent_mu2 = parent_mu2
-        self._pre = pre             # <G - D, k - |include|>, until forced
-        self._near = near
-        self._recheck = recheck
+        self.lambda2_pre = lambda2_pre  # 2*lambda(G - D), before simplification
+        self._recipe = (parent, delete, low)  # until forced
         self._done: Optional[tuple[Instance, ReductionTrace, int, int]] = None
 
     def _force(self) -> tuple[Instance, ReductionTrace, int, int]:
+        """Derive G - D once and simplify it in place.  With low, G is
+        simplified, so simplify's first scans look only at near = N(D) - D,
+        and for D = {u} it decides minsurp(G - u) >= 2 from N(u) & low with
+        no LP solve (vcbranch.reduce, fifth fact)."""
         done = self._done
         if done is None:
-            pre = self._pre
-            inst, trace = simplify(pre, _own=True, _near=self._near, _recheck=self._recheck)
-            done = self._done = (inst, trace, pre.k + len(self.include) - inst.k,
-                                 self._parent_mu2 - inst.mu2)
-            self._pre = self._near = self._recheck = None
+            parent, delete, low = self._recipe
+            g = parent.graph
+            near = recheck = None
+            if low is not None:
+                near = g.neighborhood(delete)
+                if len(delete) == 1:
+                    recheck = [y for y in sorted(near) if y in low]
+            pre = Instance(g.delete_vertices(delete), parent.k - len(self.include),
+                           lambda2=self.lambda2_pre)
+            inst, trace = simplify(pre, _own=True, _near=near, _recheck=recheck)
+            done = self._done = (inst, trace, parent.k - inst.k, parent.mu2 - inst.mu2)
+            self._recipe = None
         return done
 
     @property
@@ -128,10 +137,6 @@ class BranchChild:
         """Realized mu drop vs the parent, doubled."""
         return self._force()[3]
 
-    @property
-    def dmu(self) -> float:
-        return self.dmu2 / 2
-
 
 class BranchDecision(NamedTuple):
     rule: str
@@ -140,25 +145,22 @@ class BranchDecision(NamedTuple):
     case: Optional[str] = None
 
     def realized(self) -> BranchSeq:
-        return tuple((c.dmu, c.dk) for c in self.children)
+        return tuple((c.dmu2 / 2, c.dk) for c in self.children)
 
 
 def make_child(parent: Instance, include: Iterable[int], delete: Iterable[int],
                _low: Optional[Container[int]] = None) -> BranchChild:
     """Delete a vertex set and charge the included part to the cover; the
-    child is simplified when first read (BranchChild).
+    child is derived and simplified when first read (BranchChild), and the
+    parent's graph must not change before then.
 
-    The child's graph is derived once, and simplify edits that graph in
-    place from its first step, so the parent's graph and LP engine never
-    change.  lambda2_pre is one masked solve on the parent's engine; for
-    D = N[u] after the selector's shadow_minus(G, N[u]) the engine answers
-    it from the memo of that solve, with no search.  _low, the x with
-    v_x <= 2 in the parent's graph G (the selector's low_entries(G, 2)),
-    vouches that G is simplified: simplify's first
-    scans then look only next to the deleted set D, and for D = {u} it
-    decides minsurp(G - u) >= 2 from N(u) & _low with no LP solve
-    (vcbranch.reduce, fifth fact); minsurp(G - u) >= 1 then, so
-    2*lambda(G - u) = n - 1 with no solve either.
+    lambda2_pre is one masked solve on the parent's engine; for D = N[u]
+    after the selector's shadow_minus(G, N[u]) the engine answers it from
+    the memo of that solve, with no search.  _low, the x with v_x <= 2 in
+    the parent's graph G (the selector's low_entries(G, 2)), vouches that G
+    is simplified; then minsurp(G - u) >= 1, so 2*lambda(G - u) = n - 1
+    with no solve.  The child's graph is derived from G, and simplify edits
+    it in place from its first step, so G and its engine never change.
     """
     include = frozenset(include)
     delete = frozenset(delete)
@@ -168,14 +170,8 @@ def make_child(parent: Instance, include: Iterable[int], delete: Iterable[int],
             raise PreconditionError(
                 f"excluded vertex {v} has neighbors outside the included set"
             )
-    near = recheck = None
-    if _low is not None:
-        near = g.neighborhood(delete)
-        if len(delete) == 1:
-            recheck = [y for y in sorted(near) if y in _low]
-    lambda2 = lp_weight2(g, delete) if recheck is None else g.n - 1
-    pre = Instance(g.delete_vertices(delete), parent.k - len(include), lambda2=lambda2)
-    return BranchChild(include, pre, parent.mu2, near, recheck)
+    lambda2 = g.n - 1 if _low is not None and len(delete) == 1 else lp_weight2(g, delete)
+    return BranchChild(include, lambda2, parent, delete, _low)
 
 
 def _decision(parent: Instance, rule: str, parts: list[tuple[set, set]],

@@ -30,10 +30,9 @@ class Graph:
 
     The private edits _delete, _add_adjacent and _join change a graph in
     place, and its LP engine with it when that is built.  Only a reduction
-    run edits, and only the graph that its first step derived, or that
-    make_child derived for a branch child, which hands it over and drops
-    it when first read: no caller reads that graph until the run returns
-    it.
+    run edits, and only a graph that no caller reads until the run returns
+    it: the one its first step derived, or one handed over with _own (a
+    branch child's G - D, derived when the child is first read).
     """
 
     __slots__ = ("_adj", "_next_id", "_lp")

@@ -18,9 +18,9 @@ A run's first step derives a new graph (delete_vertices, which builds
 its own LP engine when first asked); every later step edits that graph in
 place (Graph._delete, _add_adjacent, _join), and its engine with it once
 that is built, so a step costs about what it touches.  The graph a run
-receives never changes, except in a branch child's run: the child hands
-over the graph make_child derived when it is first read, and the run
-edits it from its first step.
+receives never changes, unless the caller hands it over (_own): a branch
+child and reduction_gain derive G - D for the run, which edits it from its
+first step.
 The answers simplify reads do not depend on which maximum matching the
 edited engine holds (the Koenig zero-set, the weight and the tight set
 are canonical); a certificate verdict only chooses the path to the same
@@ -68,7 +68,7 @@ without the residual digraph, and the LP solve and tight pass run as
 before.
 
 A fifth fact serves a branch child: the run receives G - D, where G is
-simplified and make_child deleted D, and near = N(D) - D in G.  A
+simplified and the child deleted D, and near = N(D) - D in G.  A
 vertex w outside N(D) keeps N(w) and every edge inside N(w), so it keeps
 degree >= 3 and is the u of no kite or funnel, as in G.  Until the first
 step, therefore, every vertex of degree <= 2 and every pattern of G - D
@@ -247,11 +247,12 @@ def simplify(inst: Instance, *, _own: bool = False,
     no funnels.  The first step derives a new graph; every later step edits
     that graph, and its LP engine, in place, so inst.graph never changes.
 
-    The private arguments serve vcbranch.branching's branch children; make_child
-    vouches for them.  _own: no caller holds inst.graph, so the first step edits it
-    in place too.  _near: inst.graph is G - D for a simplified G, and _near
-    is N(D) - D in G.  _recheck: the vertices y in N(u) with v_y <= 2 in G,
-    when D = {u}.  See the module docstring's fifth fact.
+    The private arguments serve vcbranch.branching's branch children, which
+    vouch for them; reduction_gain passes _own.  _own: no caller holds
+    inst.graph, so the first step edits it in place too.  _near: inst.graph
+    is G - D for a simplified G, and _near is N(D) - D in G.  _recheck: the
+    vertices y in N(u) with v_y <= 2 in G, when D = {u}.  See the module
+    docstring's fifth fact.
     """
     g = inst.graph
     k = inst.k
@@ -328,8 +329,8 @@ def simplify(inst: Instance, *, _own: bool = False,
 
 def reduction_gain(g: Graph, removed: Iterable[int]) -> int:
     """R(X) = S(G - X): the k-decrease the policy extracts from G - X."""
-    sub = g.delete_vertices(removed)
-    _, trace = simplify(Instance(sub, 0, lambda2=0))
+    sub = g.delete_vertices(removed)  # no caller holds it: the run edits it in place
+    _, trace = simplify(Instance(sub, 0, lambda2=0), _own=True)
     return trace.total_dk
 
 

@@ -21,10 +21,10 @@ alternation of two stacks, and a global node budget applies uniformly.
 Simplification, component folding and branch selection do not depend on
 k: k only shifts by each step's dk.  The ascending optimum search revisits
 every node of the previous k's tree, so one solve_optimum call keeps a
-_SearchCache of that work, keyed by graph identity, and a node visited
-again for another k replays its preprocessing and its branching decision
-instead of recomputing them.  Every cached child is the very Graph object
-the next visit receives, so identity is the whole key.
+tree of _Record, one per search node, keyed by path: a node reaches its
+child's record by child index and its delegated level's by -1.  A node
+visited again for another k replays its preprocessing and its branching
+decision from its record instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -134,56 +134,47 @@ def _drive(gen: SolveGen):
             return answer
 
 
-class _SearchCache:
-    """The k-independent work of one solve call, keyed by graph identity.
+class _Record:
+    """The k-independent work at one search node of a solve call: pre is
+    _preprocess's result and decision the branching decision.  below(i) is
+    the record of child i, or of the delegated level for i = -1."""
 
-    A key is (id(graph), tag); each entry holds its graph, so the id stays
-    unique while the entry lives.  Keys are only graphs that a later visit
-    receives again: the input graph, the graphs _preprocess returns and the
-    child graphs that a kept expansion holds.
-    """
-
-    __slots__ = ("_entries",)
+    __slots__ = ("pre", "decision", "_below")
 
     def __init__(self) -> None:
-        self._entries: dict[tuple[int, object], tuple] = {}
+        self.pre = self.decision = None
+        self._below: dict[int, _Record] = {}
 
-    def get(self, g: Graph, tag: object):
-        hit = self._entries.get((id(g), tag))
-        return None if hit is None else hit[1]
+    def below(self, i: int) -> "_Record":
+        rec = self._below.get(i)
+        if rec is None:
+            rec = self._below[i] = _Record()
+        return rec
 
-    def put(self, g: Graph, tag: object, value) -> None:
-        self._entries[(id(g), tag)] = (g, value)
 
-
-class _NoReuse(_SearchCache):
-    """The cache of a single decision run.  Within one k each graph is
-    preprocessed and expanded at most once per tag, so no lookup can hit and
-    keeping entries would only pin every explored graph."""
+class _NoReuse(_Record):
+    """The record of a single decision run.  Within one k each node is
+    visited once, so below keeps nothing: a kept record tree would hold
+    every explored graph until the run ends."""
 
     __slots__ = ()
 
-    def get(self, g: Graph, tag: object):
-        return None
-
-    def put(self, g: Graph, tag: object, value) -> None:
-        pass
+    def below(self, i: int) -> "_Record":
+        return _NoReuse()
 
 
 # ---------------------------------------------------------------------------
 # node preprocessing: simplify + fold small side components
 # ---------------------------------------------------------------------------
 
-def _preprocess(inst: Instance, depth: int, cache: _SearchCache,
+def _preprocess(inst: Instance, depth: int, rec: _Record,
                 stats: SolveStats) -> tuple[Instance, ReductionTrace]:
-    """Simplify and fold inst once per graph; later visits shift k by dk.
-    One tag serves every depth: the root's graph reaches a deeper call only
-    when preprocessing left it as it was."""
-    hit = cache.get(inst.graph, "preprocess")
+    """Simplify and fold inst once per node, kept on its record; later
+    visits shift k by dk."""
+    hit = rec.pre
     if hit is None:
         out, trace = _simplify_and_fold(inst, depth, stats)
-        hit = (out.graph, trace, inst.k - out.k, out.lambda2)
-        cache.put(inst.graph, "preprocess", hit)
+        hit = rec.pre = (out.graph, trace, inst.k - out.k, out.lambda2)
         if out.graph is not inst.graph:
             inst.graph._lp = None  # spent: later visits replay the result
     g, trace, dk, lambda2 = hit
@@ -358,8 +349,8 @@ def _predicted_exponents(inst: Instance, level: int) -> tuple[float, float]:
 
 
 def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: SolveStats,
-                     depth: int, cache: _SearchCache) -> SolveGen:
-    inst, trace = _preprocess(inst, depth, cache, stats)
+                     depth: int, rec: _Record) -> SolveGen:
+    inst, trace = _preprocess(inst, depth, rec, stats)
     if inst.k < 0 or inst.mu2 < 0:
         return False, None
     g = inst.graph
@@ -368,7 +359,7 @@ def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: Solve
 
     if level > 3 and g.max_degree() < level:
         own_cost, maxis_cost = _predicted_exponents(inst, level)
-        own = _solve_level_gen(inst, level - 1, cfg, stats, depth + 1, cache)
+        own = _solve_level_gen(inst, level - 1, cfg, stats, depth + 1, rec.below(-1))
         other = _base_maxis_gen(inst, cfg, stats, depth + 1)
         first, second = (own, other) if own_cost <= maxis_cost else (other, own)
         feasible, cover = yield _dovetail_gen(first, second, DOVETAIL_QUANTUM)
@@ -381,7 +372,7 @@ def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: Solve
         # booked before the yield: a dovetail may drop the search there
         stats.rule_counts["base-agvc-split"] += 1
     yield
-    decision = cache.get(g, level)
+    decision = rec.decision
     if decision is None:
         if 3 < level <= 6:
             decision = select_branch(inst)
@@ -391,7 +382,7 @@ def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: Solve
             # level 3 books neither the claim nor the case
             decision = split_vertex(inst, u, claimed=((0.0, 1), (0.0, min(maxdeg, 7))),
                                     case="branch7/top-split")
-        cache.put(g, level, decision)
+        rec.decision = decision
         g._lp = None  # spent: later visits replay the decision
     if 3 < level <= 6:
         stats.selector.note(decision.case)
@@ -405,7 +396,7 @@ def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: Solve
             if record.violation:
                 stats.audit_violations += 1
 
-    for child in decision.children:
+    for i, child in enumerate(decision.children):
         # unforced rejection: simplification and the component fold never
         # raise k or mu (vcbranch.reduce, sixth fact), so this child would
         # fail the k < 0 or mu < 0 check before booking a node
@@ -413,7 +404,7 @@ def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: Solve
         if k_pre < 0 or 2 * k_pre < child.lambda2_pre:
             continue
         sub_inst = Instance(child.inst.graph, inst.k - child.dk, lambda2=child.inst.lambda2)
-        ok, sub = yield _solve_level_gen(sub_inst, level, cfg, stats, depth + 1, cache)
+        ok, sub = yield _solve_level_gen(sub_inst, level, cfg, stats, depth + 1, rec.below(i))
         if ok:
             return True, lift_cover(trace, child.include | lift_cover(child.trace, sub))
     return False, None
@@ -477,18 +468,18 @@ def solve_optimum(g: Graph, cfg: Optional[SolverConfig] = None
                   ) -> tuple[int, frozenset[int], SolveStats]:
     """Smallest k admitting a cover, by ascending search from ceil(lambda).
 
-    All decision runs share one _SearchCache, so each k re-expands only the
-    nodes the previous k did not reach; the cache ends with the call.
+    All decision runs share one record tree, so each k re-expands only the
+    nodes the previous k did not reach; the tree ends with the call.
     """
     cfg = _level_config(cfg)
     stats = SolveStats()
     started = time.perf_counter()
-    cache = _SearchCache()
+    root = _Record()
     base = Instance(g, 0)
     k = (base.lambda2 + 1) // 2
     while True:
         inst = Instance(g, k, lambda2=base.lambda2)
-        result = _run(inst, _solve_level_gen(inst, cfg.level, cfg, stats, 0, cache),
+        result = _run(inst, _solve_level_gen(inst, cfg.level, cfg, stats, 0, root),
                       stats, started)
         if result.feasible:
             return len(result.cover), result.cover, result.stats

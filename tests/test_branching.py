@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from vcbranch.graph import Graph, PreconditionError, complete, cycle, star
@@ -6,6 +8,7 @@ from vcbranch.lp import (
     minsurp_full, shadow, shadow_minus,
 )
 from vcbranch.branching import (
+    BranchChild,
     MeasureParams,
     SIMPLE_LEVEL_PARAMS,
     _blocked_minset,
@@ -626,6 +629,41 @@ def test_children_are_simplified_when_first_read(monkeypatch):
         assert first.dk >= 1 and first.dmu2 >= 0 and len(runs) == 1
         d.realized()
         assert len(runs) == len(d.children), seed
+
+
+def test_children_are_derived_only_when_forced(monkeypatch):
+    """make_child derives no graph.  In a level-6 optimum search every
+    G - D is derived by BranchChild._force, once per forced child, so a
+    child that the search rejects from its LP bound is never derived."""
+    from vcbranch import branching
+    from vcbranch.solver import SolverConfig, solve_optimum
+
+    callers = []  # the code object calling each delete_vertices
+    derive = Graph.delete_vertices
+
+    def counted_derive(self, s):
+        callers.append(sys._getframe(1).f_code)
+        return derive(self, s)
+
+    made = []
+    make = branching.make_child
+
+    def checked_make(*args):
+        before = len(callers)
+        child = make(*args)
+        assert len(callers) == before
+        made.append(child)
+        return child
+
+    monkeypatch.setattr(Graph, "delete_vertices", counted_derive)
+    monkeypatch.setattr(branching, "make_child", checked_make)
+    for seed in range(3):
+        made.clear()
+        callers.clear()
+        solve_optimum(random_regular(30, 6, seed), SolverConfig(level=6))
+        forced = sum(child._done is not None for child in made)
+        assert callers.count(BranchChild._force.__code__) == forced, seed
+        assert 0 < forced < len(made), (seed, forced, len(made))
 
 
 def _children_by_k():

@@ -270,25 +270,45 @@ def test_lp_engine_dropped_on_mutation_and_not_shared():
         assert child._lp is not g._lp
 
 
+def _reached_graphs(obj) -> list:
+    """The graphs and LP engines reachable from obj through containers,
+    instances and branch children; the walk does not enter a graph."""
+    from vcbranch.branching import BranchChild
+
+    found, seen, stack = [], set(), [obj]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, (Graph, _LPEngine)):
+            found.append(x)
+        elif isinstance(x, (tuple, list, dict, set, frozenset, Instance, BranchChild)):
+            stack.extend(gc.get_referents(x))
+    return found
+
+
 def test_derived_graphs_hold_no_engine():
-    """A graph from copy, delete_vertices or make_child (before its
-    reduction run) of a graph whose engine is built references no LP engine: it builds its own from its own
-    rows when first asked, so no derived graph keeps its source's engine
-    alive."""
+    """A graph from copy or delete_vertices of a graph whose engine is
+    built references no LP engine: it builds its own from its own rows when
+    first asked, so no derived graph keeps its source's engine alive.  An
+    unforced make_child child holds no graph but its parent's, and no
+    engine."""
     derived = 0
     for seed, g in enumerate([gnp(18, 0.25, 3), random_regular(16, 4, 5), cycle(11)]):
         g = shuffled_ids(g, seed)
         engine = _engine(g)
         u = g.vertices()[0]
-        children = [g.copy(), g.delete_vertices([u]),
-                    make_child(Instance(g, g.n), {u}, {u})._pre.graph]
-        for child in children:
+        for child in [g.copy(), g.delete_vertices([u])]:
             assert not any(isinstance(r, _LPEngine) for r in gc.get_referents(child)), seed
             assert _engine(child) is not engine
             assert _engine(child).solve(frozenset()) == _LPEngine(child._adj).solve(frozenset())
             derived += 1
+        for table in (None, low_entries(g, 2)):
+            reached = _reached_graphs(make_child(Instance(g, g.n), {u}, {u}, table))
+            assert len(reached) == 1 and reached[0] is g, seed
         assert g._lp is engine
-    assert derived == 9
+    assert derived == 6
 
 
 def _edit_in_place(h: Graph, rng: random.Random) -> str:

@@ -520,6 +520,19 @@ def test_reduction_runs_leave_their_input_unchanged():
                 assert engine.tight(mask) == cold.tight(mask), seed
 
 
+def test_reduction_gain_derives_one_graph(monkeypatch):
+    """reduction_gain derives G - X once and hands it to simplify, whose
+    first step edits it in place: a call that takes a step makes exactly
+    one delete_vertices call."""
+    derived = []
+    derive = Graph.delete_vertices
+    monkeypatch.setattr(Graph, "delete_vertices",
+                        lambda self, s: derived.append(self) or derive(self, s))
+    g = cycle(9)
+    assert reduction_gain(g, [0]) == 4
+    assert derived == [g]
+
+
 def test_simplify_certifies_before_the_tight_pass(monkeypatch):
     """On 6-regular graphs minus a vertex most steps have minsurp >= 2.
     simplify asks the certificate before the tight pass whenever the
