@@ -246,17 +246,18 @@ def rule_b(inst: Instance, x: int, us: Iterable[int], claimed: Optional[BranchSe
 # ---------------------------------------------------------------------------
 
 class SelectorStats:
-    __slots__ = ("cases", "fallbacks")
+    __slots__ = ("cases",)
 
     def __init__(self):
         self.cases: dict[str, int] = {}
-        self.fallbacks = 0
 
     def note(self, case: Optional[str]) -> None:
         if case:
             self.cases[case] = self.cases.get(case, 0) + 1
-            if case.startswith("fallback"):
-                self.fallbacks += 1
+
+    @property
+    def fallbacks(self) -> int:
+        return sum(count for case, count in self.cases.items() if case.startswith("fallback"))
 
 
 def _closed(g: Graph, u: int) -> frozenset[int]:
@@ -266,10 +267,15 @@ def _closed(g: Graph, u: int) -> frozenset[int]:
 def _blocked_minset(g: Graph, u: int) -> Optional[frozenset[int]]:
     """A min-set of G - N[u] when u is blocked (shad(N[u]) <= 0), else None:
     the LP zero-set when shad(N[u]) < 0, the min-set through the lowest
-    tight vertex when it is 0."""
+    tight vertex when it is 0.
+
+    No caller passes a u with N[u] = V.  select_branch and deg5_with_3nbr
+    call it after a finite shadow_minus(G, N[u]), which is +infinity
+    exactly when N[u] = V.  blocked_high's u has maximum degree and
+    N[u] != V, so the za it passes to blocked_low has
+    deg(za) <= deg(u) < n - 1.
+    """
     closed = _closed(g, u)
-    if len(closed) >= g.n:
-        return None
     msm, zero = _msm_zeroset(g, closed)
     if msm < 0:
         return zero
@@ -313,9 +319,19 @@ class _Selector:
         No caller passes a singleton: find_nonsingleton_minset returns sets
         of size >= 2, deg4_blocker passes J + {x} with J non-empty and
         outside N[x], and blocked_high passes {x, x2} with x2 != x.
+
+        Every caller passes an independent set of surplus exactly 2, since
+        minsurp(G) >= 2 and:
+          find_nonsingleton_minset(g, table, 2) returns the certificate of
+            an entry with v_x = 2, which has surplus v_x, or J + {x} for an
+            entry {x} with v_x = deg(x) - 1 = 2 and J of surplus 0 in
+            G - N[x], which has surplus deg(x) - 1;
+          deg4_blocker's J is the zero-set of G - N[x] with surplus smx,
+            so surp(J + x) = deg(x) - 1 + smx <= 2;
+          blocked_high's x and x2 lie in iset, whose vertices all have
+            degree 3 by then, and share c >= 2 neighbours, so
+            surp({x, x2}) = 4 - c <= 2.
         """
-        if self.g.surplus(indset) != 2:
-            return None
         if len(indset) >= 3:
             return self._s2_large(indset)
         return self._s2_pair(indset)
@@ -387,6 +403,8 @@ class _Selector:
         so their x has degree 3 (minimum degree 3); blocked_low and
         blocked_high pass a neighbour of x of degree >= 5, and blocked_high
         also passes u itself (degree >= 6) when some z in N(u) has degree 3.
+        deg4_blocker returns a decision on every path, so the first x of
+        degree >= 4 in a blocked[w] ends the search.
         """
         g = self.g
         universe = [w for w in g.vertices() if g.degree(w) >= 5
@@ -400,9 +418,7 @@ class _Selector:
         for w in universe:
             for x in sorted(blocked[w]):
                 if g.degree(x) >= 4:
-                    d = self.deg4_blocker(w, x)
-                    if d is not None:
-                        return d
+                    return self.deg4_blocker(w, x)
         for w in universe:
             for x in sorted(blocked[w]):
                 if reduction_gain(g, {w, x}) >= 2:

@@ -29,10 +29,15 @@ class Graph:
     rows when first asked.
 
     The private edits _delete, _add_adjacent and _join change a graph in
-    place, and its LP engine with it when that is built.  Only a reduction
-    run edits, and only a graph that no caller reads until the run returns
-    it: the one its first step derived, or one handed over with _own (a
-    branch child's G - D, derived when the child is first read).
+    place, and its LP engine with it when that is built: each calls one
+    engine edit (delete, add_vertex, add_edges) and reads no engine field,
+    and _delete drops the engine when its delete declines.  Past construction,
+    every edit of a graph is a derivation (copy, delete_vertices) or one of
+    these three; add_vertex_with_edges and add_biclique are a copy plus
+    _add_adjacent or _join.  Only a reduction run edits in place, and only
+    a graph that no caller reads until the run returns it: the one its
+    first step derived, or one handed over with _own (a branch child's
+    G - D, derived when the child is first read).
     """
 
     __slots__ = ("_adj", "_next_id", "_lp")
@@ -40,7 +45,7 @@ class Graph:
     def __init__(self, vertices: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()):
         self._adj: dict[int, set[int]] = {}
         self._next_id = 0
-        self._lp = None  # LP engine (vcbranch.lp); built on demand, dropped by add_vertex
+        self._lp = None  # LP engine (vcbranch.lp); built on demand, dropped by add_vertex and _delete
         for v in vertices:
             self.add_vertex(v)
         for u, v in edges:
@@ -160,12 +165,8 @@ class Graph:
         return self._derive({v: self._adj[v] - s for v in self._adj if v not in s})
 
     def add_vertex_with_edges(self, nbrs: Iterable[int]) -> tuple["Graph", int]:
-        nbrs = self._check_vertices(nbrs)
         g = self.copy()
-        y = g.add_vertex()
-        for v in nbrs:
-            g.add_edge(y, v)
-        return g, y
+        return g, g._add_adjacent(nbrs)
 
     def add_biclique(self, a: Iterable[int], b: Iterable[int]) -> "Graph":
         a = self._check_vertices(a)
@@ -173,16 +174,14 @@ class Graph:
         if a & b:
             raise ValueError(f"biclique sides overlap: {sorted(a & b)}")
         g = self.copy()
-        for u in a:
-            for v in b:
-                g.add_edge(u, v)
+        g._join(a, b)
         return g
 
     # -- in-place edits (a reduction run's own graph) -----------------------
 
     def _delete(self, s: Iterable[int]) -> None:
-        """Delete a vertex set in place.  Once the engine's deleted slots
-        would outnumber its live ones, it is dropped: the next LP query
+        """Delete a vertex set in place.  The engine is dropped when its
+        delete declines (it decides when to compact): the next LP query
         builds a compact one."""
         s = self._check_vertices(s)
         adj = self._adj
@@ -190,12 +189,8 @@ class Graph:
             for w in adj.pop(v):
                 if w not in s:
                     adj[w].discard(v)
-        lp = self._lp
-        if lp is not None:
-            if 2 * (lp.live - len(s)) < len(lp.verts):
-                self._lp = None
-            else:
-                lp.delete(s)
+        if self._lp is not None and not self._lp.delete(s):
+            self._lp = None
 
     def _add_adjacent(self, nbrs: Iterable[int]) -> int:
         """Add a fresh vertex adjacent to nbrs in place, and return it."""

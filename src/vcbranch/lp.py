@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from typing import Iterable, NamedTuple, Optional
+from typing import Collection, Iterable, NamedTuple, Optional
 
 from .graph import Graph
 
@@ -81,15 +81,17 @@ class _LPEngine:
     returns; only the cached certify_minsurp_two verdict, the memo of the
     last masked solve, the stamps and the search's scratch arrays change.
 
-    The graph that owns the engine may edit both in place (delete,
-    add_vertex, add_edges; see Graph._delete).  A deleted vertex keeps its
-    slot, stamped _DELETED, which is above every mark, so every query masks
-    it; it leaves index, its neighbours' rows and the matching.  Slots stay
-    in ascending id order: a new vertex has an id above every slot's.  live
-    counts the slots that are not deleted.
+    The graph that owns the engine edits both in place through delete,
+    add_vertex and add_edges, and reads nothing else of it.  A deleted
+    vertex keeps its slot, stamped _DELETED, which is above every mark, so
+    every query masks it; it leaves index, its neighbours' rows and the
+    matching.  Slots stay in ascending id order: a new vertex has an id
+    above every slot's.  So index holds exactly the live slots, and its
+    values run in ascending slot order; the engine keeps no other count of
+    them.  delete decides when the deleted slots are too many (see there).
     """
 
-    __slots__ = ("verts", "index", "adj", "match_l", "match_r", "exposed", "live",
+    __slots__ = ("verts", "index", "adj", "match_l", "match_r", "exposed",
                  "certified", "_memo", "_seen", "_prev", "_epoch", "_stamp", "_mark")
 
     def __init__(self, adj_map: dict[int, set[int]]):
@@ -101,10 +103,9 @@ class _LPEngine:
         self.adj = [sorted(map(index.__getitem__, adj_map[v])) for v in verts]
         self.match_l = [-1] * n
         self.match_r = [-1] * n
-        self.live = n
         self.certified: Optional[bool] = None
         # (mask, answer) of the last solve; the answer depends only on the
-        # graph and the mask, so only the in-place edits clear it
+        # graph and the mask, so only the in-place edits clear it (_settle)
         self._memo: Optional[tuple[frozenset[int], tuple[int, frozenset[int], int]]] = None
         self._seen = [0] * n
         self._prev = [0] * n
@@ -115,12 +116,18 @@ class _LPEngine:
 
     # -- in-place edits, mirrored from the owning graph's ----------------
 
-    def delete(self, vertices: Iterable[int]) -> None:
-        """Delete these vertices: stamp their slots _DELETED, drop them from
-        their neighbours' rows and unmatch their pairs, then augment from
-        every left vertex left exposed (the freed ones and the old exposed
-        ones, which may now reach a freed right vertex)."""
+    def delete(self, vertices: Collection[int]) -> bool:
+        """Delete these live vertices: stamp their slots _DELETED, drop them
+        from their neighbours' rows and unmatch their pairs, then augment
+        from every left vertex left exposed (the freed ones and the old
+        exposed ones, which may now reach a freed right vertex).
+
+        Return False, and change nothing, when the deleted slots would then
+        outnumber the live ones: the owner drops the engine, and its next
+        LP query builds a compact one."""
         index, adj, stamp = self.index, self.adj, self._stamp
+        if 2 * (len(index) - len(vertices)) < len(adj):
+            return False
         match_l, match_r = self.match_l, self.match_r
         gone = [index.pop(v) for v in vertices]
         for i in gone:
@@ -139,10 +146,8 @@ class _LPEngine:
                 if stamp[u] != _DELETED:
                     freed.append(u)
             match_l[i] = match_r[i] = -1
-        self.live -= len(gone)
-        self.certified = None
-        self._memo = None
         self._settle([u for u in self.exposed if stamp[u] != _DELETED] + freed)
+        return True
 
     def add_vertex(self, y: int, nbrs: Iterable[int]) -> None:
         """Add vertex y, with an id above every slot's, adjacent to nbrs;
@@ -158,9 +163,6 @@ class _LPEngine:
         for arr, value in ((self.match_l, -1), (self.match_r, -1), (self._seen, 0),
                            (self._prev, 0), (self._stamp, -1)):
             arr.append(value)
-        self.live += 1
-        self.certified = None
-        self._memo = None
         self._settle(self.exposed + [j])
 
     def add_edges(self, edges: Iterable[tuple[int, int]]) -> None:
@@ -171,13 +173,16 @@ class _LPEngine:
             i, j = index[a], index[b]
             insort(adj[i], j)
             insort(adj[j], i)
-        self.certified = None
-        self._memo = None
         self._settle(self.exposed)
 
     def _settle(self, roots: list[int]) -> None:
-        """Augment from roots, all the exposed left vertices, with no mask
-        and keep the flips: a fresh mark leaves only deleted slots masked."""
+        """Finish an in-place edit: clear the cached certify_minsurp_two
+        verdict and the solve memo, which answered for the graph before it,
+        then augment from roots, all the exposed left vertices, with no
+        mask and keep the flips: a fresh mark leaves only deleted slots
+        masked."""
+        self.certified = None
+        self._memo = None
         if roots:
             self._mark += 1
             roots = self._augment(roots, None)
@@ -279,7 +284,7 @@ class _LPEngine:
             return memo[1]
         index = self.index
         closed = [index[v] for v in excluded if v in index]
-        n_active = self.live - len(closed)
+        n_active = len(index) - len(closed)
         roots = self._roots(closed)
         if not closed:  # the stored matching is maximum: nothing to search
             result = (n_active - len(roots), self._zero_set(roots), n_active)
@@ -333,7 +338,7 @@ class _LPEngine:
         if self._augment(self._roots(closed), log):
             self._undo(log)
             return None
-        if self._strongly_connected(self.live - len(closed)):
+        if self._strongly_connected(len(index) - len(closed)):
             self._undo(log)
             return []
         adj = self.adj
@@ -605,10 +610,10 @@ def recertify_minsurp_two(g: Graph, near: Iterable[int]) -> bool:
 def _residual_two_connected(engine: _LPEngine) -> bool:
     """certify_minsurp_two's test on the engine's stored matching."""
     adj = engine.adj
-    if engine.exposed or not engine.live:
+    slots = list(engine.index.values())
+    if engine.exposed or not slots:
         return False
     match_l, match_r = engine.match_l, engine.match_r
-    slots = [u for u, stamp in enumerate(engine._stamp) if stamp != _DELETED]
     pos = [-1] * len(adj)  # the digraph numbers the live slots 0, 1, ...
     for p, u in enumerate(slots):
         pos[u] = p
@@ -705,11 +710,10 @@ def low_entries(g: Graph, bound: int) -> dict[int, tuple[int, frozenset[int]]]:
     x that pass get the masked solve that builds their certificate.
     """
     engine = _engine(g)
+    adj = engine.adj
     table: dict[int, tuple[int, frozenset[int]]] = {}
-    for x, row, stamp in zip(engine.verts, engine.adj, engine._stamp):
-        if stamp == _DELETED:
-            continue
-        stop = len(row) - 2 - bound
+    for x, i in engine.index.items():
+        stop = len(adj[i]) - 2 - bound
         if stop == -1:
             table[x] = (bound, frozenset((x,)))
         elif engine.deficiency_exceeds(x, stop):

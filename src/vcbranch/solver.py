@@ -61,20 +61,23 @@ class SolverConfig(NamedTuple):
 
 
 class SolveStats:
-    __slots__ = ("nodes", "rule_counts", "max_depth", "audit_records", "audit_violations",
-                 "selector", "wall_time", "component_nodes")
+    __slots__ = ("nodes", "rule_counts", "max_depth", "audit_records", "selector",
+                 "wall_time", "component_nodes")
 
     def __init__(self):
         self.nodes = 0
         self.rule_counts: Counter = Counter()
         self.max_depth = 0
         self.audit_records: list[AuditRecord] = []
-        self.audit_violations = 0
         self.selector = SelectorStats()
         self.wall_time = 0.0
         #: branch nodes of the component folds, once per preprocessed graph;
         #: outside nodes and the budget
         self.component_nodes = 0
+
+    @property
+    def audit_violations(self) -> int:
+        return sum(record.violation for record in self.audit_records)
 
 
 class SolveResult(NamedTuple):
@@ -389,12 +392,9 @@ def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: Solve
     if level > 3:
         stats.rule_counts[decision.rule] += 1
         if cfg.audit:
-            record = make_audit_record(
+            stats.audit_records.append(make_audit_record(
                 SIMPLE_LEVEL_PARAMS[level], stats.nodes, decision.case or decision.rule,
-                decision.claimed, decision.realized())
-            stats.audit_records.append(record)
-            if record.violation:
-                stats.audit_violations += 1
+                decision.claimed, decision.realized()))
 
     for i, child in enumerate(decision.children):
         # unforced rejection: simplification and the component fold never

@@ -419,6 +419,44 @@ def test_selector_case_fires_live_and_audits_clean(case, graph, level):
     assert stats.selector.fallbacks == 0
 
 
+def test_exits_deleted_by_proof_stay_unreached(monkeypatch):
+    """The selector exits deleted by proof (see the docstrings of
+    surplus_two, _blocked_minset and deg5_with_3nbr) are unreachable on
+    live searches: surplus_two always gets an independent set of surplus
+    exactly 2, _blocked_minset a u with N[u] != V, and deg4_blocker returns
+    a decision.  Seeded level 4-6 solves call each at least once."""
+    from vcbranch import branching
+    from vcbranch.solver import SolverConfig, solve_optimum
+
+    calls = dict.fromkeys(("surplus_two", "_blocked_minset", "deg4_blocker"), 0)
+    surplus_two = branching._Selector.surplus_two
+    deg4_blocker = branching._Selector.deg4_blocker
+
+    def checked_surplus_two(self, indset):
+        calls["surplus_two"] += 1
+        assert self.g.surplus(indset) == 2, sorted(indset)
+        return surplus_two(self, indset)
+
+    def checked_blocked_minset(g, u):
+        calls["_blocked_minset"] += 1
+        assert g.degree(u) + 1 < g.n, u
+        return _blocked_minset(g, u)
+
+    def checked_deg4_blocker(self, u, x):
+        calls["deg4_blocker"] += 1
+        decision = deg4_blocker(self, u, x)
+        assert decision is not None, (u, x)
+        return decision
+
+    monkeypatch.setattr(branching._Selector, "surplus_two", checked_surplus_two)
+    monkeypatch.setattr(branching, "_blocked_minset", checked_blocked_minset)
+    monkeypatch.setattr(branching._Selector, "deg4_blocker", checked_deg4_blocker)
+    for graph, level in [(random_regular(30, 5, 21706), 4), (random_regular(36, 4, 864810), 5),
+                         (random_regular(28, 6, 3), 6), (gnp(40, 0.15, 3), 6)]:
+        solve_optimum(graph, SolverConfig(level=level))
+    assert min(calls.values()) >= 1, calls
+
+
 def test_blocked_minset_equals_the_sweep():
     """_blocked_minset(g, u) is the min-set the minsurp sweep of G - N[u]
     certifies when shad(N[u]) <= 0 (the LP zero-set below 0, the min-set
@@ -516,7 +554,7 @@ def test_make_child_owns_its_graph_and_equals_a_separate_simplify():
         engine = _engine(g)
         certified = certify_minsurp_two(g)
         low = low_entries(g, 2)
-        state = (g.edges(), engine.match_l[:], engine.match_r[:], engine.exposed[:], engine.live)
+        state = (g.edges(), engine.match_l[:], engine.match_r[:], engine.exposed[:], len(engine.index))
         for u in g.vertices():
             nbrs = set(g.neighbors(u))
             declined += bool(nbrs & low.keys())
@@ -524,7 +562,7 @@ def test_make_child_owns_its_graph_and_equals_a_separate_simplify():
                 for table in (low, None):
                     child = make_child(inst, include, delete, table)
                     assert (g.edges(), engine.match_l, engine.match_r, engine.exposed,
-                            engine.live) == state, (seed, u)
+                            len(engine.index)) == state, (seed, u)
                     assert g._lp is engine and engine.certified is certified, (seed, u)
                     cold = Graph(vertices=g.vertices(), edges=g.edges())
                     ref, trace = simplify(Instance(cold.delete_vertices(delete),

@@ -69,6 +69,52 @@ def test_add_biclique():
         p.add_biclique([0, 1], [1, 2])
 
 
+def test_copying_edits_equal_an_add_edge_loop():
+    """add_vertex_with_edges and add_biclique (a copy plus one in-place edit)
+    equal an add_edge loop on a copy, sides that are already partly joined
+    included, and leave the source graph and its LP engine as they were.
+    Unknown vertices in a, then in b, then overlapping sides raise, with
+    their messages, and change nothing."""
+    from vcbranch.lp import _engine
+
+    rng = random.Random(17)
+    joined = 0
+    for seed in range(40):
+        g = shuffled_ids(gnp(rng.randint(3, 14), rng.random(), seed), seed)
+        g = g.delete_vertices(rng.sample(g.vertices(), seed % 2))  # ids above the live ones
+        engine = _engine(g)
+        before = (g.edges(), g.vertices(), g._next_id)
+        verts = g.vertices()
+        nbrs = rng.sample(verts, rng.randint(0, len(verts)))
+        h, y = g.add_vertex_with_edges(nbrs)
+        ref = g.copy()
+        ry = ref.add_vertex()
+        for v in nbrs:
+            ref.add_edge(ry, v)
+        assert (h, y, h._next_id) == (ref, ry, ref._next_id), seed
+        side = rng.sample(verts, rng.randint(2, len(verts)))
+        cut = rng.randint(1, len(side) - 1)
+        a, b = side[:cut], side[cut:]
+        joined += any(g.has_edge(u, v) for u in a for v in b)
+        h = g.add_biclique(a, b)
+        ref = g.copy()
+        for u in a:
+            for v in b:
+                ref.add_edge(u, v)
+        assert (h, h._next_id) == (ref, ref._next_id), seed
+        assert (g.edges(), g.vertices(), g._next_id) == before and g._lp is engine, seed
+    assert joined >= 10, joined
+    g = cycle(5)
+    for call, message in [(lambda: g.add_vertex_with_edges([0, 7]), r"unknown vertices \[7\]"),
+                          (lambda: g.add_biclique([0, 8], [1, 9]), r"unknown vertices \[8\]"),
+                          (lambda: g.add_biclique([0], [1, 9]), r"unknown vertices \[9\]"),
+                          (lambda: g.add_biclique([0, 1, 2], [2, 1, 3]),
+                           r"biclique sides overlap: \[1, 2\]")]:
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert g == cycle(5) and g._next_id == 5
+
+
 def test_find_pattern_examples():
     k3 = complete(3)
     assert k3.find_pattern() == ("funnel", 0, 1, (2,))

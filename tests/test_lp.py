@@ -1,4 +1,5 @@
 import collections
+import copy
 import gc
 import itertools
 import math
@@ -19,6 +20,7 @@ from vcbranch.lp import (
     find_blocker,
     is_blocker,
     _lp_core,
+    _residual_two_connected,
     low_entries,
     lp_basic_solution,
     minsurp,
@@ -333,7 +335,7 @@ def _assert_engine_equals_cold(h: Graph, rng: random.Random, where) -> None:
     engine = _engine(h)
     cold = _LPEngine(h._adj)
     live = [u for u, stamp in enumerate(engine._stamp) if stamp != _DELETED]
-    assert engine.live == len(live) == h.n, where
+    assert len(engine.index) == len(live) == h.n, where
     assert [engine.verts[u] for u in live] == cold.verts, where
     index = engine.index
     assert sorted(index.values()) == live, where
@@ -399,6 +401,35 @@ def test_in_place_edits_equal_a_cold_engine():
                 assert minsurp_full(Graph(h.vertices(), h.edges()))[0] >= 2, (seed, step)
     assert min(seen[k] for k in ("delete", "add", "join", "snapshot", "compacted")) >= 10, seen
     assert seen["accepted"] >= 10 and seen["exposed"] >= 100, seen
+
+
+def test_engine_delete_declines_exactly_when_deleted_slots_would_outnumber_live_ones():
+    """_LPEngine.delete(S) returns False, and leaves every engine field as
+    it was, exactly when 2 * (live - |S|) < slots.  Otherwise it deletes S,
+    clears the cached verdict and solve memo, and answers as a cold engine
+    of the smaller graph does."""
+    rng = random.Random(23)
+    seen = collections.Counter()
+    for seed in range(40):
+        h = shuffled_ids(gnp(rng.randint(3, 16), rng.uniform(0.1, 0.6), seed), seed)
+        engine = _LPEngine(h._adj)
+        while True:
+            s = rng.sample(h.vertices(), rng.randint(1, max(1, h.n // 3)))
+            engine.solve(frozenset(s[:1]))
+            engine.certified = _residual_two_connected(engine)
+            fields = [getattr(engine, name) for name in _LPEngine.__slots__]
+            state = copy.deepcopy(fields)
+            declines = 2 * (len(engine.index) - len(s)) < len(engine.verts)
+            assert engine.delete(s) == (not declines), seed
+            seen[declines] += 1
+            if declines:
+                assert [getattr(engine, name) for name in _LPEngine.__slots__] == state, seed
+                break
+            h = h.delete_vertices(s)
+            assert engine.certified is None and engine._memo is None, seed
+            assert sorted(engine.index) == h.vertices(), seed
+            assert engine.solve(frozenset()) == _LPEngine(h._adj).solve(frozenset()), seed
+    assert seen[True] == 40 and seen[False] >= 40, seen
 
 
 def _union(a: Graph, b: Graph) -> Graph:
@@ -628,7 +659,7 @@ def test_deficiency_check_equals_the_masked_solve():
             _engine(g)
             g._delete(rng.sample(g.vertices(), 1))
             g._add_adjacent(rng.sample(g.vertices(), 3))
-            edited += g._lp is not None and len(g._lp.verts) > g._lp.live
+            edited += g._lp is not None and len(g._lp.verts) > len(g._lp.index)
         engine = _engine(g)
         stored = (engine.match_l[:], engine.match_r[:], engine.exposed[:])
         verts = g.vertices()

@@ -513,7 +513,7 @@ def test_reduction_runs_leave_their_input_unchanged():
                 lambda: _fold_subquadratic(g, g.n)]
         for run in runs:
             run()
-            assert g.edges() == edges and g._lp is engine and engine.live == len(engine.verts)
+            assert g.edges() == edges and g._lp is engine and len(engine.index) == len(engine.verts)
             cold = _LPEngine(g._adj)
             for mask in [frozenset(), frozenset(verts[1::7]), g.neighborhood([verts[0]], closed=True)]:
                 assert engine.solve(mask) == cold.solve(mask), seed
