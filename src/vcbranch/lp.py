@@ -896,9 +896,5 @@ class Instance:
     def mu(self) -> float:
         return self.mu2 / 2
 
-    def lp_infeasible(self) -> bool:
-        """mu < 0 certifies that no cover of size <= k exists."""
-        return self.mu2 < 0
-
     def __repr__(self) -> str:
         return f"Instance(n={self.graph.n}, k={self.k}, lambda={self.lam}, mu={self.mu})"

@@ -18,6 +18,11 @@ MaxIS stand-in (_maxis_gen, which also solves the small components) and the
 dovetail share this protocol; dovetailing is deterministic node-quantum
 alternation of two stacks, and a global node budget applies uniformly.
 
+A node that branched checks the cover its successful child gives it, once,
+against its own graph (_checked), before it lifts that cover through its
+own trace; a leaf or a delegated answer is not checked again, and _run
+checks the final cover against the input.
+
 Simplification, component folding and branch selection do not depend on
 k: k only shifts by each step's dk.  The ascending optimum search revisits
 every node of the previous k's tree, so one solve_optimum call keeps a
@@ -189,10 +194,7 @@ def _simplify_and_fold(inst: Instance, depth: int,
     """Only a run's root (depth 0) is simplified here: every deeper graph is
     a branch child, simplified when the visit read it, or a graph that a
     higher level preprocessed before it delegated."""
-    if depth:
-        trace = ReductionTrace(final_graph=inst.graph)
-    else:
-        inst, trace = simplify(inst)
+    inst, trace = (inst, ReductionTrace()) if depth else simplify(inst)
     g, k = inst.graph, inst.k
     comps = g.components()
     if len(comps) > 1:
@@ -209,7 +211,6 @@ def _simplify_and_fold(inst: Instance, depth: int,
         if folded:
             # the components left are simplified: all-half is LP-optimal
             g = g.delete_vertices(folded)
-            trace.final_graph = g
             inst = Instance(g, k, lambda2=g.n)
     return inst, trace
 
@@ -239,7 +240,6 @@ def _fold_subquadratic(g: Graph, k: int, own: bool = False
         trace.steps.append(step)
         k -= step.dk
         own = True
-    trace.final_graph = g
     return g, k, trace
 
 
@@ -301,7 +301,7 @@ def _maxis_gen(g: Graph, limit: list[int], stats: SolveStats,
         ok, sub = yield _maxis_gen(g.delete_vertices(delete), limit, stats, cfg, depth + 1,
                                    size + len(include), True)
         if ok:
-            best = lift_cover(trace, include | sub)
+            best = lift_cover(trace, _checked(g, include | sub))
             if cfg is not None:
                 break
     return best is not None, best
@@ -406,7 +406,7 @@ def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: Solve
         sub_inst = Instance(child.inst.graph, inst.k - child.dk, lambda2=child.inst.lambda2)
         ok, sub = yield _solve_level_gen(sub_inst, level, cfg, stats, depth + 1, rec.below(i))
         if ok:
-            return True, lift_cover(trace, child.include | lift_cover(child.trace, sub))
+            return True, lift_cover(trace, _checked(g, child.include | lift_cover(child.trace, sub)))
     return False, None
 
 
@@ -414,21 +414,33 @@ def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: Solve
 # public entry points
 # ---------------------------------------------------------------------------
 
+def _checked(g: Graph, cover: frozenset[int]) -> frozenset[int]:
+    """cover, after checking that it is a vertex cover of g made of g's
+    vertices; a solver bug raises AssertionError here.  Only the edges
+    with no end in cover are collected, and only they are sorted."""
+    adj = g._adj
+    uncovered = [(u, v) for u, nbrs in adj.items() if u not in cover
+                 for v in nbrs if u < v and v not in cover]
+    unknown = [v for v in cover if v not in adj]
+    if uncovered or unknown:
+        raise AssertionError(f"solver produced an invalid cover (uncovered={sorted(uncovered)[:3]}, "
+                             f"not in the graph={sorted(unknown)[:3]})")
+    return cover
+
+
 def _run(inst: Instance, gen: SolveGen, stats: SolveStats, started: float) -> SolveResult:
     """Drive one decision run to its answer; the wall time since started is
-    booked on stats whether it answers or runs out of budget."""
+    booked on stats whether it answers or runs out of budget.  A cover is
+    checked against the input and against k: each node checked the cover
+    of the graph it branched on, and this checks the lifts above them."""
     try:
         feasible, cover = _drive(gen)
     finally:
         stats.wall_time = time.perf_counter() - started
     if feasible:
-        cover = frozenset(cover)
-        g = inst.graph
-        uncovered = [e for e in g.edges() if e[0] not in cover and e[1] not in cover]
-        if uncovered or len(cover) > inst.k:
-            raise AssertionError(
-                f"solver produced an invalid cover (size {len(cover)}, k={inst.k}, "
-                f"uncovered={uncovered[:3]})")
+        cover = _checked(inst.graph, frozenset(cover))
+        if len(cover) > inst.k:
+            raise AssertionError(f"solver produced a cover of size {len(cover)} > k = {inst.k}")
         return SolveResult(True, cover, stats)
     return SolveResult(False, None, stats)
 

@@ -64,13 +64,13 @@ def exhaustive_minsurp(g: Graph) -> int:
     return best
 
 
-def replay_steps(g: Graph, trace: ReductionTrace
+def replay_steps(g: Graph, trace: ReductionTrace, final: Graph
                  ) -> list[tuple[Graph, ReductionStep, Graph]]:
     """(graph before, step, graph after) for each step of a simplify trace
     of g, the graphs rebuilt from g and the step records alone: P1 deletes;
     P2 deletes, then adds the created vertex next to N(N(I)) - I of the
     graph before; P3 deletes, then joins side_u to side_x.  The last graph
-    must be the trace's final graph."""
+    must equal final, the graph the run returned."""
     out = []
     for step in trace.steps:
         after = g.delete_vertices(step.removed)
@@ -82,7 +82,7 @@ def replay_steps(g: Graph, trace: ReductionTrace
             after = after.add_biclique(step.side_u, step.side_x)
         out.append((g, step, after))
         g = after
-    assert g == trace.final_graph
+    assert g == final
     return out
 
 

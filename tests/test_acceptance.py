@@ -97,7 +97,7 @@ def test_criterion_4_reduction_safety():
             assert out.min_degree() >= 3
             assert out.find_pattern() is None
             assert minsurp(out).surplus >= 2
-        for gb, step, ga in replay_steps(g, trace):
+        for gb, step, ga in replay_steps(g, trace, inst.graph):
             # feasibility equivalence, exactly: VC(G) = VC(G') + dk
             assert _vc(gb) == _vc(ga) + step.dk
             # mu' <= mu in exact half-integers: 2*dk >= lambda2 - lambda2'

@@ -104,3 +104,19 @@ def test_golden_outputs(monkeypatch):
         monkeypatch.setattr(solver, "DOVETAIL_QUANTUM", quantum or DOVETAIL_QUANTUM)
         digests[name] = _digest(_outputs(g, level))
     assert digests == GOLDEN
+
+
+def test_no_solve_sorts_the_edge_list(monkeypatch):
+    """The cover checks read adjacency rows: no solve calls Graph.edges."""
+    from vcbranch.lp import Instance
+
+    def refused(self):
+        raise AssertionError("Graph.edges called during a solve")
+
+    monkeypatch.setattr(Graph, "edges", refused)
+    for name, (g, level, quantum) in CASES.items():
+        monkeypatch.setattr(solver, "DOVETAIL_QUANTUM", quantum or DOVETAIL_QUANTUM)
+        solve_optimum(g, SolverConfig(level=level, audit=True))
+    g = random_regular(30, 5, 1)
+    assert solver.solve_decision(Instance(g, g.n), SolverConfig(level=5)).feasible
+    assert solver.base_maxis(Instance(g, g.n)).feasible

@@ -1,5 +1,7 @@
 import ast
 import inspect
+import io
+import json
 import sys
 from collections import Counter
 
@@ -17,10 +19,12 @@ from vcbranch.solver import (
     solve_decision,
     solve_optimum,
 )
-from vcbranch.cli import NAMED_GRAPHS, circulant, gnp, random_regular
+from vcbranch.cli import NAMED_GRAPHS, circulant, gnp, random_regular, render_graph, run_command
 from vcbranch.verify import brute_force_vc
 
-from oracle_utils import exhaustive_vc, is_cover, random_corpus, shuffled_ids, shuffled_union
+from oracle_utils import (
+    exhaustive_vc, is_cover, random_corpus, replay_steps, shuffled_ids, shuffled_union,
+)
 
 
 PETERSEN = NAMED_GRAPHS["petersen"]()
@@ -221,7 +225,7 @@ def test_component_folding_of_a_shuffled_union(monkeypatch):
 def _fold_one_component_at_a_time(inst: Instance):
     """The component fold with two whole-graph derivations per folded
     component: the graph minus everything else, then the graph minus it."""
-    g, k, trace = inst.graph, inst.k, reduce.ReductionTrace(final_graph=inst.graph)
+    g, k, trace = inst.graph, inst.k, reduce.ReductionTrace()
     for comp in g.components():
         if len(comp) <= solver.COMPONENT_THRESHOLD:
             cover = solver._component_cover(
@@ -231,7 +235,6 @@ def _fold_one_component_at_a_time(inst: Instance):
             trace.steps.append(reduce.ReductionStep(
                 kind="ComponentSolve", removed=tuple(comp), dk=len(cover),
                 comp_cover=tuple(sorted(cover))))
-    trace.final_graph = g
     return Instance(g, k, lambda2=g.n), trace
 
 
@@ -253,7 +256,8 @@ def test_component_fold_builds_each_part_from_its_own_rows(monkeypatch):
     assert len(large) <= len(parts) + 1, len(large)
     assert len(trace.steps) == len(parts) - 1
     assert trace.steps == expected_trace.steps
-    assert out.graph == expected.graph and trace.final_graph is out.graph
+    assert out.graph == expected.graph
+    replay_steps(inst.graph, trace, out.graph)  # the steps lead to the graph left
     assert (out.k, out.lambda2) == (expected.k, expected.lambda2)
 
 
@@ -495,3 +499,66 @@ def test_level4_hands_base_agvc_a_preprocessed_graph(monkeypatch):
             agvc_nodes += r.stats.rule_counts["base-agvc-split"]
     assert agvc_nodes > 0
     assert repeats == []
+
+
+def test_run_rejects_a_cover_with_a_vertex_outside_the_input(monkeypatch):
+    """A cover naming a vertex the input lacks is a solver bug, even when
+    it covers every edge within k: the CLI would print a vertex past n."""
+    drive = solver._drive
+
+    def padded(gen):
+        feasible, cover = drive(gen)
+        return feasible, cover | {999} if feasible else cover
+
+    monkeypatch.setattr(solver, "_drive", padded)
+    with pytest.raises(AssertionError, match=r"not in the graph=\[999\]"):
+        solve_decision(Instance(PETERSEN, 10))
+
+
+def test_a_bad_cover_fails_the_solve_that_made_it(monkeypatch, tmp_path):
+    """lift_cover checks nothing; a node that branched checks the cover of
+    its own graph, and _run checks the input's cover and its size."""
+    lift = solver.lift_cover
+
+    def lossy(trace, cover):
+        out = lift(trace, cover)
+        return out - {min(out)} if out else out
+
+    monkeypatch.setattr(solver, "lift_cover", lossy)
+    with pytest.raises(AssertionError, match=r"uncovered=\[\(\d+, \d+\)"):
+        solve_optimum(random_regular(30, 5, 1), SolverConfig(level=5))
+    path = tmp_path / "petersen.gr"
+    path.write_text(render_graph(PETERSEN))
+    buf = io.StringIO()
+    assert run_command(["optimize", str(path), "--json"], stdout=buf) == 4  # never 1
+    assert json.loads(buf.getvalue().splitlines()[-1])["exception"] == "AssertionError"
+
+    monkeypatch.setattr(solver, "lift_cover", lift)
+    drive = solver._drive
+
+    def grown(gen):
+        feasible, cover = drive(gen)
+        return feasible, cover | {min(set(PETERSEN.vertices()) - cover)}
+
+    monkeypatch.setattr(solver, "_drive", grown)
+    with pytest.raises(AssertionError, match="size 7 > k = 6"):
+        solve_decision(Instance(PETERSEN, 6))
+
+
+def test_each_branched_graph_is_checked_once(monkeypatch):
+    """One check per node, each on its own graph, plus _run's on the input."""
+    graphs = []
+    checked = solver._checked
+
+    def counted(g, cover):
+        graphs.append(g)
+        return checked(g, cover)
+
+    monkeypatch.setattr(solver, "_checked", counted)
+    inst = Instance(random_regular(300, 6, 1), 300)
+    result = base_agvc(inst)
+    assert result.feasible
+    assert len(graphs) == result.stats.nodes + 1 == 100
+    # checks run bottom-up; the root branched on the input itself (no step applies)
+    assert len({id(g) for g in graphs[:-1]}) == result.stats.nodes
+    assert graphs[-1] is inst.graph is graphs[-2]
