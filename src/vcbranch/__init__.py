@@ -21,7 +21,6 @@ from .branching import (
     BranchDecision,
     MeasureParams,
     SIMPLE_LEVEL_PARAMS,
-    dominates,
     rule_b,
     select_branch,
     split_indset,

@@ -68,11 +68,6 @@ def val(params: MeasureParams, seq: Iterable[tuple[float, int]]) -> float:
     return sum(math.exp(-params.a * dmu - params.b * dk) for dmu, dk in seq)
 
 
-def dominates(params: MeasureParams, b1: Iterable, b2: Iterable) -> bool:
-    """b1 dominates b2 at these constants: val(b1) <= val(b2)."""
-    return val(params, b1) <= val(params, b2) + 1e-12
-
-
 class BranchChild:
     """A branch child <G - D, k - |include|>, derived on first use.
 
@@ -209,7 +204,7 @@ def split_indset(inst: Instance, cert: SurplusCert, claimed: Optional[BranchSeq]
     """Children <G - I, k - |I|> and <G - N[I], k - |N(I)|> for a critical I."""
     g = inst.graph
     indset = cert.indset
-    if not cert.verify(g):
+    if g.surplus(indset) != cert.surplus:
         raise PreconditionError("certificate surplus does not match the graph")
     if len(indset) > 1 and _low is None:
         value, _, _ = minsurp_full(g)

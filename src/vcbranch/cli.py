@@ -230,7 +230,7 @@ def gnp(n: int, p: float, seed: int) -> Graph:
 
 def random_regular(n: int, d: int, seed: int) -> Graph:
     """Pairing-model d-regular graph (sequential matching, restart on dead end)."""
-    if n * d % 2 != 0 or d >= n or d < 0:
+    if n * d % 2 != 0 or d >= max(n, 1) or d < 0:
         raise ValueError(f"no {d}-regular graph on {n} vertices")
     rng = random.Random(seed)
     for _ in range(1000):

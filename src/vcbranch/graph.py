@@ -18,7 +18,6 @@ class PatternMatch(NamedTuple):
     kind: str
     u: int
     out: int
-    witness: tuple[int, ...]
 
 
 class Graph:
@@ -96,9 +95,6 @@ class Graph:
 
     def __contains__(self, v: int) -> bool:
         return v in self._adj
-
-    def __len__(self) -> int:
-        return len(self._adj)
 
     def has_edge(self, u: int, v: int) -> bool:
         return u in self._adj and v in self._adj[u]
@@ -246,14 +242,14 @@ class Graph:
               A degree-2 u needs adjacent neighbors: the other shape is the
               degree-2 fold's job, not the funnel rule's.
         kite: degree-3 u whose neighborhood holds a path x - y - z; the
-              out-neighbor is the lowest funnel out, witness (y, z) with y
-              adjacent to it.
+              out-neighbor is the lowest funnel out.
         One pass: with inner[a] = |N(a) & N(u)| per neighbor a, N(u) - {x}
         is a clique iff every edge missing from N(u) touches x, i.e. iff
         d - 1 - inner[x] equals the number of missing edges.  Only x may
         have inner[x] < d - 2, so a second such neighbor ends the check;
         that rejection does not depend on the order, so the neighbors are
-        counted unsorted and sorted only for a u that survives it.
+        counted unsorted, and the lowest x is picked only for a u that
+        survives it.
         With _among, only those vertices are tried as u: the caller vouches
         that no pattern has its u elsewhere (see vcbranch.reduce).
         """
@@ -274,20 +270,17 @@ class Graph:
                         break
                 inner.append((a, count))
             else:
-                inner.sort()
                 edges = sum(c for _, c in inner) // 2
                 if d == 2 and not edges:
                     continue
                 missing = d * (d - 1) // 2 - edges
-                x = next((x for x, c in inner if d - 1 - c == missing), None)
+                x = min((x for x, c in inner if d - 1 - c == missing), default=None)
                 if x is None:
                     continue
-                rest = tuple(a for a, _ in inner if a != x)
                 if d == 3 and edges >= 2:
-                    a, b = rest
-                    return PatternMatch("kite", u, x, rest if a in adj[x] else (b, a))
+                    return PatternMatch("kite", u, x)
                 if funnel is None:
-                    funnel = PatternMatch("funnel", u, x, rest)
+                    funnel = PatternMatch("funnel", u, x)
         return funnel
 
     # -- misc ----------------------------------------------------------------
@@ -299,9 +292,6 @@ class Graph:
         if not isinstance(other, Graph):
             return NotImplemented
         return self._adj == other._adj
-
-    def __hash__(self):  # graphs are mutable containers
-        raise TypeError("Graph is not hashable")
 
 
 def cycle(n: int) -> Graph:

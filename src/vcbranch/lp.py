@@ -19,8 +19,6 @@ from typing import Collection, Iterable, NamedTuple, Optional
 
 from .graph import Graph
 
-INFINITE_SURPLUS = math.inf
-
 _EMPTY: frozenset[int] = frozenset()
 
 _Log = list[tuple[int, int, int, int]]  # (u, old match_l[u], w, old match_r[w]) per flip
@@ -47,9 +45,6 @@ class SurplusCert(NamedTuple):
 
     indset: frozenset[int]
     surplus: int
-
-    def verify(self, g: Graph) -> bool:
-        return g.surplus(self.indset) == self.surplus
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +737,7 @@ def shadow(g: Graph, x: Iterable[int]):
     """minsurp(g - x); +infinity when g - x is empty."""
     xs = g._check_vertices(x)
     if len(xs) >= g.n:
-        return INFINITE_SURPLUS
+        return math.inf
     value, _, _ = minsurp_full(g, frozenset(xs))
     return value
 
@@ -751,7 +746,7 @@ def shadow_minus(g: Graph, x: Iterable[int]):
     """min{0, shadow(x)} via a single LP; +infinity sentinel when empty."""
     xs = frozenset(g._check_vertices(x))
     if len(xs) >= g.n:
-        return INFINITE_SURPLUS
+        return math.inf
     return _msm_zeroset(g, xs)[0]
 
 
@@ -835,17 +830,9 @@ def _peel(g: Graph, cands: list[int], t: int) -> list[int]:
 
 
 def is_blocker(g: Graph, u: int, x: int) -> Optional[SurplusCert]:
-    """Certificate that x lies in a min-set of G - N[u] and u is blocked."""
-    closed = frozenset(g.neighborhood([u], closed=True))
-    if x in closed or len(closed) >= g.n:
-        return None
-    value, _, _ = minsurp_full(g, closed)
-    if value > 0:
-        return None
-    v_x, cert_x = _vertex_entry(g, x, closed)
-    if v_x != value:
-        return None
-    return SurplusCert(indset=cert_x, surplus=value)
+    """Certificate that x lies in a min-set of G - N[u] and u is blocked:
+    x's entry in blockers(g, u), or None."""
+    return dict(blockers(g, u)).get(x)
 
 
 def blockers(g: Graph, u: int) -> list[tuple[int, SurplusCert]]:

@@ -361,6 +361,6 @@ def lift_cover(trace: ReductionTrace, cover_reduced: Iterable[int]) -> frozenset
                 cover.add(u)
         elif step.kind == "ComponentSolve":
             cover.update(step.comp_cover)
-        else:  # pragma: no cover
+        else:
             raise ValueError(f"unknown step kind {step.kind!r}")
     return frozenset(cover)

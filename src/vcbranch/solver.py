@@ -307,12 +307,6 @@ def _maxis_gen(g: Graph, limit: list[int], stats: SolveStats,
     return best is not None, best
 
 
-def _base_maxis_gen(inst: Instance, cfg: SolverConfig, stats: SolveStats,
-                    depth: int) -> SolveGen:
-    """The MaxIS stand-in's decision: the first leaf of its tree within inst.k."""
-    return _maxis_gen(inst.graph, [inst.k], stats, cfg, depth)
-
-
 def _component_cover(g: Graph, stats: Optional[SolveStats] = None) -> frozenset[int]:
     """A minimum cover of a small graph: the MaxIS stand-in's component fold
     (see _maxis_gen).  Its branch nodes are booked on stats.component_nodes."""
@@ -363,7 +357,7 @@ def _solve_level_gen(inst: Instance, level: int, cfg: SolverConfig, stats: Solve
     if level > 3 and g.max_degree() < level:
         own_cost, maxis_cost = _predicted_exponents(inst, level)
         own = _solve_level_gen(inst, level - 1, cfg, stats, depth + 1, rec.below(-1))
-        other = _base_maxis_gen(inst, cfg, stats, depth + 1)
+        other = _maxis_gen(g, [inst.k], stats, cfg, depth + 1)
         first, second = (own, other) if own_cost <= maxis_cost else (other, own)
         feasible, cover = yield _dovetail_gen(first, second, DOVETAIL_QUANTUM)
         if not feasible:
@@ -464,7 +458,7 @@ def solve_decision(inst: Instance, cfg: Optional[SolverConfig] = None) -> SolveR
 def base_maxis(inst: Instance, cfg: Optional[SolverConfig] = None) -> SolveResult:
     """Exact decision via max-degree branching with degree <= 2 folding."""
     stats = SolveStats()
-    return _run(inst, _base_maxis_gen(inst, cfg or SolverConfig(), stats, 0),
+    return _run(inst, _maxis_gen(inst.graph, [inst.k], stats, cfg or SolverConfig()),
                 stats, time.perf_counter())
 
 

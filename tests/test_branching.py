@@ -13,7 +13,6 @@ from vcbranch.branching import (
     SIMPLE_LEVEL_PARAMS,
     _blocked_minset,
     _closed,
-    dominates,
     make_child,
     rule_b,
     select_branch,
@@ -35,13 +34,6 @@ def test_val():
     assert abs(val(P4, [(1, 3), (1, 5)]) - 0.90259) <= 1e-4
     assert val(P4, []) == 0
     assert val(MeasureParams(0, 0), [(1, 1)] * 4) == 4
-
-
-def test_dominates():
-    p = MeasureParams(0.5, 0.1)
-    assert dominates(p, [(1, 4), (1, 4)], [(1, 3), (1, 5)])
-    assert dominates(p, [(1, 3), (1, 5)], [(1, 3), (1, 5)])
-    assert not dominates(MeasureParams(1, 0), [(0.5, 1)], [(1, 1)])
 
 
 def _exhaustive_decision(g, k, decision):
@@ -455,6 +447,52 @@ def test_exits_deleted_by_proof_stay_unreached(monkeypatch):
                          (random_regular(28, 6, 3), 6), (gnp(40, 0.15, 3), 6)]:
         solve_optimum(graph, SolverConfig(level=level))
     assert min(calls.values()) >= 1, calls
+
+
+@pytest.mark.parametrize("path, graph, level, opt", [
+    # deg5_with_3nbr hands a blocker of degree >= 4 to deg4_blocker
+    (("deg5_with_3nbr", "deg4_blocker", "branch4-3prep/ruleB"),
+     lambda: gnp(32, 0.1626437805477872, 170217), 6, 20),
+    # blocked_high returns the decision of its blocked_low(za) call
+    (("blocked_high", "blocked_low", "branch55/split"),
+     lambda: gnp(44, 0.10766093561325314, 265051), 5, 25),
+    # blocked_high's own rule B with the claim for |iset| >= 2
+    (("blocked_high", "|iset| >= 2", "branch6-1/ruleB"),
+     lambda: gnp(44, 0.15067463463193673, 911309), 6, 29),
+], ids=["deg5-deg4", "high-low", "high-iset2"])
+def test_selector_paths_fire_live_and_audit_clean(monkeypatch, path, graph, level, opt):
+    """Each selector path fires on a seeded live solve that finds the
+    optimum and audits clean.  The _Selector methods are wrapped to record
+    (caller, callee, case) for each call that returns a decision;
+    blocked_high also records whether its iset has two or more vertices."""
+    from vcbranch import branching
+    from vcbranch.solver import SolverConfig, solve_optimum
+
+    seen, stack = set(), []
+
+    def wrapped(name, method):
+        def call(self, u, *args):
+            caller = stack[-1] if stack else None
+            stack.append(name)
+            try:
+                decision = method(self, u, *args)
+            finally:
+                stack.pop()
+            if decision is not None:
+                seen.add((caller, name, decision.case))
+                if name == "blocked_high" and len(_blocked_minset(self.g, u)) >= 2:
+                    seen.add((name, "|iset| >= 2", decision.case))
+            return decision
+        return call
+
+    for name in ("deg4_blocker", "deg5_with_3nbr", "blocked_low", "blocked_high"):
+        monkeypatch.setattr(branching._Selector, name,
+                            wrapped(name, getattr(branching._Selector, name)))
+    found, _, stats = solve_optimum(graph(), SolverConfig(level=level, audit=True))
+    assert found == opt
+    assert path in seen, sorted(seen, key=str)
+    assert stats.audit_violations == 0 and stats.selector.fallbacks == 0
+    assert sum(rec.shortfalls for rec in stats.audit_records) == 0
 
 
 def test_blocked_minset_equals_the_sweep():

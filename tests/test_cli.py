@@ -47,6 +47,8 @@ def test_parse_graph():
     with pytest.raises(ParseError):
         parse_graph("p edge 2 1\ne 1 2\n")  # wrong header for pace format
     assert parse_graph("p edge 2 1\ne 1 2\n", fmt="dimacs").edges() == [(0, 1)]
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        parse_graph("p td 2 1\n1 2\n", fmt="xml")
     # duplicate edges tolerated and deduplicated
     assert parse_graph("p td 2 2\n1 2\n2 1\n").m == 1
 
@@ -75,10 +77,16 @@ def test_generate():
     assert a.edges() == b.edges()
     r = generate("regular", {"n": 12, "d": 4}, seed=1)
     assert all(r.degree(v) == 4 for v in r.vertices())
+    assert generate("regular", {"n": 0, "d": 0}, seed=0).n == 0  # the empty graph is 0-regular
     with pytest.raises(ValueError):
         generate("regular", {"n": 7, "d": 3}, seed=0)  # odd n*d
+    for n, d in [(1, 1), (0, 2)]:
+        with pytest.raises(ValueError, match=f"no {d}-regular graph on {n} vertices"):
+            generate("regular", {"n": n, "d": d}, seed=0)
     with pytest.raises(ValueError):
         generate("named", {"name": "nonesuch"})
+    with pytest.raises(ValueError, match="unknown generator kind 'bogus'"):
+        generate("bogus", {})
 
 
 def test_solve_exit_codes(tmp_path):

@@ -34,6 +34,8 @@ def test_surplus():
 def test_surplus_rejects_dependent_sets():
     with pytest.raises(PreconditionError):
         cycle(5).surplus([0, 1])
+    with pytest.raises(PreconditionError, match="empty set"):
+        Graph(vertices=[0]).surplus([])
 
 
 def test_delete_vertices():
@@ -117,12 +119,12 @@ def test_copying_edits_equal_an_add_edge_loop():
 
 def test_find_pattern_examples():
     k3 = complete(3)
-    assert k3.find_pattern() == ("funnel", 0, 1, (2,))
+    assert k3.find_pattern() == ("funnel", 0, 1)
     kite = Graph(edges=[(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])
-    assert kite.find_pattern() == ("kite", 0, 1, (2, 3))
+    assert kite.find_pattern() == ("kite", 0, 1)
     # one edge in N(0) is a funnel with out-neighbor 3, not a kite
     g = Graph(edges=[(0, 1), (0, 2), (0, 3), (1, 2)])
-    assert g.find_pattern() == ("funnel", 0, 3, (1, 2))
+    assert g.find_pattern() == ("funnel", 0, 3)
     assert cycle(5).find_pattern() is None
 
 
@@ -141,14 +143,14 @@ def _two_scan_pattern(g: Graph):
         for x in sorted(nbrs):
             a, b = sorted(nbrs - {x})
             if b in adj[a]:
-                return PatternMatch("kite", u, x, (a, b) if a in adj[x] else (b, a))
+                return PatternMatch("kite", u, x)
     for u in g.vertices():
         nbrs = adj[u]
         if len(nbrs) < 2 or (len(nbrs) == 2 and not is_clique(nbrs)):
             continue
         for x in sorted(nbrs):
             if is_clique(nbrs - {x}):
-                return PatternMatch("funnel", u, x, tuple(sorted(nbrs - {x})))
+                return PatternMatch("funnel", u, x)
     return None
 
 
@@ -209,6 +211,14 @@ def test_components():
     assert Graph().components() == []
 
 
+def test_graphs_compare_by_adjacency_and_are_not_hashable():
+    assert Graph(edges=[(0, 1)]) == Graph(edges=[(1, 0)]) != Graph(vertices=[0, 1])
+    assert Graph().__eq__(1) is NotImplemented and Graph() != 1
+    assert repr(cycle(5)) == "Graph(n=5, m=5)"
+    with pytest.raises(TypeError):
+        hash(Graph())
+
+
 def test_neighborhood_invariants_random():
     rng = random.Random(7)
     for seed in range(25):
@@ -255,6 +265,8 @@ def test_no_self_loops_or_reused_ids():
     g = Graph(edges=[(0, 1)])
     with pytest.raises(ValueError):
         g.add_edge(1, 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        g.add_vertex(-1)
     g2, y1 = g.add_vertex_with_edges([0])
     g3 = g2.delete_vertices([y1])
     _, y2 = g3.add_vertex_with_edges([0])

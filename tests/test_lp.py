@@ -194,6 +194,7 @@ def test_instance_caches_mu():
     assert inst.lambda2 == 5 and inst.mu2 == 1
     assert inst.lam == 2.5 and inst.mu == 0.5
     assert Instance(cycle(5), 2).mu2 < 0
+    assert repr(inst) == "Instance(n=5, k=3, lambda=2.5, mu=0.5)"
 
 
 def _shuffled_cycle(n: int, seed: int) -> Graph:

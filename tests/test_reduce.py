@@ -2,6 +2,8 @@ import math
 import random
 from collections import Counter
 
+import pytest
+
 from vcbranch.graph import Graph, complete, cycle, path, star
 from vcbranch.lp import (
     Instance,
@@ -77,7 +79,7 @@ def test_apply_p3():
     # funnel with disjoint outer neighborhoods: biclique B_u x B_x appears
     g = Graph(edges=[(0, 1), (0, 2), (0, 3), (2, 3),        # funnel 0, out 1
                      (1, 4), (1, 5), (2, 6), (3, 7)])
-    assert g.find_pattern() == ("funnel", 0, 1, (2, 3))
+    assert g.find_pattern() == ("funnel", 0, 1)
     g2, step = _p3_step(g, 0, 1)
     assert step.shared == ()
     for b_u in (2, 3):
@@ -197,6 +199,9 @@ def test_lift_cover():
     g = circulant(9, (1, 2))
     inst, trace = simplify(Instance(g, 6))
     assert inst.graph.n and not is_cover(g, lift_cover(trace, []))
+
+    with pytest.raises(ValueError, match="unknown step kind 'P9'"):
+        lift_cover(ReductionTrace([step._replace(kind="P9")]), [])
 
 
 def test_fresh_traces_share_no_steps():

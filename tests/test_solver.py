@@ -101,7 +101,7 @@ def _dovetail(inst):
     levels run them."""
     cfg, stats = SolverConfig(), SolveStats()
     gen = solver._dovetail_gen(solver._solve_level_gen(inst, 3, cfg, stats, 0, solver._NoReuse()),
-                               solver._base_maxis_gen(inst, cfg, stats, 0),
+                               solver._maxis_gen(inst.graph, [inst.k], stats, cfg),
                                solver.DOVETAIL_QUANTUM)
     feasible, cover = solver._drive(gen)
     return feasible, cover, stats
