@@ -19,6 +19,7 @@ states them; the audit compares the realized drops with them.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Container, Iterable, NamedTuple, Optional
 
 from .graph import Graph, PreconditionError
@@ -259,16 +260,13 @@ def _closed(g: Graph, u: int) -> frozenset[int]:
     return frozenset(g.neighbors(u)) | {u}
 
 
-def _blocked_minset(g: Graph, u: int) -> Optional[frozenset[int]]:
-    """A min-set of G - N[u] when u is blocked (shad(N[u]) <= 0), else None:
-    the LP zero-set when shad(N[u]) < 0, the min-set through the lowest
-    tight vertex when it is 0.
-
-    No caller passes a u with N[u] = V.  select_branch and deg5_with_3nbr
-    call it after a finite shadow_minus(G, N[u]), which is +infinity
-    exactly when N[u] = V.  blocked_high's u has maximum degree and
-    N[u] != V, so the za it passes to blocked_low has
-    deg(za) <= deg(u) < n - 1.
+def _blocked_minset(g: Graph, u: int) -> frozenset[int]:
+    """A min-set of G - N[u] for a blocked u (minsurp(G - N[u]) <= 0): the
+    LP zero-set when shad(N[u]) < 0, the min-set through the lowest tight
+    vertex when it is 0.  Every call is on a blocked u with N[u] != V: a
+    shadow_minus(G, N[u]) < 0 (+infinity when N[u] = V) precedes all but
+    blocked_high's blocked_low(za), and there a zb outside N[za] has
+    surplus <= 0 in G - N[za], so it is tight at 0 (see blocked_high).
     """
     closed = _closed(g, u)
     msm, zero = _msm_zeroset(g, closed)
@@ -291,24 +289,15 @@ class _Selector:
     """
 
     def __init__(self, inst: Instance, low: Optional[Container[int]] = None):
-        self.inst = inst
         self.g = inst.graph
-        self.low = low  # the x with v_x <= 2 when select_branch vouches for it
-
-    # -- the rules on this simplified graph, with low as make_child's _low --
-
-    def split_vertex(self, u: int, claimed: BranchSeq, case: str) -> BranchDecision:
-        return split_vertex(self.inst, u, claimed, case, _low=self.low)
-
-    def split_indset(self, cert: SurplusCert, claimed: BranchSeq, case: str) -> BranchDecision:
-        return split_indset(self.inst, cert, claimed, case, _low=self.low)
-
-    def rule_b(self, x: int, us: Iterable[int], claimed: BranchSeq, case: str) -> BranchDecision:
-        return rule_b(self.inst, x, us, claimed, case, _low=self.low)
+        # the rules on G; low, the x with v_x <= 2 if vouched for, is make_child's _low
+        self.split_vertex = partial(split_vertex, inst, _low=low)
+        self.split_indset = partial(split_indset, inst, _low=low)
+        self.rule_b = partial(rule_b, inst, _low=low)
 
     # -- surplus-two indsets (smallest cases get dedicated rules) ----------
 
-    def surplus_two(self, indset: frozenset[int]) -> Optional[BranchDecision]:
+    def surplus_two(self, indset: frozenset[int]) -> BranchDecision:
         """A rule for a surplus-two indset of at least two vertices.
 
         No caller passes a singleton: find_nonsingleton_minset returns sets
@@ -331,7 +320,7 @@ class _Selector:
             return self._s2_large(indset)
         return self._s2_pair(indset)
 
-    def _s2_large(self, indset: frozenset[int]) -> Optional[BranchDecision]:
+    def _s2_large(self, indset: frozenset[int]) -> BranchDecision:
         g = self.g
         cert = SurplusCert(indset, 2)
         if len(indset) >= 4:
@@ -355,41 +344,59 @@ class _Selector:
             return self.rule_b(y, [x1, x2, z], ((1, 4), (1, 5)), "surplus2/size3-ruleB-y")
         return self.split_indset(cert, ((1, 3), (1, 5)), "surplus2/size3-split-plain")
 
-    def _s2_pair(self, indset: frozenset[int]) -> Optional[BranchDecision]:
-        """I = {a, b} with surplus 2.  pairs is not empty: were N(I) a
-        clique, each a in I would have N(a) inside it, so N(a) would
-        be a clique (deg(a) >= 3) and a a funnel."""
+    def _s2_pair(self, indset: frozenset[int]) -> BranchDecision:
+        """I = {a, b} with surplus 2, so |N(I)| = 4 and deg(a), deg(b) are
+        3 or 4.  With no funnel, N(a) is independent if deg(a) = 3 and
+        triangle-free if 4, so pairs is not empty.
+
+        high is not empty past pair-split, or reduction_gain(G, I) >= 2.
+        In G' = G - I, let D be the vertices of degree <= 2, all in N(I):
+        in case (3, 3) D holds N(a) & N(b), with no neighbour in N(I); in
+        case (3, 4) the independent N(a); in case (4, 4) the three or four
+        vertices in pairs (N(I) is triangle-free).  No set has surplus
+        below 0 in G' (surp'(T) >= surp(T) - 2), so simplify's first step
+        on G' is a P1 on a surplus-0 set T (dk = |T|), or a P3 (dk >= 2)
+        or a fold at a vertex of D.  A P1 on {t} with N'(t) = {w}, or a
+        fold of x with N'(x) = {y1, y2}, spares some v in D (in case
+        (4, 4) with y1, y2 in N(I), the fourth vertex, in a pair with x)
+        whose degree stays 1 or 2: v ~ w with deg'(v) = 1 gives
+        surp'({t, v}) = -1, and v ~ y1, y2 gives surp'({x, v}) = 0, below
+        minsurp(G').  Steps of dk 0 delete only isolated vertices, and
+        simplify stops at minimum degree 3, so a second step has dk >= 1.
+
+        pair-ruleB finds a blocker outside I.  shad(N[z]) < 0, so z has
+        blockers, and the canonical min-set J of one holds only blockers
+        (each vertex attains m = minsurp(G - N[z]) < 0).  Were all in I,
+        J = {y} for the y in I - N(z), N(y) would lie in N(z), so
+        N(I) = N(y) + z, and the other y' in I would be adjacent to z.  Then
+        y' is a funnel (deg(y') = 3: z is adjacent to its two other
+        neighbours; deg(y') = 4: an edge in N(y) makes a triangle with z),
+        or z is adjacent to all of N(I) - z and in no pair.
+        """
         g = self.g
         a_side = sorted(g.neighborhood(indset))
         pairs = [(z1, z2) for i, z1 in enumerate(a_side) for z2 in a_side[i + 1:]
                  if not g.has_edge(z1, z2)]
         z1, z2 = pairs[0]
-        if g.degree(z1) <= 4 and g.degree(z2) <= 4:
-            if reduction_gain(g, indset) >= 2:
-                return self.split_indset(SurplusCert(indset, 2), ((1, 4), (1, 4)),
-                                         "surplus2/pair-split")
-        high = sorted({z for p in pairs for z in p if g.degree(z) >= 5})
-        if not high:
-            return None
-        z = high[0]
+        if g.degree(z1) <= 4 and g.degree(z2) <= 4 and reduction_gain(g, indset) >= 2:
+            return self.split_indset(SurplusCert(indset, 2), ((1, 4), (1, 4)),
+                                     "surplus2/pair-split")
+        z = min(z for p in pairs for z in p if g.degree(z) >= 5)
         if shadow_minus(g, _closed(g, z)) >= 0:
             return self.split_vertex(z, ((0.5, 3), (2, 5)), "surplus2/pair-splitz")
-        ts = [t for t, _ in blockers(g, z) if t not in indset]
-        if ts:
-            return self.rule_b(ts[0], [z], ((1, 4), (1, 4)), "surplus2/pair-ruleB")
-        return None
+        t = next(t for t, _ in blockers(g, z) if t not in indset)
+        return self.rule_b(t, [z], ((1, 4), (1, 4)), "surplus2/pair-ruleB")
 
     # -- blocker machinery ---------------------------------------------------
 
     def deg4_blocker(self, u: int, x: int) -> BranchDecision:
         """Blocker x of u with deg(x) >= 4.  x lies in G - N[u], so u is
-        outside N[x] and G - N[x] is not empty."""
+        outside N[x] and G - N[x] is not empty.  smx <= 3 - deg(x) < 0
+        makes the zero-set jzero non-empty."""
         g = self.g
         smx, jzero = _msm_zeroset(g, _closed(g, x))
-        if smx <= 3 - g.degree(x) and jzero:
-            d = self.surplus_two(jzero | {x})
-            if d is not None:
-                return d
+        if smx <= 3 - g.degree(x):
+            return self.surplus_two(jzero | {x})
         return self.rule_b(x, [u], ((1, 2), (1.5, 5)), "branch4-3prep/ruleB")
 
     def deg5_with_3nbr(self, w0: int) -> BranchDecision:
@@ -398,8 +405,6 @@ class _Selector:
         so their x has degree 3 (minimum degree 3); blocked_low and
         blocked_high pass a neighbour of x of degree >= 5, and blocked_high
         also passes u itself (degree >= 6) when some z in N(u) has degree 3.
-        deg4_blocker returns a decision on every path, so the first x of
-        degree >= 4 in a blocked[w] ends the search.
         """
         g = self.g
         universe = [w for w in g.vertices() if g.degree(w) >= 5
@@ -435,17 +440,13 @@ class _Selector:
         x = min(blocked[w0])
         return self.rule_b(x, [w0], ((1, 3), (1, 4)), "fallback/branch55-ruleB")
 
-    def blocked_low(self, u: int) -> Optional[BranchDecision]:
-        """deg(u) in {4, 5} and shad(N[u]) <= 4 - deg(u); None when u is
-        not blocked, which blocked_high's call on its za may find.
-
-        Otherwise iset has surplus <= 0 in G - N[u], so by the lemma some x
-        in it has a neighbour in N(u), and every path ends in a rule.
-        """
+    def blocked_low(self, u: int) -> BranchDecision:
+        """deg(u) in {4, 5} and u blocked (shad(N[u]) < 0 in select_branch;
+        see blocked_high for its call).  iset has surplus <= 0 in G - N[u],
+        so by the lemma some x in it has a neighbour in N(u), and every path
+        ends in a rule."""
         g = self.g
         iset = _blocked_minset(g, u)
-        if iset is None:
-            return None
         x = next(x for x in sorted(iset) if g.neighbors(x) & g.neighbors(u))
         shared = sorted(g.neighbors(x) & g.neighbors(u))
         if g.degree(x) >= 4:
@@ -464,6 +465,10 @@ class _Selector:
         N[u] != V (shadow_minus would be +infinity) and iset is the LP
         zero-set of G - N[u], non-empty with negative surplus.  By the lemma
         some x in it has a neighbour in N(u), and every path ends in a rule.
+
+        Its blocked_low(za) decides: past the exits above, iset has degree 3
+        and z_side degree 4; za ~ zb would make x a funnel, and zb has x, u
+        and a third vertex in N(za), so {zb} has surplus <= 0 in G - N[za].
         """
         g = self.g
         closed = _closed(g, u)
@@ -482,15 +487,11 @@ class _Selector:
                 return self.deg5_with_3nbr(u)
         for x2 in sorted(iset):
             if x2 != x and len(g.neighbors(x) & g.neighbors(x2)) >= 2:
-                d = self.surplus_two(frozenset({x, x2}))
-                if d is not None:
-                    return d
+                return self.surplus_two(frozenset({x, x2}))
         for i, za in enumerate(z_side):
             for zb in z_side[i + 1:]:
                 if len(g.neighbors(za) & g.neighbors(zb)) >= 3:
-                    d = self.blocked_low(za)
-                    if d is not None:
-                        return d
+                    return self.blocked_low(za)
         if len(iset) == 1:
             claim = ((1, 2 + len(z_side)), (1, 3))
         else:
@@ -504,9 +505,9 @@ def select_branch(inst: Instance) -> BranchDecision:
     Dispatch: non-singleton surplus-two min-sets first, then the max-degree
     vertex u of degree r: split when shad(N[u]) clears the degree threshold,
     otherwise the blocked-vertex rules.  Ties break to lowest vertex id.
-    The blocked-vertex rules always give a decision: blocked_low runs only
-    with shad(N[u]) < 0, so N[u] != V and u is blocked, and blocked_high
-    shows the same for its own call (see _Selector's lemma).
+    Every call decides: surplus_two always does (see _Selector._s2_pair),
+    blocked_low runs here only with shad(N[u]) < 0, so u is blocked, and
+    blocked_high calls it on a za that zb blocks (see _Selector.blocked_high).
     """
     g = inst.graph
     if g.n == 0:
@@ -527,9 +528,7 @@ def select_branch(inst: Instance) -> BranchDecision:
     sel = _Selector(inst, table)
     indset = find_nonsingleton_minset(g, table, 2)
     if indset is not None:
-        decision = sel.surplus_two(indset)
-        if decision is not None:
-            return decision
+        return sel.surplus_two(indset)
 
     sm = shadow_minus(g, _closed(g, u))
     if r == 4 or r == 5:

@@ -8,17 +8,20 @@ answered infeasible, 2 usage or input error (bad arguments, unparsable
 input, an input too large for the oracle), 3 node budget exhausted, 4
 internal error, 5 the audit found violations.  Every fault of the input
 itself is an input error (exit 2) naming its line: bytes that are not
-UTF-8, a malformed header or edge line, a header or edge field that is not
-an ASCII decimal integer ("1 +2" and Arabic-Indic digits are rejected), a
-header n above MAX_VERTICES (1,000,000), an endpoint out of range, a
-self-loop, or a wrong edge count.  The limit is checked from the header
-alone, before any per-vertex memory is allocated: each vertex costs under
-1 kB (optimize on "p td 200000 0" peaks at 161 MB RSS).
+UTF-8 (one leading byte-order mark is skipped), a malformed header or
+edge line, a header or edge field that is not an ASCII decimal integer
+("1 +2" and Arabic-Indic digits are rejected), a header n above
+MAX_VERTICES (1,000,000), an endpoint out of range, a self-loop, or a
+wrong edge count.  The limit is checked from the header alone, before any
+per-vertex memory is allocated: each vertex costs under 1 kB (optimize on
+"p td 200000 0" peaks at 161 MB RSS).  gen refuses an --n above the same
+limit before it generates anything.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import hashlib
 import json
 import random
@@ -63,9 +66,10 @@ def _decimal(field: str) -> int:
 
 
 def _decode_input(data: bytes) -> str:
-    """Graph file bytes as text: UTF-8, with universal newlines (as text
-    mode reads them); bytes that are not UTF-8 are an input error at the
-    line that holds the first of them."""
+    """Graph file bytes as text: UTF-8 after one leading byte-order mark, if
+    any, with universal newlines (as text mode reads them); bytes that are
+    not UTF-8 are an input error at the line that holds the first of them."""
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -471,6 +475,8 @@ def _cmd_gen(args, out: _Output) -> int:
     missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
     if missing:
         raise UsageError(f"gen {args.kind} needs {' and '.join(missing)}")
+    if "n" in flags and args.n > MAX_VERTICES:
+        raise UsageError(f"gen needs --n <= {MAX_VERTICES}, got {args.n}")
     params = {flag: getattr(args, flag) for flag in flags}
     if args.kind == "circulant":
         try:

@@ -122,7 +122,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .graph import Graph
 from .lp import (
-    Instance, SurplusCert, certify_minsurp_two, low_entries, recertify_minsurp_two,
+    Instance, certify_minsurp_two, low_entries, recertify_minsurp_two,
     tight_vertices, _msm_zeroset, _vertex_entry,
 )
 
@@ -174,8 +174,7 @@ def _without(g: Graph, s: frozenset[int], own: bool) -> Graph:
     return g.delete_vertices(s)
 
 
-def _p1_step(g: Graph, cert: SurplusCert, own: bool = False) -> tuple[Graph, ReductionStep]:
-    indset = cert.indset
+def _p1_step(g: Graph, indset: frozenset[int], own: bool = False) -> tuple[Graph, ReductionStep]:
     nbrs = g.neighborhood(indset)
     removed = indset | nbrs
     step = ReductionStep(
@@ -185,11 +184,10 @@ def _p1_step(g: Graph, cert: SurplusCert, own: bool = False) -> tuple[Graph, Red
     return _without(g, removed, own), step
 
 
-def _p2_step(g: Graph, cert: SurplusCert, own: bool = False) -> tuple[Graph, ReductionStep]:
+def _p2_step(g: Graph, indset: frozenset[int], own: bool = False) -> tuple[Graph, ReductionStep]:
     """Fold a surplus-one set I.  N(I) must be independent: with an edge
     inside N(I) every cover contains N(I), and the fold would lose a unit
     of k (a triangle is funnel territory)."""
-    indset = cert.indset
     nbrs = g.neighborhood(indset)
     outer = g.neighborhood(nbrs) - indset
     removed = indset | nbrs
@@ -275,7 +273,7 @@ def simplify(inst: Instance, *, _own: bool = False,
         if tight is None:
             msm, zero = _msm_zeroset(g, frozenset())
             if msm < 0:
-                emit(*_p1_step(g, SurplusCert(zero, msm), own))
+                emit(*_p1_step(g, zero, own))
                 continue
             if g.min_degree() >= 3 and certify_minsurp_two(g):
                 tight = []  # minsurp >= 2: nothing is tight, folds or forces
@@ -283,13 +281,13 @@ def simplify(inst: Instance, *, _own: bool = False,
                 tight = tight_vertices(g)
         if tight:
             cert = _vertex_entry(g, tight[0], frozenset())[1]
-            emit(*_p1_step(g, SurplusCert(cert, 0), own))
+            emit(*_p1_step(g, cert, own))
             tight = [x for x in tight if x in g]  # minus step.removed
             continue
         # minsurp >= 1 now, and a degree-2 vertex makes it exactly 1
         fold, first2 = _degree_two(g, scope)
         if fold is not None:
-            emit(*_p2_step(g, SurplusCert(frozenset({fold}), 1), own))  # tight stays []
+            emit(*_p2_step(g, frozenset({fold}), own))  # tight stays []
             continue
         tight = None  # P3 and forced P1 steps below decide nothing
         if first2 is not None:  # neighbors adjacent: a triangle, so a funnel
@@ -301,7 +299,7 @@ def simplify(inst: Instance, *, _own: bool = False,
         candidates = [(len(c), x, c) for x, (_, c) in sorted(table.items())]
         indep = [t for t in candidates if g.is_independent(g.neighborhood(t[2]))]
         if indep:
-            emit(*_p2_step(g, SurplusCert(frozenset(min(indep)[2]), 1), own))
+            emit(*_p2_step(g, min(indep)[2], own))
             tight = []
         elif (match := g.find_pattern(_among=scope)) is not None:
             u, x = match.u, match.out
@@ -317,7 +315,7 @@ def simplify(inst: Instance, *, _own: bool = False,
             # every certificate has an edge inside N(I): every cover
             # contains N(I), so force it; deletion shape and lift
             # coincide with a P1 step
-            emit(*_p1_step(g, SurplusCert(frozenset(min(candidates)[2]), 1), own))
+            emit(*_p1_step(g, min(candidates)[2], own))
         else:
             break
 

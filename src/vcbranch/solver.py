@@ -40,7 +40,7 @@ from collections import Counter
 from typing import Generator, NamedTuple, Optional
 
 from .graph import Graph
-from .lp import Instance, SurplusCert
+from .lp import Instance
 from .reduce import (
     ReductionStep,
     ReductionTrace,
@@ -232,11 +232,11 @@ def _fold_subquadratic(g: Graph, k: int, own: bool = False
             break
         deg = g.degree(v)
         if deg <= 1:
-            g, step = _p1_step(g, SurplusCert(frozenset({v}), deg - 1), own)
+            g, step = _p1_step(g, frozenset({v}), own)
         elif g.has_edge(*sorted(g.neighbors(v))):
             g, step = _p3_step(g, v, min(g.neighbors(v)), own)  # triangle: a funnel
         else:
-            g, step = _p2_step(g, SurplusCert(frozenset({v}), 1), own)
+            g, step = _p2_step(g, frozenset({v}), own)
         trace.steps.append(step)
         k -= step.dk
         own = True

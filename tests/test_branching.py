@@ -4,8 +4,8 @@ import pytest
 
 from vcbranch.graph import Graph, PreconditionError, complete, cycle, star
 from vcbranch.lp import (
-    Instance, SurplusCert, _engine, certify_minsurp_two, low_entries, lp_weight2, minsurp,
-    minsurp_full, shadow, shadow_minus,
+    Instance, SurplusCert, _engine, blockers, certify_minsurp_two, low_entries, lp_weight2,
+    minsurp, minsurp_full, shadow, shadow_minus, tight_vertices,
 )
 from vcbranch.branching import (
     BranchChild,
@@ -20,7 +20,7 @@ from vcbranch.branching import (
     split_vertex,
     val,
 )
-from vcbranch.reduce import simplify
+from vcbranch.reduce import reduction_gain, simplify
 from vcbranch.constraints import combine_rate
 from vcbranch.cli import circulant, gnp, random_regular
 
@@ -415,8 +415,9 @@ def test_exits_deleted_by_proof_stay_unreached(monkeypatch):
     """The selector exits deleted by proof (see the docstrings of
     surplus_two, _blocked_minset and deg5_with_3nbr) are unreachable on
     live searches: surplus_two always gets an independent set of surplus
-    exactly 2, _blocked_minset a u with N[u] != V, and deg4_blocker returns
-    a decision.  Seeded level 4-6 solves call each at least once."""
+    exactly 2, _blocked_minset a blocked u with N[u] != V, so it returns a
+    non-empty set, and deg4_blocker returns a decision.  Seeded level 4-6
+    solves call each at least once."""
     from vcbranch import branching
     from vcbranch.solver import SolverConfig, solve_optimum
 
@@ -432,7 +433,9 @@ def test_exits_deleted_by_proof_stay_unreached(monkeypatch):
     def checked_blocked_minset(g, u):
         calls["_blocked_minset"] += 1
         assert g.degree(u) + 1 < g.n, u
-        return _blocked_minset(g, u)
+        iset = _blocked_minset(g, u)
+        assert iset, u  # u is blocked
+        return iset
 
     def checked_deg4_blocker(self, u, x):
         calls["deg4_blocker"] += 1
@@ -496,37 +499,33 @@ def test_selector_paths_fire_live_and_audit_clean(monkeypatch, path, graph, leve
 
 
 def test_blocked_minset_equals_the_sweep():
-    """_blocked_minset(g, u) is the min-set the minsurp sweep of G - N[u]
-    certifies when shad(N[u]) <= 0 (the LP zero-set below 0, the min-set
-    through the lowest tight vertex at 0), and None otherwise."""
-    seen = {"negative": 0, "zero": 0, "positive": 0}
+    """For a blocked u (minsurp(G - N[u]) <= 0, the only u its callers
+    pass), _blocked_minset(g, u) is the min-set the minsurp sweep of
+    G - N[u] certifies: the LP zero-set below 0, the min-set through the
+    lowest tight vertex at 0."""
+    seen = {"negative": 0, "zero": 0}
     graphs = [gnp(n, c / n, seed) for seed in range(25)
               for n, c in [(10 + seed % 9, 3.5), (14 + seed % 7, 5.0)]]
     graphs += [random_regular(14 + 2 * (seed % 3), d, seed) for seed in range(8) for d in (4, 5, 6)]
     for seed, g in enumerate(graphs):
         for u in g.vertices():
             closed = frozenset(g.neighborhood([u], closed=True))
-            found = _blocked_minset(g, u)
             if len(closed) >= g.n:
-                assert found is None
                 continue
             value, cert, _ = minsurp_full(g, closed)
             assert shadow_minus(g, closed) == min(0, value)
-            if value > 0:
-                seen["positive"] += 1
-                assert found is None, (seed, u)
-            else:
+            if value <= 0:
                 seen["negative" if value < 0 else "zero"] += 1
-                assert found == cert, (seed, u)
+                assert _blocked_minset(g, u) == cert, (seed, u)
     assert min(seen.values()) >= 100, seen
 
 
-def _simplified_search_graphs(per_root: int):
+def _simplified_search_graphs(per_root: int, sizes=(30, 36), seeds=range(1, 5)):
     """Simplified graphs of maximum degree >= 4 met by a depth-first walk of
     select_branch's children, at most per_root from each seeded root."""
-    for n in (30, 36):
+    for n in sizes:
         for d in (4, 5, 6):
-            for seed in range(1, 5):
+            for seed in seeds:
                 stack = [simplify(Instance(random_regular(n, d, seed), n))[0]]
                 met = 0
                 while stack and met < per_root:
@@ -551,20 +550,53 @@ def test_blocked_sets_reach_into_the_neighbourhood():
         g = inst.graph
         sel = _Selector(inst, low_entries(g, 2))
         for u in g.vertices():
+            closed = _closed(g, u)
+            sm = shadow_minus(g, closed)
+            if sm > 0 or (sm == 0 and not tight_vertices(g, closed)):
+                continue  # N[u] = V, or minsurp(G - N[u]) > 0: u is not blocked
             iset = _blocked_minset(g, u)
-            if iset is None:
-                continue
             seen["blocked"] += 1
             outside = g.neighborhood(iset) - g.neighbors(u)
             s = len(outside) - len(iset)
             assert s <= 0
             assert len(g.neighborhood(iset) & g.neighbors(u)) >= 2 - s
             r = g.degree(u)
-            if r < 4 or shadow_minus(g, _closed(g, u)) >= (0 if r <= 5 else 6 - r):
+            if r < 4 or sm >= (0 if r <= 5 else 6 - r):
                 continue
             seen["low" if r <= 5 else "high"] += 1
             decision = sel.blocked_low(u) if r <= 5 else sel.blocked_high(u)
             assert decision is not None and decision.case is not None
+    assert min(seen.values()) >= 20, seen
+
+
+def test_surplus_two_pairs_always_decide():
+    """The facts behind _Selector._s2_pair's two deleted exits, on every
+    independent pair I with |N(I)| = 4 (surplus 2) of simplified graphs
+    met by seeded searches: when no vertex of N(I) in a non-adjacent pair
+    has degree >= 5, reduction_gain(G, I) >= 2, so pair-split decides; and
+    every such vertex z with shad(N[z]) < 0 has a blocker outside I, so
+    pair-ruleB decides."""
+    seen = {"pairs": 0, "gain": 0, "blocker": 0}
+    for inst in _simplified_search_graphs(20, sizes=(30,), seeds=range(1, 41)):
+        g = inst.graph
+        for a in g.vertices():
+            na = g.neighbors(a)
+            for b in {b for w in na for b in g.neighbors(w)} - na:
+                if b <= a or len(na | g.neighbors(b)) != 4:
+                    continue
+                indset = frozenset((a, b))
+                seen["pairs"] += 1
+                side = sorted(g.neighborhood(indset))
+                high = {z for i, z1 in enumerate(side) for z2 in side[i + 1:]
+                        if not g.has_edge(z1, z2) for z in (z1, z2) if g.degree(z) >= 5}
+                if not high:
+                    seen["gain"] += 1
+                    assert reduction_gain(g, indset) >= 2, sorted(indset)
+                for z in high:
+                    if shadow_minus(g, _closed(g, z)) < 0:
+                        seen["blocker"] += 1
+                        outside = [t for t, _ in blockers(g, z) if t not in indset]
+                        assert outside, (sorted(indset), z)
     assert min(seen.values()) >= 20, seen
 
 

@@ -18,6 +18,7 @@ from vcbranch.cli import (
     circulant,
     generate,
     gnp,
+    main,
     parse_graph,
     render_graph,
     run_command,
@@ -87,6 +88,30 @@ def test_generate():
         generate("named", {"name": "nonesuch"})
     with pytest.raises(ValueError, match="unknown generator kind 'bogus'"):
         generate("bogus", {})
+
+
+def test_random_regular_gives_up_after_1000_dead_ends(monkeypatch):
+    """A sampler whose every pairing attempt dead-ends raises RuntimeError
+    after its 1000 restarts instead of looping forever."""
+    class DeadEnd(random.Random):
+        def randrange(self, *args):
+            return 0  # i == j: the same stub twice, never a pair
+
+    monkeypatch.setattr(random, "Random", DeadEnd)
+    with pytest.raises(RuntimeError, match="regular graph sampling failed"):
+        generate("regular", {"n": 4, "d": 2}, seed=0)
+
+
+def test_console_script_exits_with_the_command_code(tmp_path, monkeypatch, capsys):
+    """main, the vcbranch console script, exits with run_command's code."""
+    path = tmp_path / "pet.gr"
+    path.write_text(render_graph(NAMED_GRAPHS["petersen"]()))
+    for k, want in (("6", 0), ("5", 1)):
+        monkeypatch.setattr(sys, "argv", ["vcbranch", "solve", str(path), "--k", k])
+        with pytest.raises(SystemExit) as exc:
+            main()
+        assert exc.value.code == want
+    assert "infeasible k=5" in capsys.readouterr().out
 
 
 def test_solve_exit_codes(tmp_path):
@@ -195,14 +220,20 @@ def test_mutated_inputs_solve_or_exit_2(tmp_path):
 
 def test_crlf_input_parses_as_before(tmp_path):
     """Input is read as bytes and decoded as UTF-8 with universal newlines,
-    so CRLF files solve, and their digest is that of the LF text."""
-    crlf, lf = tmp_path / "crlf.gr", tmp_path / "lf.gr"
+    after one leading byte-order mark, so CRLF files and files with a BOM
+    solve, and their cover and digest are those of the LF text."""
+    crlf, bom, lf = tmp_path / "crlf.gr", tmp_path / "bom.gr", tmp_path / "lf.gr"
     text = render_graph(NAMED_GRAPHS["petersen"]())
     crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
     lf.write_bytes(text.encode())
-    outs = [run(["solve", str(p), "--k", "6"]) for p in (crlf, lf)]
-    assert [code for code, _ in outs] == [0, 0]
-    assert outs[0][1].replace(str(crlf), str(lf)) == outs[1][1]
+    outs = [run(["solve", str(p), "--k", "6"]) for p in (crlf, bom, lf)]
+    assert [code for code, _ in outs] == [0, 0, 0]
+    for path, (_, out) in zip((crlf, bom), outs):
+        assert out.replace(str(path), str(lf)) == outs[2][1]
+    # only one mark is skipped: a second one is a character of the header
+    bom.write_bytes(b"\xef\xbb\xbf" * 2 + text.encode())
+    assert run(["solve", str(bom), "--k", "6"])[0] == 2
 
 
 def test_internal_error_exit_code(tmp_path, monkeypatch):
@@ -488,6 +519,10 @@ def test_gen_missing_flag_is_usage_error(argv, flag):
      "--offsets must be comma-separated integers, got ''"),
     (["gen", "circulant", "--n", "5", "--offsets", "5"],
      "offset 5 would create self-loops for n = 5"),
+    # above the vertex limit of graph files, refused before any generating
+    (["gen", "regular", "--n", str(MAX_VERTICES + 1), "--d", "0"],
+     f"gen needs --n <= {MAX_VERTICES}, got {MAX_VERTICES + 1}"),
+    (["gen", "gnp", "--n", str(10 ** 12), "--p", "0.5"], f"gen needs --n <= {MAX_VERTICES}"),
 ])
 def test_gen_invalid_size_is_usage_error(argv, message):
     code, out = run(argv)

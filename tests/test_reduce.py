@@ -7,7 +7,6 @@ import pytest
 from vcbranch.graph import Graph, complete, cycle, path, star
 from vcbranch.lp import (
     Instance,
-    SurplusCert,
     _DELETED,
     _LPEngine,
     _engine,
@@ -36,30 +35,30 @@ def test_apply_p1():
     """P1 deletes N[I] and charges |N(I)| to the cover."""
     g = Graph(vertices=[0], edges=[])
     g.add_edge(1, 2)  # isolated 0 plus an edge
-    g2, step = _p1_step(g, SurplusCert(frozenset({0}), -1))
+    g2, step = _p1_step(g, frozenset({0}))
     assert step.dk == 0 and 0 not in g2
 
     pend = path(2)  # 0-1, deg(0)=1
-    g2, step = _p1_step(pend, SurplusCert(frozenset({0}), 0))
+    g2, step = _p1_step(pend, frozenset({0}))
     assert step.dk == 1 and g2.n == 0
 
-    g2, step = _p1_step(star(3), SurplusCert(frozenset({1, 2, 3}), -2))
+    g2, step = _p1_step(star(3), frozenset({1, 2, 3}))
     assert step.dk == 1 and g2.n == 0
     assert exhaustive_vc(star(3)) == 1
 
 
 def test_apply_p2():
     """P2 folds I and N(I) into a fresh vertex y and charges |I|."""
-    g2, step = _p2_step(cycle(4), SurplusCert(frozenset({0}), 1))
+    g2, step = _p2_step(cycle(4), frozenset({0}))
     assert step.dk == 1
     assert g2.edges() == [(2, step.created)]
 
     p3 = path(3)  # a-b-c = 0-1-2
-    g2, step = _p2_step(p3, SurplusCert(frozenset({1}), 1))
+    g2, step = _p2_step(p3, frozenset({1}))
     assert step.dk == 1
     assert g2.degree(step.created) == 0
 
-    g2, step = _p2_step(cycle(5), SurplusCert(frozenset({0}), 1))
+    g2, step = _p2_step(cycle(5), frozenset({0}))
     assert step.dk == 1
     assert g2.edges() == [(2, 3), (2, step.created), (3, step.created)]
     assert exhaustive_vc(g2) == 2
@@ -242,9 +241,9 @@ def _table_policy_simplify(inst: Instance) -> tuple[Instance, ReductionTrace]:
         msm, zero = _msm_zeroset(g, frozenset())
         ms, cert, table = minsurp_full(g, need_table=True)
         if msm < 0:
-            g2, step = _p1_step(g, SurplusCert(zero, msm))
+            g2, step = _p1_step(g, zero)
         elif ms <= 0:
-            g2, step = _p1_step(g, SurplusCert(frozenset(cert), ms))
+            g2, step = _p1_step(g, frozenset(cert))
         elif ms == 1:
             deg2 = [x for x in g.vertices() if g.degree(x) == 2]
             indep2 = [x for x in deg2 if not g.has_edge(*sorted(g.neighbors(x)))]
@@ -252,15 +251,15 @@ def _table_policy_simplify(inst: Instance) -> tuple[Instance, ReductionTrace]:
             indep = [t for t in candidates if g.is_independent(g.neighborhood(t[2]))]
             match = g.find_pattern()
             if indep2:
-                g2, step = _p2_step(g, SurplusCert(frozenset({indep2[0]}), 1))
+                g2, step = _p2_step(g, frozenset({indep2[0]}))
             elif deg2:
                 g2, step = _p3_step(g, deg2[0], min(g.neighbors(deg2[0])))
             elif indep:
-                g2, step = _p2_step(g, SurplusCert(frozenset(min(indep)[2]), 1))
+                g2, step = _p2_step(g, frozenset(min(indep)[2]))
             elif match is not None:
                 g2, step = _p3_step(g, match.u, match.out)
             else:
-                g2, step = _p1_step(g, SurplusCert(frozenset(min(candidates)[2]), 1))
+                g2, step = _p1_step(g, frozenset(min(candidates)[2]))
         else:
             match = g.find_pattern()
             if match is None:

@@ -501,6 +501,16 @@ def test_level4_hands_base_agvc_a_preprocessed_graph(monkeypatch):
     assert repeats == []
 
 
+def test_optimum_search_past_n_is_a_solver_bug(monkeypatch):
+    """k = n always admits a cover, so a decision run that answers
+    infeasible there is a solver bug: solve_optimum raises rather than
+    search on."""
+    monkeypatch.setattr(solver, "_run", lambda inst, gen, stats, started:
+                        solver.SolveResult(False, None, stats))
+    with pytest.raises(AssertionError, match="optimum search exceeded n"):
+        solve_optimum(PETERSEN)
+
+
 def test_run_rejects_a_cover_with_a_vertex_outside_the_input(monkeypatch):
     """A cover naming a vertex the input lacks is a solver bug, even when
     it covers every edge within k: the CLI would print a vertex past n."""
