@@ -44,6 +44,9 @@ from .verify import audit_trace, brute_force_vc
 #: the largest vertex count a graph file's header may declare
 MAX_VERTICES = 1_000_000
 
+#: verify-constants' profiles, in report order (the keys of constraints._PROFILES)
+PROFILES = ("simple", "advanced-4", "advanced-5", "advanced-6", "advanced-7")
+
 
 class UsageError(ValueError):
     """An argument or input error: exit 2.  Any other error, a ValueError
@@ -233,25 +236,54 @@ def gnp(n: int, p: float, seed: int) -> Graph:
 
 
 def random_regular(n: int, d: int, seed: int) -> Graph:
-    """Pairing-model d-regular graph (sequential matching, restart on dead end)."""
+    """Pairing-model d-regular graph (sequential matching, restart on dead end).
+
+    Each step draws two positions i, j in the list of unmatched stubs,
+    listed by vertex, and pairs their vertices.  A vertex's stubs are
+    interchangeable, so the list is kept as a Fenwick tree of the stubs left
+    at each vertex: position i belongs to the first vertex whose prefix count
+    passes i, and a pairing takes one stub from each of its two vertices.
+    The draws are those of the plain list, and so are the graphs.  O(nd log n).
+    """
     if n * d % 2 != 0 or d >= max(n, 1) or d < 0:
         raise ValueError(f"no {d}-regular graph on {n} vertices")
     rng = random.Random(seed)
+    size = 1 << n.bit_length()  # tree indices 1..size; vertices n.. hold no stubs
+    steps = [size >> s for s in range(1, n.bit_length() + 1)]
+
+    def vertex(i: int) -> int:
+        v = 0  # ends as the largest tree index whose prefix count is <= i
+        for step in steps:
+            if tree[v + step] <= i:
+                v += step
+                i -= tree[v]
+        return v
+
+    def take(v: int) -> None:
+        v += 1
+        while v <= size:
+            tree[v] -= 1
+            v += v & -v
+
     for _ in range(1000):
-        stubs = [v for v in range(n) for _ in range(d)]
+        # node v counts the stubs of tree indices v - (v & -v) + 1 .. v, d each up to n
+        tree = [0] + [d * max(0, min(v, n) - v + (v & -v)) for v in range(1, size + 1)]
+        left = n * d
         edges: set[tuple[int, int]] = set()
         stuck = False
-        while stubs and not stuck:
+        while left and not stuck:
             for _ in range(500):
-                i, j = rng.randrange(len(stubs)), rng.randrange(len(stubs))
-                u, v = stubs[i], stubs[j]
-                if i != j and u != v and (min(u, v), max(u, v)) not in edges:
-                    break
+                i, j = rng.randrange(left), rng.randrange(left)
+                if i != j:
+                    u, v = vertex(i), vertex(j)
+                    if u != v and (min(u, v), max(u, v)) not in edges:
+                        break
             else:
                 stuck = True
                 continue
-            for idx in sorted((i, j), reverse=True):
-                stubs.pop(idx)
+            take(u)
+            take(v)
+            left -= 2
             edges.add((min(u, v), max(u, v)))
         if not stuck:
             g = Graph(vertices=range(n))
@@ -261,20 +293,26 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     raise RuntimeError("regular graph sampling failed to produce a simple graph")
 
 
+def _named(name: str) -> Graph:
+    if name not in NAMED_GRAPHS:
+        raise ValueError(f"unknown named graph {name!r}; "
+                         f"choose from {sorted(NAMED_GRAPHS)}")
+    return NAMED_GRAPHS[name]()
+
+
+#: each generator kind: the gen flags it needs and its builder(params, seed)
+_GENERATORS = {
+    "gnp": (("n", "p"), lambda p, seed: gnp(int(p["n"]), float(p["p"]), seed)),
+    "regular": (("n", "d"), lambda p, seed: random_regular(int(p["n"]), int(p["d"]), seed)),
+    "circulant": (("n", "offsets"), lambda p, seed: circulant(int(p["n"]), p["offsets"])),
+    "named": (("name",), lambda p, seed: _named(p["name"])),
+}
+
+
 def generate(kind: str, params: dict, seed: int = 0) -> Graph:
-    if kind == "gnp":
-        return gnp(int(params["n"]), float(params["p"]), seed)
-    if kind == "regular":
-        return random_regular(int(params["n"]), int(params["d"]), seed)
-    if kind == "circulant":
-        return circulant(int(params["n"]), params["offsets"])
-    if kind == "named":
-        name = params["name"]
-        if name not in NAMED_GRAPHS:
-            raise ValueError(f"unknown named graph {name!r}; "
-                             f"choose from {sorted(NAMED_GRAPHS)}")
-        return NAMED_GRAPHS[name]()
-    raise ValueError(f"unknown generator kind {kind!r}")
+    if kind not in _GENERATORS:
+        raise ValueError(f"unknown generator kind {kind!r}")
+    return _GENERATORS[kind][1](params, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +362,7 @@ def _load_graph(args, out: _Output) -> Graph:
     return g
 
 
-def _config(args, out: _Output) -> SolverConfig:
+def _config(args, out: _Output, audit: bool = False) -> SolverConfig:
     level = int(args.algorithm.removeprefix("level"))
     budget = args.budget
     if budget is not None and budget < 0:
@@ -332,8 +370,7 @@ def _config(args, out: _Output) -> SolverConfig:
     out.emit("config",
              f"c config command={args.command} algorithm={args.algorithm} budget={budget}",
              command=args.command, algorithm=args.algorithm, budget=budget)
-    return SolverConfig(level=level, node_budget=budget,
-                        audit=getattr(args, "audit_on", False))
+    return SolverConfig(level=level, node_budget=budget, audit=audit)
 
 
 def _file_numbers(cover: Iterable[int]) -> list[int]:
@@ -397,8 +434,7 @@ def _cmd_optimize(args, out: _Output) -> int:
 def _cmd_verify_constants(args, out: _Output) -> int:
     from .constraints import evaluate_constraints  # no solve needs the certifier
 
-    profiles = (["simple", "advanced-4", "advanced-5", "advanced-6", "advanced-7"]
-                if args.profile == "all" else [args.profile])
+    profiles = PROFILES if args.profile == "all" else (args.profile,)
     ok = True
     for profile in profiles:
         report = evaluate_constraints(profile)
@@ -414,8 +450,7 @@ def _cmd_verify_constants(args, out: _Output) -> int:
 
 def _cmd_audit(args, out: _Output) -> int:
     g = _load_graph(args, out)
-    args.audit_on = True
-    cfg = _config(args, out)
+    cfg = _config(args, out, audit=True)
     result = solve_decision(Instance(g, args.k), cfg=cfg)
     for rec in result.stats.audit_records:
         out.emit("audit",
@@ -466,12 +501,8 @@ def _cmd_reduce(args, out: _Output) -> int:
     return 0
 
 
-_GEN_FLAGS = {"gnp": ("n", "p"), "regular": ("n", "d"),
-              "circulant": ("n", "offsets"), "named": ("name",)}
-
-
 def _cmd_gen(args, out: _Output) -> int:
-    flags = _GEN_FLAGS[args.kind]
+    flags = _GENERATORS[args.kind][0]
     missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
     if missing:
         raise UsageError(f"gen {args.kind} needs {' and '.join(missing)}")
@@ -525,9 +556,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-constants", help="certify the measure inequalities")
     common(p, needs_input=False)
-    p.add_argument("--profile", default="all",
-                   choices=("all", "simple", "advanced-4", "advanced-5",
-                            "advanced-6", "advanced-7"))
+    p.add_argument("--profile", default="all", choices=("all", *PROFILES))
     p.set_defaults(handler=_cmd_verify_constants)
 
     p = sub.add_parser("audit", help="solve with drop instrumentation")
@@ -547,7 +576,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_reduce)
 
     p = sub.add_parser("gen", help="generate a graph")
-    p.add_argument("kind", choices=("gnp", "regular", "circulant", "named"))
+    p.add_argument("kind", choices=tuple(_GENERATORS))
     p.add_argument("--n", type=int)
     p.add_argument("--p", type=float)
     p.add_argument("--d", type=int)

@@ -600,6 +600,29 @@ def test_surplus_two_pairs_always_decide():
     assert min(seen.values()) >= 20, seen
 
 
+def test_a_blocked_degree5_vertex_can_have_only_gain1_blockers():
+    """The branch55 tail (ruleB-nonsingleton, ruleB-pigeonhole and
+    fallback/branch55-ruleB) cannot be proved dead one vertex of universe at
+    a time: on this simplified 17-vertex graph, vertex 0 has degree 5 and a
+    degree-3 neighbour, is blocked (shad(N[0]) < 0), and its min-set holds
+    two degree-3 vertices, each with reduction gain 1 together with 0.  So
+    none of branch55/split, the deg4_blocker hand-off and ruleB-R2 fires at
+    w = 0."""
+    g = Graph(vertices=range(17), edges=[
+        (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (1, 6), (1, 12), (1, 15), (1, 16),
+        (2, 11), (2, 16), (3, 6), (3, 7), (3, 13), (3, 14), (3, 15), (4, 7), (4, 8), (4, 9),
+        (4, 13), (5, 6), (5, 7), (5, 9), (5, 11), (8, 10), (8, 11), (9, 12), (9, 14),
+        (10, 14), (10, 15), (11, 15), (12, 14), (12, 15), (13, 14), (13, 15), (13, 16)])
+    _, trace = simplify(Instance(g, g.n))
+    assert not trace.steps
+    assert minsurp(g).surplus == 2
+    assert g.degree(0) == 5 and any(g.degree(t) == 3 for t in g.neighbors(0))
+    assert shadow_minus(g, _closed(g, 0)) == -2
+    blocked = _blocked_minset(g, 0)
+    assert blocked == {6, 7} and all(g.degree(x) == 3 for x in blocked)
+    assert all(reduction_gain(g, {0, x}) == 1 for x in blocked)
+
+
 def test_children_carry_independent_copies():
     g = circulant(9, (1, 2))
     inst = Instance(g, 6)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -10,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import vcbranch
+from vcbranch import constraints
 from vcbranch.cli import (
     MAX_VERTICES,
     NAMED_GRAPHS,
+    PROFILES,
     ParseError,
     _decode_input,
     circulant,
@@ -20,6 +23,7 @@ from vcbranch.cli import (
     gnp,
     main,
     parse_graph,
+    random_regular,
     render_graph,
     run_command,
 )
@@ -88,6 +92,49 @@ def test_generate():
         generate("named", {"name": "nonesuch"})
     with pytest.raises(ValueError, match="unknown generator kind 'bogus'"):
         generate("bogus", {})
+
+
+def _list_random_regular(n, d, seed):
+    """random_regular as it was sampled from a plain stub list, each pair
+    removed with list.pop (quadratic), kept to pin the sampler's graphs."""
+    if n * d % 2 != 0 or d >= max(n, 1) or d < 0:
+        raise ValueError(f"no {d}-regular graph on {n} vertices")
+    rng = random.Random(seed)
+    for _ in range(1000):
+        stubs = [v for v in range(n) for _ in range(d)]
+        edges = set()
+        stuck = False
+        while stubs and not stuck:
+            for _ in range(500):
+                i, j = rng.randrange(len(stubs)), rng.randrange(len(stubs))
+                u, v = stubs[i], stubs[j]
+                if i != j and u != v and (min(u, v), max(u, v)) not in edges:
+                    break
+            else:
+                stuck = True
+                continue
+            for idx in sorted((i, j), reverse=True):
+                stubs.pop(idx)
+            edges.add((min(u, v), max(u, v)))
+        if not stuck:
+            g = Graph(vertices=range(n))
+            for u, v in sorted(edges):
+                g.add_edge(u, v)
+            return g
+    raise RuntimeError("regular graph sampling failed to produce a simple graph")
+
+
+def test_random_regular_draws_the_stub_list_graphs():
+    """The Fenwick-tree sampler draws the same graph as the stub-list one,
+    adjacency rows in the same order, for every small n and d and a few
+    large ones."""
+    cases = [(n, d, seed) for n in range(40) for d in range(8) for seed in range(4)
+             if n * d % 2 == 0 and d < max(n, 1)]
+    cases += [(400, 6, 1), (1000, 6, 1), (3200, 3, 1)]
+    for n, d, seed in cases:
+        got, want = random_regular(n, d, seed), _list_random_regular(n, d, seed)
+        assert [list(got.neighbors(v)) for v in range(n)] == \
+            [list(want.neighbors(v)) for v in range(n)], (n, d, seed)
 
 
 def test_random_regular_gives_up_after_1000_dead_ends(monkeypatch):
@@ -286,13 +333,14 @@ records = [f"{name}.{attr}" for name in loaded
 assert not records, records
 from vcbranch.constraints import evaluate_constraints
 assert evaluate_constraints("simple").passed
+assert "dataclasses" not in sys.modules
 """
 
 
 def test_import_path_holds_what_a_solve_runs():
     """A fresh import of vcbranch and its CLI leaves out the certifier
     (vcbranch.constraints) and builds no dataclass; the certifier still
-    imports on demand."""
+    imports on demand, and loads no dataclasses module either."""
     src = str(Path(vcbranch.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -428,6 +476,16 @@ def test_verify_constants_command():
     rows = [json.loads(line) for line in out.splitlines()]
     assert any(r["record"] == "constraint" and r["label"] == "7-2" for r in rows)
     assert all(r["pass"] for r in rows if r["record"] == "constraint")
+
+
+def test_verify_constants_output_is_pinned():
+    """The full certifier report is pinned byte for byte, and the CLI's
+    profile list is the certifier's."""
+    code, out = run(["verify-constants", "--profile", "all"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "a6fb8141968ed05c7b9d31bb04940033d954fad5b2f2a52f559f4f63e2fff20c"
+    assert PROFILES == tuple(constraints._PROFILES)
 
 
 def test_audit_command(tmp_path):

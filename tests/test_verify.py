@@ -14,14 +14,11 @@ from vcbranch.verify import (
     make_audit_record,
 )
 from vcbranch.constraints import combine_rate, evaluate_constraints, triple_point_residual
-from vcbranch.cli import NAMED_GRAPHS, gnp
+from vcbranch.cli import NAMED_GRAPHS, PROFILES, gnp
 
 from oracle_utils import exhaustive_vc, is_cover
 
-ALL_PROFILES = ("simple", "advanced-4", "advanced-5", "advanced-6", "advanced-7")
-
-
-@pytest.mark.parametrize("profile", ALL_PROFILES)
+@pytest.mark.parametrize("profile", PROFILES)
 def test_profiles_pass(profile):
     report = evaluate_constraints(profile)
     assert report.passed, report.render()
