@@ -286,6 +286,30 @@ class _Selector:
     s there.  No vertex of I is adjacent to u, so N_G(I) is N_{G-N[u]}(I)
     plus N(I) & N(u), and |N(I) & N(u)| = surp_G(I) - s >= 2 - s.  For
     s <= 0 that is at least 2, so some vertex of I has a neighbour in N(u).
+
+    select_branch asks find_nonsingleton_minset(G, T), T = low_entries(G,
+    2), first, and runs the blocker methods only when it returns None.
+
+    Fact N.  Then G has no independent set I of two or more vertices with
+    surp(I) <= 2.  Say it had one; surp(I) = 2 as minsurp(G) >= 2.  For x
+    in I and a non-empty J outside N[x], N(J + x) is N(x) plus N(J) - N[x]
+    (J + x is independent, so x is not in N(J)), hence
+        surp(J + x) = deg(x) - 1 + surp_{G-N[x]}(J).            (*)
+    Each x in I has v_x <= surp(I) = 2, so v_x = 2 and x is in T.  If some
+    x in I has a certificate cert_x of two or more vertices, the first pass
+    returns it or an earlier one.  Otherwise take any x in I: cert_x = {x}
+    means minsurp(G - N[x]) >= 0 and v_x = deg(x) - 1, so deg(x) = 3, and
+    by (*) I - x has surplus 0 in G - N[x].  So x is a gap-case candidate
+    with a surplus-0 set in G - N[x]; the peel keeps it
+    (find_nonsingleton_minset, steps 1-4), and the second pass returns a
+    set at x or at an earlier survivor.
+
+    By (*) with J a min-set of G - N[v], Fact N gives, for every v with
+    N[v] != V, shad(N[v]) >= 4 - deg(v), so shadow_minus(G, N[v]) >=
+    min(0, 4 - deg(v)).  In particular a blocker x of degree >= 4 has
+    shadow_minus(G, N[x]) > 3 - deg(x) (see deg4_blocker), and no two
+    degree-3 vertices share c >= 2 neighbours without an edge between
+    them, as the pair would have surplus 4 - c <= 2 (see blocked_high).
     """
 
     def __init__(self, inst: Instance, low: Optional[Container[int]] = None):
@@ -297,30 +321,8 @@ class _Selector:
 
     # -- surplus-two indsets (smallest cases get dedicated rules) ----------
 
-    def surplus_two(self, indset: frozenset[int]) -> BranchDecision:
-        """A rule for a surplus-two indset of at least two vertices.
-
-        No caller passes a singleton: find_nonsingleton_minset returns sets
-        of size >= 2, deg4_blocker passes J + {x} with J non-empty and
-        outside N[x], and blocked_high passes {x, x2} with x2 != x.
-
-        Every caller passes an independent set of surplus exactly 2, since
-        minsurp(G) >= 2 and:
-          find_nonsingleton_minset(g, table, 2) returns the certificate of
-            an entry with v_x = 2, which has surplus v_x, or J + {x} for an
-            entry {x} with v_x = deg(x) - 1 = 2 and J of surplus 0 in
-            G - N[x], which has surplus deg(x) - 1;
-          deg4_blocker's J is the zero-set of G - N[x] with surplus smx,
-            so surp(J + x) = deg(x) - 1 + smx <= 2;
-          blocked_high's x and x2 lie in iset, whose vertices all have
-            degree 3 by then, and share c >= 2 neighbours, so
-            surp({x, x2}) = 4 - c <= 2.
-        """
-        if len(indset) >= 3:
-            return self._s2_large(indset)
-        return self._s2_pair(indset)
-
     def _s2_large(self, indset: frozenset[int]) -> BranchDecision:
+        """I, of three or more vertices, from find_nonsingleton_minset."""
         g = self.g
         cert = SurplusCert(indset, 2)
         if len(indset) >= 4:
@@ -391,12 +393,8 @@ class _Selector:
 
     def deg4_blocker(self, u: int, x: int) -> BranchDecision:
         """Blocker x of u with deg(x) >= 4.  x lies in G - N[u], so u is
-        outside N[x] and G - N[x] is not empty.  smx <= 3 - deg(x) < 0
-        makes the zero-set jzero non-empty."""
-        g = self.g
-        smx, jzero = _msm_zeroset(g, _closed(g, x))
-        if smx <= 3 - g.degree(x):
-            return self.surplus_two(jzero | {x})
+        outside N[x] and G - N[x] is not empty.  By Fact N, shad(N[x]) >=
+        4 - deg(x): no min-set J of G - N[x] makes J + x a surplus-two set."""
         return self.rule_b(x, [u], ((1, 2), (1.5, 5)), "branch4-3prep/ruleB")
 
     def deg5_with_3nbr(self, w0: int) -> BranchDecision:
@@ -469,6 +467,8 @@ class _Selector:
         Its blocked_low(za) decides: past the exits above, iset has degree 3
         and z_side degree 4; za ~ zb would make x a funnel, and zb has x, u
         and a third vertex in N(za), so {zb} has surplus <= 0 in G - N[za].
+        By Fact N no two vertices of iset, all of degree 3 past the first
+        loop, share two neighbours.
         """
         g = self.g
         closed = _closed(g, u)
@@ -485,9 +485,6 @@ class _Selector:
         for z in z_side:
             if g.degree(z) == 3:
                 return self.deg5_with_3nbr(u)
-        for x2 in sorted(iset):
-            if x2 != x and len(g.neighbors(x) & g.neighbors(x2)) >= 2:
-                return self.surplus_two(frozenset({x, x2}))
         for i, za in enumerate(z_side):
             for zb in z_side[i + 1:]:
                 if len(g.neighbors(za) & g.neighbors(zb)) >= 3:
@@ -505,9 +502,10 @@ def select_branch(inst: Instance) -> BranchDecision:
     Dispatch: non-singleton surplus-two min-sets first, then the max-degree
     vertex u of degree r: split when shad(N[u]) clears the degree threshold,
     otherwise the blocked-vertex rules.  Ties break to lowest vertex id.
-    Every call decides: surplus_two always does (see _Selector._s2_pair),
-    blocked_low runs here only with shad(N[u]) < 0, so u is blocked, and
-    blocked_high calls it on a za that zb blocks (see _Selector.blocked_high).
+    Every call decides: _s2_large and _s2_pair always do (see
+    _Selector._s2_pair), blocked_low runs here only with shad(N[u]) < 0, so
+    u is blocked, and blocked_high calls it on a za that zb blocks (see
+    _Selector.blocked_high).
     """
     g = inst.graph
     if g.n == 0:
@@ -526,9 +524,9 @@ def select_branch(inst: Instance) -> BranchDecision:
     table = low_entries(g, 2)
 
     sel = _Selector(inst, table)
-    indset = find_nonsingleton_minset(g, table, 2)
+    indset = find_nonsingleton_minset(g, table)
     if indset is not None:
-        return sel.surplus_two(indset)
+        return sel._s2_large(indset) if len(indset) >= 3 else sel._s2_pair(indset)
 
     sm = shadow_minus(g, _closed(g, u))
     if r == 4 or r == 5:

@@ -2,20 +2,20 @@
 
 Graph files use the PACE-style header "p td <n> <m>" with 1-indexed edge
 lines; 'c' lines are comments.  A --format flag admits DIMACS "p edge"
-files with "e u v" edge lines.  Covers are printed in the input file's
-1-based vertex numbers.  Exit codes: 0 success, 1 the decision was
-answered infeasible, 2 usage or input error (bad arguments, unparsable
-input, an input too large for the oracle), 3 node budget exhausted, 4
-internal error, 5 the audit found violations.  Every fault of the input
-itself is an input error (exit 2) naming its line: bytes that are not
-UTF-8 (one leading byte-order mark is skipped), a malformed header or
-edge line, a header or edge field that is not an ASCII decimal integer
-("1 +2" and Arabic-Indic digits are rejected), a header n above
-MAX_VERTICES (1,000,000), an endpoint out of range, a self-loop, or a
-wrong edge count.  The limit is checked from the header alone, before any
-per-vertex memory is allocated: each vertex costs under 1 kB (optimize on
-"p td 200000 0" peaks at 161 MB RSS).  gen refuses an --n above the same
-limit before it generates anything.
+files with "e u v" edge lines.  Covers, reduction traces and reduced
+graphs are printed in the input file's 1-based vertex numbers.  Exit
+codes: 0 success, 1 the decision was answered infeasible, 2 usage or
+input error (bad arguments, unparsable input, an input too large for the
+oracle), 3 node budget exhausted, 4 internal error, 5 the audit found
+violations.  Every fault of the input itself is an input error (exit 2)
+naming its line: bytes that are not UTF-8 (one leading byte-order mark is
+skipped), a malformed header or edge line, a header or edge field that is
+not an ASCII decimal integer ("1 +2" and Arabic-Indic digits are
+rejected), a header n above MAX_VERTICES (1,000,000), an endpoint out of
+range, a self-loop, or a wrong edge count.  The limit is checked from the
+header alone, before any per-vertex memory is allocated: each vertex
+costs under 1 kB (optimize on "p td 200000 0" peaks at 161 MB RSS).  gen
+refuses an --n above the same limit before it generates anything.
 """
 
 from __future__ import annotations
@@ -146,13 +146,14 @@ def parse_graph(text: str, fmt: str = "pace") -> Graph:
 
 
 def render_graph(g: Graph, fmt: str = "pace") -> str:
-    verts = g.vertices()
-    index = {v: i + 1 for i, v in enumerate(verts)}
+    """Graph text in file numbers, as parse_graph reads them: vertex v
+    prints as v + 1, and the header's n is the largest number used, so a
+    vertex missing below it reads back as an isolated vertex."""
     edges = g.edges()
     head = "p td" if fmt == "pace" else "p edge"
     prefix = "" if fmt == "pace" else "e "
-    lines = [f"{head} {len(verts)} {len(edges)}"]
-    lines.extend(f"{prefix}{index[u]} {index[v]}" for u, v in edges)
+    lines = [f"{head} {max(g.vertices(), default=-1) + 1} {len(edges)}"]
+    lines.extend(f"{prefix}{u + 1} {v + 1}" for u, v in edges)
     return "\n".join(lines) + "\n"
 
 
@@ -245,7 +246,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     passes i, and a pairing takes one stub from each of its two vertices.
     The draws are those of the plain list, and so are the graphs.  O(nd log n).
     """
-    if n * d % 2 != 0 or d >= max(n, 1) or d < 0:
+    if n < 0 or n * d % 2 != 0 or d >= max(n, 1) or d < 0:
         raise ValueError(f"no {d}-regular graph on {n} vertices")
     rng = random.Random(seed)
     size = 1 << n.bit_length()  # tree indices 1..size; vertices n.. hold no stubs
@@ -486,6 +487,8 @@ def _cmd_reduce(args, out: _Output) -> int:
     g = _load_graph(args, out)
     k = args.k if args.k is not None else 0
     inst, trace = simplify(Instance(g, k))
+    # file numbers, as for covers and the trace, so a cover of the printed
+    # graph lifts through the printed trace
     rendered = render_graph(inst.graph, args.format)
     out.emit("reduced",
              rendered.rstrip("\n") + f"\nc reduced k={inst.k} dk={trace.total_dk}",
@@ -519,8 +522,8 @@ def _cmd_gen(args, out: _Output) -> int:
         g = generate(args.kind, params, args.seed)
     except ValueError as exc:  # parameters no graph of the kind has
         raise UsageError(str(exc)) from None
-    out.emit("graph", render_graph(g, args.format).rstrip("\n"),
-             n=g.n, m=g.m, graph=render_graph(g, args.format))
+    rendered = render_graph(g, args.format)
+    out.emit("graph", rendered.rstrip("\n"), n=g.n, m=g.m, graph=rendered)
     return 0
 
 

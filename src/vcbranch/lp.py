@@ -751,59 +751,53 @@ def shadow_minus(g: Graph, x: Iterable[int]):
 
 
 def find_nonsingleton_minset(
-    g: Graph, table: dict[int, tuple[int, frozenset[int]]], target: int
+    g: Graph, table: dict[int, tuple[int, frozenset[int]]]
 ) -> Optional[frozenset[int]]:
-    """A min-set of size >= 2 with surplus == target, if one exists; table
-    holds every x with v_x <= target (minsurp_full's, or low_entries').
+    """A min-set of size >= 2 with surplus 2, if one exists, for a G with
+    minsurp >= 2 and table = low_entries(G, 2): every entry has v_x = 2.
 
     The first pass reads the canonical certificates off the table.  The
-    gap case is the list P of the x with v_x == target and certificate
-    {x}: for these minsurp(G - N[x]) >= 0, and the pass asks
-    zero_surplus_cert of G - N[x] for each x in P, ascending.
+    gap case is the list P of the x with certificate {x}: for these
+    minsurp(G - N[x]) >= 0, and the pass asks zero_surplus_cert of
+    G - N[x] for each x in P, ascending.
 
-    When target >= 1 and no entry is below target (so minsurp >= target),
     P is first peeled to the largest subset in which every x has at least
-    target neighbours w with a neighbour in P outside N[x]; only the
-    survivors are asked.  Let t = target, x in P and J a surplus-0 set of
-    G - N[x].
-      1. I = J + {x} is independent with surp(I) = deg(x) - 1 = t (x's
+    2 neighbours w with a neighbour in P outside N[x]; only the survivors
+    are asked.  Let x in P and J a surplus-0 set of G - N[x].
+      1. I = J + {x} is independent with surp(I) = deg(x) - 1 = 2 (x's
          certificate is {x}, so v_x = deg(x) - 1), and |I| >= 2.
-      2. Each y in I has v_y <= surp(I) = t, so v_y = t, and its
+      2. Each y in I has v_y <= surp(I) = 2, so v_y = 2, and its
          certificate is {y}, or the first pass would have returned.  So
          I is inside P.
-      3. For each y in I, with deg(y) = t + 1 as for x in step 1,
-         minsurp >= t and I - y non-empty:
+      3. For each y in I, with deg(y) = 3 as for x in step 1, minsurp >= 2
+         and I - y non-empty:
          |N(y) & N(I - y)| = deg(y) + |N(I - y)| - |N(I)|
-                           >= (t + 1) + (|I| - 1 + t) - (|I| + t) = t,
+                           >= 3 + (|I| - 1 + 2) - (|I| + 2) = 2,
          and each w in N(y) & N(I - y) has a neighbour in I - y, which is
          outside N[y].
       4. So by induction the peel never removes a member of I: a dropped
          x has no surplus-0 set in G - N[x], zero_surplus_cert would
          answer None, and the returned set is unchanged.
-    P holds the vertices of degree t + 1 and the peel looks at distance 2
-    only, so on graphs of maximum degree 3 (t = 2) P is nearly everything
-    and little is peeled; the cubic case needs a stronger local argument
-    (an N_2 locality lemma) that is still open.
+    P holds the vertices of degree 3 and the peel looks at distance 2
+    only, so on graphs of maximum degree 3 P is nearly everything and
+    little is peeled; the cubic case needs a stronger local argument (an
+    N_2 locality lemma) that is still open.
     """
     second_pass = []
     for x in sorted(table):
-        v_x, cert_x = table[x]
-        if v_x != target:
-            continue
+        cert_x = table[x][1]
         if len(cert_x) >= 2:
             return cert_x
         second_pass.append(x)
-    if target >= 1 and all(v >= target for v, _ in table.values()):
-        second_pass = _peel(g, second_pass, target)
-    for x in second_pass:
+    for x in _peel(g, second_pass):
         cert = zero_surplus_cert(g, frozenset(g.neighborhood([x], closed=True)))
         if cert is not None:
             return cert | {x}
     return None
 
 
-def _peel(g: Graph, cands: list[int], t: int) -> list[int]:
-    """The largest sublist of cands in which every x has at least t
+def _peel(g: Graph, cands: list[int]) -> list[int]:
+    """The largest sublist of cands in which every x has at least 2
     neighbours w with a neighbour in the sublist outside N[x] (see
     find_nonsingleton_minset).  Dropping x can only unsupport the
     candidates within distance 2 of it, so only those are checked again."""
@@ -812,7 +806,7 @@ def _peel(g: Graph, cands: list[int], t: int) -> list[int]:
 
     def supported(x: int) -> bool:
         nx = adj[x]
-        need = t
+        need = 2
         for w in nx:
             if any(z in alive and z != x and z not in nx for z in adj[w]):
                 need -= 1

@@ -4,8 +4,8 @@ import pytest
 
 from vcbranch.graph import Graph, PreconditionError, complete, cycle, star
 from vcbranch.lp import (
-    Instance, SurplusCert, _engine, blockers, certify_minsurp_two, low_entries, lp_weight2,
-    minsurp, minsurp_full, shadow, shadow_minus, tight_vertices,
+    Instance, SurplusCert, _engine, blockers, certify_minsurp_two, find_nonsingleton_minset,
+    low_entries, lp_weight2, minsurp, minsurp_full, shadow, shadow_minus, tight_vertices,
 )
 from vcbranch.branching import (
     BranchChild,
@@ -276,7 +276,7 @@ def test_surplus_two_size3_handler_direct():
     g = _surplus_two_showcase()
     opt = exhaustive_vc(g)
     inst = Instance(g, opt)
-    d = _Selector(inst).surplus_two(frozenset({0, 1, 2}))
+    d = _Selector(inst)._s2_large(frozenset({0, 1, 2}))
     assert d is not None and d.case.startswith("surplus2/size3")
     assert _exhaustive_decision(g, opt, d)
     for p in (SIMPLE_LEVEL_PARAMS[4], SIMPLE_LEVEL_PARAMS[5]):
@@ -412,23 +412,29 @@ def test_selector_case_fires_live_and_audits_clean(case, graph, level):
 
 
 def test_exits_deleted_by_proof_stay_unreached(monkeypatch):
-    """The selector exits deleted by proof (see the docstrings of
-    surplus_two, _blocked_minset and deg5_with_3nbr) are unreachable on
-    live searches: surplus_two always gets an independent set of surplus
-    exactly 2, _blocked_minset a blocked u with N[u] != V, so it returns a
-    non-empty set, and deg4_blocker returns a decision.  Seeded level 4-6
-    solves call each at least once."""
+    """The selector exits deleted by proof (see the docstrings of _Selector,
+    _blocked_minset and deg5_with_3nbr) are unreachable on live searches:
+    find_nonsingleton_minset returns None or an independent set of two or
+    more vertices with surplus exactly 2; _blocked_minset gets a blocked u
+    with N[u] != V, so it returns a non-empty set; and by Fact N,
+    deg4_blocker's x has shadow_minus(G, N[x]) > 3 - deg(x) and no two
+    degree-3 vertices of blocked_high's iset share two neighbours.  Seeded
+    level 4-6 solves call each at least once."""
     from vcbranch import branching
     from vcbranch.solver import SolverConfig, solve_optimum
 
-    calls = dict.fromkeys(("surplus_two", "_blocked_minset", "deg4_blocker"), 0)
-    surplus_two = branching._Selector.surplus_two
+    calls = dict.fromkeys(("find_nonsingleton_minset", "_blocked_minset", "deg4_blocker",
+                           "blocked_high"), 0)
+    find = branching.find_nonsingleton_minset
     deg4_blocker = branching._Selector.deg4_blocker
+    blocked_high = branching._Selector.blocked_high
 
-    def checked_surplus_two(self, indset):
-        calls["surplus_two"] += 1
-        assert self.g.surplus(indset) == 2, sorted(indset)
-        return surplus_two(self, indset)
+    def checked_find(g, table):
+        calls["find_nonsingleton_minset"] += 1
+        indset = find(g, table)
+        assert indset is None or (len(indset) >= 2 and g.is_independent(indset)
+                                  and g.surplus(indset) == 2), sorted(indset)
+        return indset
 
     def checked_blocked_minset(g, u):
         calls["_blocked_minset"] += 1
@@ -439,13 +445,21 @@ def test_exits_deleted_by_proof_stay_unreached(monkeypatch):
 
     def checked_deg4_blocker(self, u, x):
         calls["deg4_blocker"] += 1
-        decision = deg4_blocker(self, u, x)
-        assert decision is not None, (u, x)
-        return decision
+        assert shadow_minus(self.g, _closed(self.g, x)) > 3 - self.g.degree(x), (u, x)
+        return deg4_blocker(self, u, x)
 
-    monkeypatch.setattr(branching._Selector, "surplus_two", checked_surplus_two)
+    def checked_blocked_high(self, u):
+        calls["blocked_high"] += 1
+        g = self.g
+        cubic = [x for x in sorted(_blocked_minset(g, u)) if g.degree(x) == 3]
+        assert not any(len(g.neighbors(a) & g.neighbors(b)) >= 2
+                       for i, a in enumerate(cubic) for b in cubic[i + 1:]), u
+        return blocked_high(self, u)
+
+    monkeypatch.setattr(branching, "find_nonsingleton_minset", checked_find)
     monkeypatch.setattr(branching, "_blocked_minset", checked_blocked_minset)
     monkeypatch.setattr(branching._Selector, "deg4_blocker", checked_deg4_blocker)
+    monkeypatch.setattr(branching._Selector, "blocked_high", checked_blocked_high)
     for graph, level in [(random_regular(30, 5, 21706), 4), (random_regular(36, 4, 864810), 5),
                          (random_regular(28, 6, 3), 6), (gnp(40, 0.15, 3), 6)]:
         solve_optimum(graph, SolverConfig(level=level))
@@ -601,13 +615,16 @@ def test_surplus_two_pairs_always_decide():
 
 
 def test_a_blocked_degree5_vertex_can_have_only_gain1_blockers():
-    """The branch55 tail (ruleB-nonsingleton, ruleB-pigeonhole and
-    fallback/branch55-ruleB) cannot be proved dead one vertex of universe at
-    a time: on this simplified 17-vertex graph, vertex 0 has degree 5 and a
-    degree-3 neighbour, is blocked (shad(N[0]) < 0), and its min-set holds
-    two degree-3 vertices, each with reduction gain 1 together with 0.  So
-    none of branch55/split, the deg4_blocker hand-off and ruleB-R2 fires at
-    w = 0."""
+    """On this simplified 17-vertex graph, vertex 0 has degree 5 and a
+    degree-3 neighbour, is blocked (shad(N[0]) = -2), and its min-set holds
+    two degree-3 vertices, each with reduction gain 1 together with 0: none
+    of branch55/split, the deg4_blocker hand-off and ruleB-R2 would fire at
+    w = 0.  But then {0, 6, 7} has surplus 2, so select_branch takes a
+    surplus-two rule and never reaches deg5_with_3nbr.  By Fact N (see
+    _Selector), a blocked w of universe that select_branch reaches has
+    shad(N[w]) = 4 - deg(w) exactly, so this graph does not show that the
+    branch55 tail (ruleB-nonsingleton, ruleB-pigeonhole and
+    fallback/branch55-ruleB) is reachable."""
     g = Graph(vertices=range(17), edges=[
         (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (1, 6), (1, 12), (1, 15), (1, 16),
         (2, 11), (2, 16), (3, 6), (3, 7), (3, 13), (3, 14), (3, 15), (4, 7), (4, 8), (4, 9),
@@ -621,6 +638,99 @@ def test_a_blocked_degree5_vertex_can_have_only_gain1_blockers():
     blocked = _blocked_minset(g, 0)
     assert blocked == {6, 7} and all(g.degree(x) == 3 for x in blocked)
     assert all(reduction_gain(g, {0, x}) == 1 for x in blocked)
+    assert g.is_independent({0, 6, 7}) and g.surplus({0, 6, 7}) == 2
+    assert select_branch(Instance(g, g.n)).case == "surplus2/size3-splitz"
+
+
+def _has_small_surplus_set(g: Graph) -> bool:
+    """Whether G has an independent set of two or more vertices with
+    surplus <= 2, by enumerating the independent sets of G."""
+    verts = g.vertices()
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    nbrs = [sum(bit[w] for w in g.neighbors(v)) for v in verts]
+
+    def grow(start: int, size: int, blocked: int, reach: int) -> bool:
+        # extend a set of size members, N(set) = reach, by a vertex j >= start
+        for j in range(start, len(verts)):
+            if blocked >> j & 1:
+                continue
+            with_j = reach | nbrs[j]
+            if size >= 1 and with_j.bit_count() - (size + 1) <= 2:
+                return True
+            if grow(j + 1, size + 1, blocked | nbrs[j], with_j):
+                return True
+        return False
+
+    return grow(0, 0, 0, 0)
+
+
+def _small_simplified_graphs():
+    """Simplified graphs of at most 22 vertices: simplified regular graphs,
+    the children select_branch makes on them, and simplified G(n, p)."""
+    for n in (14, 16, 18, 20, 22):
+        for d in (3, 4, 5, 6):
+            for seed in range(10):
+                g = simplify(Instance(random_regular(n, d, seed), n))[0].graph
+                if not g.n:
+                    continue
+                yield g
+                if g.max_degree() >= 4:
+                    for child in select_branch(Instance(g, g.n, lambda2=g.n)).children:
+                        if child.inst.graph.n:
+                            yield child.inst.graph
+    for seed in range(120):
+        n = 14 + seed % 9
+        g = simplify(Instance(gnp(n, 0.3 + 0.1 * (seed % 3), seed), n))[0].graph
+        if g.n:
+            yield g
+
+
+def test_fact_n_holds_by_brute_force():
+    """Fact N (see _Selector): on a simplified G, a None from
+    find_nonsingleton_minset(G, low_entries(G, 2)) means no independent set
+    of two or more vertices has surplus 2, checked by enumeration, and then
+    shadow_minus(G, N[v]) >= min(0, 4 - deg(v)) for every v with N[v] != V.
+    A set it returns is such a set; some are found by the gap case alone."""
+    seen = {"none": 0, "found": 0, "gap case": 0}
+    for g in _small_simplified_graphs():
+        assert g.n <= 22 and g.min_degree() >= 3
+        table = low_entries(g, 2)
+        indset = find_nonsingleton_minset(g, table)
+        assert (indset is not None) == _has_small_surplus_set(g), g.edges()
+        if indset is not None:
+            assert len(indset) >= 2 and g.is_independent(indset) and g.surplus(indset) == 2
+            seen["found"] += 1
+            seen["gap case"] += all(len(cert) == 1 for _, cert in table.values())
+            continue
+        seen["none"] += 1
+        for v in g.vertices():
+            if g.degree(v) + 1 < g.n:
+                assert shadow_minus(g, _closed(g, v)) >= min(0, 4 - g.degree(v)), (g.edges(), v)
+    assert seen["none"] >= 300 and seen["found"] >= 20 and seen["gap case"] >= 5, seen
+
+
+def test_size3_rule_b_takes_the_lowest_blocker(monkeypatch):
+    """surplus2/size3-ruleB branches on the lowest blocker t != y of z.  The
+    live solve of _LIVE_CASES reaches it at a z with eight candidates."""
+    from vcbranch import branching
+    from vcbranch.solver import SolverConfig, solve_optimum
+
+    taken = []
+    s2_large = branching._Selector._s2_large
+
+    def recorded(self, indset):
+        decision = s2_large(self, indset)
+        if decision.case == "surplus2/size3-ruleB":
+            g = self.g
+            z = min(z for z in g.neighborhood(indset) if len(g.neighbors(z) & indset) == 2)
+            (y,) = indset - g.neighbors(z)
+            ts = [t for t, _ in blockers(g, z) if t != y]
+            taken.append((len(ts), decision.children[0].include == {z, ts[0]}))
+        return decision
+
+    monkeypatch.setattr(branching._Selector, "_s2_large", recorded)
+    solve_optimum(random_regular(36, 7, 968410), SolverConfig(level=6))
+    assert taken == [(8, True)], taken
 
 
 def test_children_carry_independent_copies():

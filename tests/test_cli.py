@@ -529,6 +529,30 @@ def test_reduce_trace_prints_file_numbers(tmp_path):
     assert steps[1].startswith("P2 removed=3,4,8 created=9 ")
 
 
+def test_reduce_prints_the_reduced_graph_in_file_numbers(tmp_path):
+    """The reduced graph names the numbers the trace names: P1 removes
+    file vertices 7 and 10, a P2 fold creates 16, and the printed graph
+    keeps 3 and 16, with header n = 16.  So a minimum cover of the printed
+    graph lifts through the trace to a minimum cover of the input."""
+    g = gnp(15, 3.2 / 15, 9)
+    path = tmp_path / "g.gr"
+    path.write_text(render_graph(g))
+    code, out = run(["reduce", str(path), "--k", "15", "--emit-trace", "--json"])
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()]
+    steps = [r["step"] for r in rows if r["record"] == "trace"]
+    assert steps[:2] == ["P1 removed=7,10 created=- dk=1", "P2 removed=1,12,14 created=16 dk=1"]
+    text = [r for r in rows if r["record"] == "reduced"][0]["graph"]
+    assert text.startswith("p td 16 ")
+    printed = parse_graph(text)
+    inst, trace = simplify(Instance(g, 15))
+    assert [v + 1 for v in inst.graph.vertices()] == [3, 4, 5, 6, 8, 9, 11, 15, 16]
+    assert printed.edges() == inst.graph.edges()
+    opt, cover = brute_force_vc(printed)
+    lifted = lift_cover(trace, cover)
+    assert is_cover(g, lifted) and len(lifted) == brute_force_vc(g)[0] == opt + 3
+
+
 def test_reduce_then_oracle_then_lift_matches():
     for name, g in named_corpus():
         if g.n > 20:
@@ -581,6 +605,7 @@ def test_gen_missing_flag_is_usage_error(argv, flag):
     (["gen", "regular", "--n", str(MAX_VERTICES + 1), "--d", "0"],
      f"gen needs --n <= {MAX_VERTICES}, got {MAX_VERTICES + 1}"),
     (["gen", "gnp", "--n", str(10 ** 12), "--p", "0.5"], f"gen needs --n <= {MAX_VERTICES}"),
+    (["gen", "regular", "--n", "-2", "--d", "0"], "no 0-regular graph on -2 vertices"),
 ])
 def test_gen_invalid_size_is_usage_error(argv, message):
     code, out = run(argv)

@@ -270,13 +270,11 @@ def _table_policy_simplify(inst: Instance) -> tuple[Instance, ReductionTrace]:
     return Instance(g, k), trace
 
 
-def _sweep_nonsingleton_minset(g: Graph, table: dict, target: int):
+def _sweep_nonsingleton_minset(g: Graph, table: dict):
     """find_nonsingleton_minset with its second pass as a minsurp sweep."""
     second_pass = []
     for x in sorted(table):
-        v_x, cert_x = table[x]
-        if v_x != target:
-            continue
+        cert_x = table[x][1]
         if len(cert_x) >= 2:
             return cert_x
         second_pass.append(x)
@@ -301,7 +299,7 @@ def test_simplify_equals_the_table_policy(monkeypatch):
     # decides them before any tight pass
     graphs += [random_regular(n, d, seed).delete_vertices(range(cut))
                for seed, (n, d, cut) in enumerate([(24, 5, 1), (28, 5, 2), (30, 6, 1), (32, 6, 2)])]
-    second_pass_hits = certified_p3 = 0
+    certified_p3 = 0
 
     p3_step = reduce._p3_step
 
@@ -321,15 +319,7 @@ def test_simplify_equals_the_table_policy(monkeypatch):
         assert inst.lambda2 == lp_weight2(inst.graph) == ref_inst.lambda2, seed
         assert inst.graph.vertices() == ref_inst.graph.vertices(), seed
         assert inst.graph.edges() == ref_inst.graph.edges(), seed
-        if g.n:
-            _, _, table = minsurp_full(g, need_table=True)
-            for target in (0, 1, 2):
-                found = find_nonsingleton_minset(g, table, target)
-                assert found == _sweep_nonsingleton_minset(g, table, target), (seed, target)
-                if found is not None and all(len(c) < 2 for v, c in table.values()
-                                             if v == target):
-                    second_pass_hits += 1
-    assert second_pass_hits >= 5 and certified_p3 >= 10, (second_pass_hits, certified_p3)
+    assert certified_p3 >= 10, certified_p3
 
 
 def _peel_graphs(monkeypatch) -> list[Graph]:
@@ -350,8 +340,8 @@ def _peel_graphs(monkeypatch) -> list[Graph]:
             graphs.append(simplify(Instance(gnp(n, c / n, seed), n))[0].graph)
     find = branching.find_nonsingleton_minset
     monkeypatch.setattr(branching, "find_nonsingleton_minset",
-                        lambda g, table, target: graphs.append(g.delete_vertices([]))
-                        or find(g, table, target))
+                        lambda g, table: graphs.append(g.delete_vertices([]))
+                        or find(g, table))
     for seed in range(3):
         for g in (random_regular(30, 6, seed), random_regular(32, 5, seed)):
             solve_optimum(g, SolverConfig(level=7))
@@ -359,33 +349,29 @@ def _peel_graphs(monkeypatch) -> list[Graph]:
 
 
 def test_peel_drops_only_candidates_without_a_surplus_zero_set(monkeypatch):
-    """For minsurp(G) >= t and T = low_entries(G, t) with no non-singleton
-    certificate at v_x == t, every gap-case candidate the peel drops has
+    """For minsurp(G) >= 2 and T = low_entries(G, 2) with no non-singleton
+    certificate, every gap-case candidate the peel drops has
     zero_surplus_cert(G - N[x]) None, and find_nonsingleton_minset equals
-    the sweep, for t = 1 and t = 2."""
-    dropped = {1: 0, 2: 0}
-    found = 0
+    the sweep."""
+    dropped = found = 0
     for i, g in enumerate(_peel_graphs(monkeypatch)):
-        value = minsurp_full(g)[0]
-        for t in (1, 2):
-            if value < t:
-                continue
-            table = low_entries(g, t)
-            assert find_nonsingleton_minset(g, table, t) == \
-                _sweep_nonsingleton_minset(g, table, t), (i, t)
-            if any(len(c) >= 2 for v, c in table.values() if v == t):
-                continue
-            cands = [x for x in sorted(table) if table[x][0] == t]
-            kept = _peel(g, cands, t)
-            assert kept == [x for x in cands if x in kept], (i, t)
-            for x in cands:
-                cert = zero_surplus_cert(g, g.neighborhood([x], closed=True))
-                if x not in kept:
-                    assert cert is None, (i, t, x)
-                    dropped[t] += 1
-                else:
-                    found += cert is not None
-    assert dropped[1] >= 5 and dropped[2] >= 100 and found >= 5, (dropped, found)
+        if minsurp_full(g)[0] < 2:
+            continue
+        table = low_entries(g, 2)
+        assert find_nonsingleton_minset(g, table) == _sweep_nonsingleton_minset(g, table), i
+        if any(len(c) >= 2 for _, c in table.values()):
+            continue
+        cands = sorted(table)
+        kept = _peel(g, cands)
+        assert kept == [x for x in cands if x in kept], i
+        for x in cands:
+            cert = zero_surplus_cert(g, g.neighborhood([x], closed=True))
+            if x not in kept:
+                assert cert is None, (i, x)
+                dropped += 1
+            else:
+                found += cert is not None
+    assert dropped >= 100 and found >= 5, (dropped, found)
 
 
 def test_peel_pins_the_gap_case_tight_passes(monkeypatch):
@@ -404,7 +390,7 @@ def test_peel_pins_the_gap_case_tight_passes(monkeypatch):
         return tight(self, excluded)
 
     monkeypatch.setattr(_LPEngine, "tight", counted)
-    assert find_nonsingleton_minset(g, table, 2) is None
+    assert find_nonsingleton_minset(g, table) is None
     assert passes == 3
 
 
@@ -557,6 +543,35 @@ def test_simplify_certifies_before_the_tight_pass(monkeypatch):
             certified += inst.graph.n > 0 and inst.graph._lp.certified is True
     assert certified >= 6
     assert all(calls)
+
+
+def test_simplify_certifies_minimum_degree_3_with_no_tight_pass(monkeypatch):
+    """simplify asks the dominator certificate as soon as the minimum
+    degree is 3, not only from 4 on: 3-regular n = 30 (seed 1, no step) and
+    n = 40 (seed 2, four steps) each simplify with one certificate and no
+    tight pass.  A guard that waited for degree 4 would add a tight pass
+    and still ask the certificate later, for the same result."""
+    from vcbranch import lp
+
+    counts = {"certificates": 0, "tight passes": 0}
+    certify = lp._residual_two_connected
+    tight = _LPEngine.tight
+
+    def counted_certify(engine):
+        counts["certificates"] += 1
+        return certify(engine)
+
+    def counted_tight(self, excluded):
+        counts["tight passes"] += 1
+        return tight(self, excluded)
+
+    monkeypatch.setattr(lp, "_residual_two_connected", counted_certify)
+    monkeypatch.setattr(_LPEngine, "tight", counted_tight)
+    for n, seed, steps in [(30, 1, 0), (40, 2, 4)]:
+        counts.update(dict.fromkeys(counts, 0))
+        _, trace = simplify(Instance(random_regular(n, 3, seed), n))
+        assert len(trace.steps) == steps, (n, seed)
+        assert counts == {"certificates": 1, "tight passes": 0}, (n, seed, counts)
 
 
 def _cold(g: Graph) -> Graph:
